@@ -4,9 +4,10 @@ Five cooperating parts:
 
 - :mod:`kgf.kernels`: invariant inner products of Gaussian wave packets by
   mass-shell quadrature (quantum, classical and xi-scaled kernels).
-- :mod:`kgf.opalgebra`: symbolic creation/annihilation words, commutator
-  rewriting to normal order, vacuum expectation values, Wick pairings and
-  a small operator-string parser.
+- :mod:`kgf.opalgebra`: symbolic creation/annihilation words, one
+  contraction kernel that evaluates every vacuum expectation value,
+  commutator rewriting to normal order as its independent referee, Wick
+  pairings and a small operator-string parser.
 - :mod:`kgf.spectra`: closed-form spectral coefficients of five Gaussian
   configuration-space densities and the lambda(xi) closure.
 - :mod:`kgf.sampler`: spectral-method Gaussian sampling of lattice field

@@ -193,20 +193,25 @@ def _packet(dim: int, fields: dict) -> WavePacket:
     return WavePacket(
         dim=dim,
         center_t=float(fields.get("center_t", 0.0)),
-        center_x=tuple(fields.get("center_x", (0.0,) * dim)),
+        center_x=fields.get("center_x"),
         width_t=float(fields.get("width_t", 1.0)),
         width_x=float(fields.get("width_x", 1.0)),
         carrier_freq=float(fields.get("carrier_freq", 0.0)),
-        carrier_wavevector=tuple(fields.get("carrier_wavevector", (0.0,) * dim)),
+        carrier_wavevector=fields.get("carrier_wavevector"),
         amplitude=complex(float(amp[0]), float(amp[1])),
     )
 
 
-def _registry(args, config: dict) -> opalgebra.FunctionRegistry:
+def _registry(args, config: dict, names) -> opalgebra.FunctionRegistry:
+    """The configured packets among ``names``, in config order.
+
+    Packets the command does not name are neither built nor integrated.
+    """
     dim = _dim(args, config)
     registry = opalgebra.FunctionRegistry()
     for name, fields in config.get("packets", {}).items():
-        registry.register(name, _packet(dim, fields))
+        if name in names:
+            registry.register(name, _packet(dim, fields))
     return registry
 
 
@@ -275,7 +280,7 @@ def _out_dir(args) -> Path:
 def cmd_innerprod(args) -> int:
     config = load_config(args.config)
     spec = _kernel_spec(args, config)
-    registry = _registry(args, config)
+    registry = _registry(args, config, {args.f, args.g})
     f = registry.packet(registry.index_of(args.f))
     g = registry.packet(registry.index_of(args.g))
     value, diag = inner_product_with_diagnostics(spec, f, g)
@@ -288,15 +293,12 @@ def cmd_innerprod(args) -> int:
     return 0
 
 
-def _show_pairings(terms, registry, table):
-    term = terms[0]
-    indices = [registry.index_of(ident) for _, ident in term.factors]
-    pairings = opalgebra.enumerate_pairings(len(indices))
+def _show_pairings(term, word, pairings, table):
     for pairing in pairings:
         product = term.coefficient
         label = "".join(f"({p + 1},{q + 1})" for p, q in pairing)
         for p, q in pairing:
-            product *= table[(indices[q], indices[p])]
+            product *= table[(word[q][1], word[p][1])]
         print(f"pairing {label}: {_fmt_complex(product)}")
     print(f"{len(pairings)} pairings")
 
@@ -304,17 +306,23 @@ def _show_pairings(terms, registry, table):
 def cmd_expect(args) -> int:
     config = load_config(args.config)
     spec = _kernel_spec(args, config)
-    registry = _registry(args, config)
     terms = opalgebra.parse_terms(args.expression)
-    expr = opalgebra.parse_expression(args.expression, registry)
-    table = opalgebra.InnerProductTable.from_kernel(spec, registry)
+    pairings = None
     if args.show_pairings:
         if len(terms) != 1 or not terms[0].is_phi_product:
             raise InvalidInputError(
                 "--show-pairings needs a single product of phi factors"
             )
-        _show_pairings(terms, registry, table)
-    value = opalgebra.vacuum_expectation(expr, table)
+        pairings = opalgebra.enumerate_pairings(len(terms[0].factors))
+    registry = _registry(args, config,
+                         {ident for term in terms for _, ident in term.factors})
+    words = [[(keyword, registry.index_of(ident))
+              for keyword, ident in term.factors] for term in terms]
+    table = opalgebra.InnerProductTable.from_kernel(spec, registry)
+    if pairings is not None:
+        _show_pairings(terms[0], words[0], pairings, table)
+    value = sum((term.coefficient * opalgebra.contract(word, table)
+                 for term, word in zip(terms, words)), 0.0 + 0.0j)
     print(f"<0| {args.expression} |0> = {_fmt_complex(value)}")
     return 0
 

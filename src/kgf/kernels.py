@@ -85,6 +85,9 @@ class PhysicalConstants:
 
 
 def _as_vector(value, dim, name):
+    """``value`` as a ``dim``-tuple of floats; None means the zero vector."""
+    if value is None:
+        return (0.0,) * dim
     vec = np.atleast_1d(np.asarray(value, dtype=float))
     if vec.shape != (dim,):
         raise InvalidInputError(
@@ -105,16 +108,18 @@ class WavePacket:
     a Schwartz-class packet centred at (t0, x0), of temporal width tau and
     spatial width sigma, riding on a positive-frequency carrier (wbar, kbar).
     Its Fourier transform is again a Gaussian, shifted to the carrier, so
-    momentum-space values never require numerical integration.
+    momentum-space values never require numerical integration.  Omitted
+    (None) ``center_x`` and ``carrier_wavevector`` are the zero vector of
+    length ``dim``.
     """
 
     dim: int = 1
     center_t: float = 0.0
-    center_x: tuple = (0.0,)
+    center_x: tuple | None = None
     width_t: float = 1.0
     width_x: float = 1.0
     carrier_freq: float = 0.0
-    carrier_wavevector: tuple = (0.0,)
+    carrier_wavevector: tuple | None = None
     amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self):

@@ -6,9 +6,16 @@ the only non-trivial relation is
 
     a[g] adag[f]  =  adag[f] a[g] + (f, g) * 1,
 
-with same-kind letters commuting among themselves.  Vacuum expectation
-values follow by rewriting every word into normal order (all creation
-letters first) and keeping the coefficient of the identity word.
+with same-kind letters commuting among themselves.
+
+One kernel, :func:`contract`, evaluates every vacuum expectation value: a
+word's VEV is the sum over its pairings (a hafnian) of inner products,
+computed by a memoised recursion over the set of unpaired letters.  Field
+letters ``phi[i] = adag[i] + a[i]`` enter it directly, so a product of n
+fields is never expanded into its 2^n words.  The rewriting engine,
+:func:`normal_order`, moves every creation letter to the front by the
+relation above; it is kept as the independent referee the verification
+suite checks the kernel against.
 
 The two-point orientation that falls out of the commutator as written is
 ``<0| phi[f1] phi[f2] |0> = (f2, f1)``: the later insertion sits in the
@@ -42,6 +49,7 @@ __all__ = [
     "OperatorExpression",
     "field_operator",
     "normal_order",
+    "contract",
     "vacuum_expectation",
     "wick_vev",
     "excited_state_norm",
@@ -54,6 +62,10 @@ __all__ = [
 
 #: Pairing enumeration is refused beyond this many insertions ((n-1)!! growth).
 MAX_PAIRING_SIZE = 16
+
+#: The contraction kernel refuses to memoise more unpaired-letter sets than
+#: this: 24 distinct phi letters need 75 025, 26 would need 196 418.
+MAX_CONTRACTION_STATES = 2**17
 
 
 class LetterKind(enum.IntEnum):
@@ -152,7 +164,7 @@ class FunctionRegistry:
 
 
 class InnerProductTable:
-    """Table (i, j) -> (f_i, f_j) used by the rewriting engine."""
+    """Table (i, j) -> (f_i, f_j) read by the contraction kernel and the rewriter."""
 
     def __init__(self, entries: dict | None = None):
         self._entries = dict(entries or {})
@@ -380,6 +392,11 @@ def _normal_order_word(word: tuple, ip, strategy: str, cache: dict) -> dict:
     return result
 
 
+def _check_strategy(strategy: str):
+    if strategy not in ("leftmost", "rightmost"):
+        raise InvalidInputError(f"unknown strategy {strategy!r}")
+
+
 def normal_order(expr: OperatorExpression, ip, strategy: str = "leftmost") -> OperatorExpression:
     """Rewrite ``expr`` so every word has all creation letters first.
 
@@ -387,8 +404,7 @@ def normal_order(expr: OperatorExpression, ip, strategy: str = "leftmost") -> Op
     substitution order (``leftmost`` or ``rightmost`` innermost pair) does
     not change the canonical result.
     """
-    if strategy not in ("leftmost", "rightmost"):
-        raise InvalidInputError(f"unknown strategy {strategy!r}")
+    _check_strategy(strategy)
     cache: dict = {}
     out: dict = {}
     for word, coeff in expr.terms.items():
@@ -397,14 +413,89 @@ def normal_order(expr: OperatorExpression, ip, strategy: str = "leftmost") -> Op
     return _wrap(out)
 
 
+#: Letter kinds, symbolic or parsed, that can annihilate and that can create.
+_ANNIHILATORS = {ANNIHILATE, "a", "phi"}
+_CREATORS = {CREATE, "adag", "phi"}
+
+
+def contract(letters, ip) -> complex:
+    """<0| L_1 ... L_n |0> for letters ``(kind, index)`` as a pairing sum.
+
+    ``kind`` is a :class:`LetterKind` or a parser keyword (``phi``, ``a``,
+    ``adag``).  A pair p < q is worth ``ip[(index_q, index_p)]`` when letter
+    p can annihilate and letter q can create, else 0; a pairing is worth
+    the product of its pairs.  The recursion always pairs the lowest
+    unpaired letter first and is memoised on the bitmask of unpaired
+    letters, so n distinct phi letters visit Fibonacci(n+1) states rather
+    than (n-1)!! pairings.  Odd n gives exactly 0, the empty word 1.
+    """
+    letters = list(letters)
+    n = len(letters)
+    if n % 2:
+        return 0.0 + 0.0j
+    weight = [[0j] * n for _ in range(n)]
+    for p, (kind_p, index_p) in enumerate(letters):
+        if kind_p in _ANNIHILATORS:
+            for q in range(p + 1, n):
+                kind_q, index_q = letters[q]
+                if kind_q in _CREATORS:
+                    weight[p][q] = complex(ip[(index_q, index_p)])
+    memo = {0: 1.0 + 0.0j}
+
+    def rec(mask: int) -> complex:
+        hit = memo.get(mask)
+        if hit is not None:
+            return hit
+        low = mask & -mask
+        rest = mask ^ low
+        row = weight[low.bit_length() - 1]
+        total = 0.0 + 0.0j
+        partners = rest
+        while partners:
+            bit = partners & -partners
+            partners ^= bit
+            w = row[bit.bit_length() - 1]
+            if w:
+                total += w * rec(rest ^ bit)
+        if len(memo) >= MAX_CONTRACTION_STATES:
+            raise SizeLimitError(
+                f"refusing to contract {n} letters: more than "
+                f"MAX_CONTRACTION_STATES = {MAX_CONTRACTION_STATES} states"
+            )
+        memo[mask] = total
+        return total
+
+    try:
+        return rec((1 << n) - 1)
+    except RecursionError:
+        raise SizeLimitError(
+            f"refusing to contract {n} letters: pairing them nests deeper "
+            f"than the interpreter's recursion limit"
+        ) from None
+
+
 def vacuum_expectation(expr: OperatorExpression, ip, strategy: str = "leftmost") -> complex:
-    """<0| expr |0>: the identity-word coefficient after normal ordering."""
-    ordered = normal_order(expr, ip, strategy=strategy)
-    return ordered.terms.get((), 0.0 + 0.0j)
+    """<0| expr |0>: each word's coefficient times its :func:`contract`.
+
+    ``strategy`` is accepted for :func:`normal_order` compatibility and
+    validated, but the kernel's value does not depend on it.
+    """
+    _check_strategy(strategy)
+    return sum((coeff * contract(word, ip) for word, coeff in expr.terms.items()),
+               0.0 + 0.0j)
+
+
+def _check_pairing_size(n: int):
+    if n > MAX_PAIRING_SIZE:
+        raise SizeLimitError(
+            f"refusing to enumerate pairings of {n} insertions "
+            f"(limit MAX_PAIRING_SIZE = {MAX_PAIRING_SIZE})"
+        )
 
 
 def enumerate_pairings(n: int):
     """All perfect matchings of positions 0..n-1 as lists of (p, q), p < q."""
+    _check_pairing_size(n)
     if n % 2 or n < 0:
         return []
     positions = list(range(n))
@@ -428,44 +519,23 @@ def wick_vev(indices, ip) -> complex:
 
     For a product phi[i1]...phi[in] the vacuum expectation value is the sum
     over matchings of positions, with each matched pair (p < q) worth
-    ip(f_q, f_p).  Odd n gives 0, the empty product gives 1.
+    ip(f_q, f_p): :func:`contract` over phi letters.  Odd n gives 0, the
+    empty product gives 1.
     """
     indices = list(indices)
-    n = len(indices)
-    if n > MAX_PAIRING_SIZE:
-        raise SizeLimitError(
-            f"refusing to enumerate pairings of {n} insertions (limit {MAX_PAIRING_SIZE})"
-        )
-    if n % 2:
-        return 0.0 + 0.0j
-    if n == 0:
-        return 1.0 + 0.0j
-
-    def rec(remaining):
-        if not remaining:
-            return 1.0 + 0.0j
-        first = remaining[0]
-        total = 0.0 + 0.0j
-        for j in range(1, len(remaining)):
-            partner = remaining[j]
-            factor = complex(ip[(indices[partner], indices[first])])
-            rest = remaining[1:j] + remaining[j + 1:]
-            total += factor * rec(rest)
-        return total
-
-    return rec(list(range(n)))
+    _check_pairing_size(len(indices))
+    return contract([("phi", i) for i in indices], ip)
 
 
 def excited_state_norm(indices, ip) -> complex:
-    """<0| a[f_n]..a[f_1] adag[f_1]..adag[f_n] |0> via the rewriting engine.
+    """<0| a[f_n]..a[f_1] adag[f_1]..adag[f_n] |0> by :func:`contract`.
 
     Equals the permanent of the matrix M[p][q] = ip(f_p, f_q).
     """
     indices = list(indices)
     letters = [(ANNIHILATE, i) for i in reversed(indices)]
     letters += [(CREATE, i) for i in indices]
-    expr = OperatorExpression({tuple(letters): 1.0})
-    return vacuum_expectation(expr, ip)
+    return contract(letters, ip)
 
 
 # --- operator-string front end -------------------------------------------

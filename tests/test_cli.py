@@ -15,6 +15,7 @@ except ModuleNotFoundError:  # Python 3.10, where pytest depends on tomli
     import tomli as tomllib
 
 import kgf
+from kgf import opalgebra
 from kgf.cli import main
 from kgf.sampler import read_samples_binary, read_samples_csv
 
@@ -163,6 +164,78 @@ class TestExpect:
         cfg = write_config(tmp_path, BASE_CONFIG)
         assert main(["expect", "--config", cfg, "phi[f1"]) == 2
         assert "offset 7" in capsys.readouterr().err
+
+    def test_show_pairings_size_limit_exits_2_before_quadrature(
+            self, tmp_path, capsys, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran before the size check")
+
+        monkeypatch.setattr(opalgebra.InnerProductTable, "from_kernel",
+                            no_quadrature)
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        assert main(["expect", "--config", cfg, "--show-pairings",
+                     " ".join(["phi[f1]"] * 20)]) == 2
+        assert "MAX_PAIRING_SIZE" in capsys.readouterr().err
+
+    def test_twentieth_power_of_one_field(self, tmp_path, capsys):
+        # 19!! pairings, each worth (f, f)^10: past any pairing enumeration
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        assert main(["innerprod", "--config", cfg, "-f", "f1", "-g", "f1"]) == 0
+        norm = parse_value(capsys.readouterr().out.splitlines()[0])
+        assert main(["expect", "--config", cfg, " ".join(["phi[f1]"] * 20)]) == 0
+        vev = parse_value(capsys.readouterr().out.splitlines()[-1])
+        expected = math.prod(range(1, 20, 2)) * norm**10
+        assert abs(vev - expected) <= 1e-12 * abs(expected)
+
+    def test_contraction_state_limit_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        assert main(["expect", "--config", cfg, " ".join(["phi[f1]"] * 26)]) == 2
+        assert "MAX_CONTRACTION_STATES" in capsys.readouterr().err
+
+    def test_unknown_name_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        assert main(["expect", "--config", cfg, "phi[f1] phi[x]"]) == 2
+        assert "unknown function name 'x'" in capsys.readouterr().err
+
+    def test_unnamed_packets_are_not_integrated(self, tmp_path, capsys):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["packets"]["bad"] = {"width_x": 0.02, "carrier_freq": 1.0}
+        cfg = write_config(tmp_path, config)
+        assert main(["innerprod", "--config", cfg, "-f", "bad", "-g", "bad"]) == 3
+        capsys.readouterr()
+        assert main(["expect", "--config", cfg, "phi[f1] phi[f2]"]) == 0
+        assert main(["innerprod", "--config", cfg, "-f", "f1", "-g", "f2"]) == 0
+
+    def test_values_do_not_need_the_rewriting_engine(
+            self, tmp_path, capsys, monkeypatch):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        for i in (3, 4, 5):
+            config["packets"][f"f{i}"] = {"center_x": [0.3 * i],
+                                          "carrier_freq": 0.1 * i}
+        cfg = write_config(tmp_path, config)
+        ladder = [f"f{i}" for i in (1, 2, 3, 4, 5)]
+        expressions = [
+            "phi[f1] phi[f2] phi[f1] phi[f3]",
+            " ".join([f"a[{f}]" for f in ladder]
+                     + [f"adag[{f}]" for f in reversed(ladder)]),
+        ]
+
+        def run_all():
+            lines = []
+            for text in expressions:
+                assert main(["expect", "--config", cfg, text]) == 0
+                lines.append(capsys.readouterr().out)
+            return lines
+
+        plain = run_all()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rewriting engine on the expect path")
+
+        monkeypatch.setattr(opalgebra, "normal_order", refuse)
+        monkeypatch.setattr(opalgebra, "parse_expression", refuse)
+        monkeypatch.setattr(opalgebra.OperatorExpression, "__mul__", refuse)
+        assert run_all() == plain
 
 
 class TestSpectra:

@@ -68,6 +68,12 @@ class TestWavePacket:
         with pytest.raises(InvalidInputError):
             WavePacket(dim=2, center_x=(0.0,), carrier_wavevector=(0.0, 0.0))
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_default_vectors_follow_dim(self, dim):
+        f = WavePacket(dim=dim)
+        assert f.center_x == (0.0,) * dim
+        assert f.carrier_wavevector == (0.0,) * dim
+
     def test_scaled_multiplies_amplitude(self):
         f = packet(amplitude=1.0 + 2.0j)
         g = f.scaled(2.0j)

@@ -17,10 +17,12 @@ from kgf.kernels import KernelSpec, WavePacket, inner_product
 from kgf.opalgebra import (
     ANNIHILATE,
     CREATE,
+    MAX_CONTRACTION_STATES,
     FunctionRegistry,
     InnerProductTable,
     OperatorExpression,
     canonical_word,
+    contract,
     enumerate_pairings,
     excited_state_norm,
     field_operator,
@@ -309,10 +311,11 @@ class TestWickEquivalence:
                 expr = OperatorExpression.identity()
                 for i in indices:
                     expr = expr * field_operator(reg, i)
-                direct = vacuum_expectation(expr, table)
-                wick = wick_vev(indices, table)
-                scale = max(abs(wick), 1e-6)
-                assert abs(direct - wick) <= 1e-10 * scale
+                referee = normal_order(expr, table).terms.get((), 0)
+                scale = max(abs(referee), 1e-6)
+                for fast in (vacuum_expectation(expr, table),
+                             wick_vev(indices, table)):
+                    assert abs(fast - referee) <= 1e-10 * scale
 
     def test_odd_products_vanish_exactly(self):
         rng = np.random.default_rng(7271)
@@ -325,6 +328,7 @@ class TestWickEquivalence:
             expr = OperatorExpression.identity()
             for i in indices:
                 expr = expr * field_operator(reg, i)
+            assert normal_order(expr, table).terms.get((), 0) == 0.0
             assert vacuum_expectation(expr, table) == 0.0
             assert wick_vev(indices, table) == 0.0
 
@@ -334,6 +338,55 @@ class TestWickEquivalence:
     def test_wick_size_limit(self):
         with pytest.raises(SizeLimitError):
             wick_vev([1] * 18, DYADIC_TABLE)
+
+    def test_pairing_enumeration_size_limit(self):
+        with pytest.raises(SizeLimitError, match="MAX_PAIRING_SIZE"):
+            enumerate_pairings(18)
+
+
+class TestContract:
+    def test_letter_kinds_and_keywords_agree(self):
+        reg = FunctionRegistry()
+        for name in ("f1", "f2", "f3"):
+            reg.register(name)
+        table = random_table(np.random.default_rng(5150), 3)
+        text = "a[f2] phi[f3] adag[f1] phi[f2]"
+        expr = parse_expression(text, reg)
+        referee = normal_order(expr, table).terms.get((), 0)
+        keywords = [(kw, reg.index_of(ident))
+                    for kw, ident in parse_terms(text)[0].factors]
+        assert contract(keywords, table) == pytest.approx(referee, rel=1e-13)
+        assert vacuum_expectation(expr, table) == pytest.approx(referee, rel=1e-13)
+
+    def test_orientation_and_trivial_words(self):
+        assert contract([], DYADIC_TABLE) == 1.0
+        assert contract([("phi", 1)], DYADIC_TABLE) == 0.0
+        assert contract([("phi", 1), ("phi", 2)], DYADIC_TABLE) == DYADIC_TABLE[(2, 1)]
+        assert contract([(CREATE, 1), (ANNIHILATE, 2)], DYADIC_TABLE) == 0.0
+        assert contract([("a", 1), ("adag", 2)], DYADIC_TABLE) == DYADIC_TABLE[(2, 1)]
+
+    def test_state_limit_admits_24_and_refuses_26_fields(self):
+        # n distinct phi letters visit Fibonacci(n+1) unpaired-letter sets:
+        # 75 025 for n = 24, 196 418 for n = 26.  With every pair worth 1
+        # the value is the number of pairings, 23!! (exact in a double).
+        ones = InnerProductTable({(i, j): 1.0 for i in range(1, 27)
+                                  for j in range(1, 27)})
+        assert MAX_CONTRACTION_STATES == 2**17
+        got = contract([("phi", i) for i in range(1, 25)], ones)
+        assert got == math.prod(range(1, 24, 2))
+        with pytest.raises(SizeLimitError, match="MAX_CONTRACTION_STATES"):
+            contract([("phi", i) for i in range(1, 27)], ones)
+
+    def test_vacuum_expectation_still_validates_strategy(self):
+        with pytest.raises(InvalidInputError):
+            vacuum_expectation(OperatorExpression.identity(), DYADIC_TABLE,
+                               strategy="inner")
+
+    def test_deep_word_is_refused_not_crashed(self):
+        # few states but n/2 nested pairings: past the recursion limit
+        word = [("a", 1), ("adag", 1)] * 1200
+        with pytest.raises(SizeLimitError, match="recursion limit"):
+            contract(word, InnerProductTable({(1, 1): 1.0}))
 
 
 class TestExcitedStateNorm:
@@ -356,6 +409,11 @@ class TestExcitedStateNorm:
             expect = permanent(matrix)
             got = excited_state_norm(indices, table)
             assert got == pytest.approx(expect, rel=1e-12, abs=1e-14)
+
+    def test_nine_quanta_past_pairing_limit_is_exact(self):
+        # 18 letters, beyond MAX_PAIRING_SIZE: norm = 9! * (f,f)^9 exactly
+        table = InnerProductTable({(1, 1): 3.0})
+        assert excited_state_norm([1] * 9, table) == math.factorial(9) * 3**9
 
     def test_orthogonal_modes_factorize(self):
         table = InnerProductTable({
