@@ -99,8 +99,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "cutoff": {"type": ["number", "null"]},
                 "nodes": {"type": "integer", "minimum": 16},
-                "rule": {"type": "string",
-                         "enum": ["gauss-legendre", "trapezoid"]},
+                "rule": {"type": "string", "enum": ["gauss-legendre"]},
             },
         },
         "lattice": {
@@ -184,7 +183,6 @@ def _quadrature(config: dict) -> QuadratureSpec:
     return QuadratureSpec(
         cutoff=section.get("cutoff"),
         nodes=int(section.get("nodes", 256)),
-        rule=section.get("rule", "gauss-legendre"),
     )
 
 
@@ -294,13 +292,14 @@ def cmd_innerprod(args) -> int:
 
 
 def _show_pairings(term, word, pairings, table):
-    for pairing in pairings:
+    count = 0
+    for count, pairing in enumerate(pairings, start=1):
         product = term.coefficient
         label = "".join(f"({p + 1},{q + 1})" for p, q in pairing)
         for p, q in pairing:
             product *= table[(word[q][1], word[p][1])]
         print(f"pairing {label}: {_fmt_complex(product)}")
-    print(f"{len(pairings)} pairings")
+    print(f"{count} pairings")
 
 
 def cmd_expect(args) -> int:
@@ -416,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--kT", type=float, metavar="F")
     common.add_argument("--mass", type=float, metavar="F")
     common.add_argument("--xi", type=float, metavar="F")
-    common.add_argument("--out", metavar="DIR", help="artifact output directory")
 
     parser = argparse.ArgumentParser(
         prog="kgf",
@@ -449,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmin", type=float)
     p.add_argument("--kmax", type=float)
     p.add_argument("--kcount", type=int)
+    p.add_argument("--out", metavar="DIR", help="write coefficients.csv here")
     p.set_defaults(func=cmd_spectra)
 
     p = sub.add_parser("sample", parents=[common],
@@ -464,6 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pin-zero-mode", action="store_true",
                    help="set the k=0 mode to zero instead of failing when c(0)=0")
     p.add_argument("--format", choices=("csv", "binary"), default="csv")
+    p.add_argument("--out", metavar="DIR", help="artifact output directory")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", parents=[common],

@@ -18,7 +18,10 @@ the three kernel variants reduce to
     classical:  same integrand times (kT/hbar) * (2/omega_k)
     xi-scaled:  same integrand times xi
 
-and those reduced forms are what the quadrature evaluates.
+For Gaussian packets f~* g~ depends on the direction of k only through
+exp(b.k), so each reduced form is one Gauss-Legendre integral in |k| times
+a mean over the direction cosine u: u = +-1 in D=1, the periodic trapezoid
+in the angle in D=2 and Gauss-Legendre in u in D=3.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyError, InvalidInputError, NumericConsistencyError
+from .errors import (AccuracyError, InvalidInputError, NumericConsistencyError,
+                     SizeLimitError)
 
 __all__ = [
     "PhysicalConstants",
@@ -50,6 +54,10 @@ CONVERGENCE_RTOL = 1e-8
 
 #: Gaussian tails are below 1e-12 of the total past this many k-space sigmas.
 CUTOFF_SIGMAS = 12.0
+
+#: Largest ``QuadratureSpec.nodes``.  The doubled check of a D>=2 integral
+#: evaluates (2 * nodes)^2 points per packet pair.
+MAX_QUADRATURE_NODES = 1024
 
 
 def _require_finite(name, value):
@@ -172,13 +180,14 @@ class KernelVariant(enum.Enum):
 class QuadratureSpec:
     """How to evaluate the reduced wave-vector integral.
 
-    ``cutoff=None`` lets each inner product pick |kbar| + 12/sigma over the
-    two packets involved.  Node counts are per axis.
+    The rule is radial: ``nodes`` Gauss-Legendre radii on [0, cutoff] and,
+    in D >= 2, as many direction points per radius.  ``cutoff=None`` lets
+    each inner product pick |kbar| + 12/sigma over the two packets involved.
+    ``nodes`` lies in [16, MAX_QUADRATURE_NODES].
     """
 
     cutoff: float | None = None
     nodes: int = 256
-    rule: str = "gauss-legendre"
 
     def __post_init__(self):
         if self.cutoff is not None:
@@ -186,9 +195,12 @@ class QuadratureSpec:
             if self.cutoff <= 0:
                 raise InvalidInputError(f"cutoff must be > 0, got {self.cutoff}")
         if self.nodes < 16:
-            raise InvalidInputError(f"need at least 16 nodes per axis, got {self.nodes}")
-        if self.rule not in ("trapezoid", "gauss-legendre"):
-            raise InvalidInputError(f"unknown quadrature rule {self.rule!r}")
+            raise InvalidInputError(f"need at least 16 quadrature nodes, got {self.nodes}")
+        if self.nodes > MAX_QUADRATURE_NODES:
+            raise SizeLimitError(
+                f"refusing {self.nodes} quadrature nodes "
+                f"(limit MAX_QUADRATURE_NODES = {MAX_QUADRATURE_NODES})"
+            )
 
 
 @dataclass(frozen=True)
@@ -243,20 +255,18 @@ def fourier_transform(packet: WavePacket, k0, kvec) -> complex | np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _gauss_legendre(nodes: int):
-    return np.polynomial.legendre.leggauss(nodes)
-
-
-def _axis_rule(spec: QuadratureSpec, cutoff: float):
-    """Nodes and weights on [-cutoff, cutoff] for one axis."""
-    if spec.rule == "gauss-legendre":
-        x, w = _gauss_legendre(spec.nodes)
-        return x * cutoff, w * cutoff
-    x = np.linspace(-cutoff, cutoff, spec.nodes)
-    h = x[1] - x[0]
-    w = np.full(spec.nodes, h)
-    w[0] = w[-1] = 0.5 * h
-    return x, w
+def _radial_rule(dim: int, nodes: int):
+    """Radii on [0, 1] with weights for the measure |S^(D-1)| r^(D-1), and
+    direction cosines with weights that take the mean over directions."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    r = 0.5 * (x + 1.0)
+    radial = w * math.pi ** (dim / 2) / math.gamma(dim / 2) * r ** (dim - 1)
+    if dim == 1:
+        return r, radial, np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+    if dim == 2:
+        theta = (np.arange(nodes) + 0.5) * (math.pi / nodes)
+        return r, radial, np.cos(theta), np.full(nodes, 1.0 / nodes)
+    return r, radial, x, 0.5 * w
 
 
 def _resolve_cutoff(spec: KernelSpec, f: WavePacket, g: WavePacket) -> float:
@@ -277,34 +287,27 @@ def _variant_weight(spec: KernelSpec, omega: np.ndarray) -> np.ndarray:
 
 
 def _reduced_integral(spec: KernelSpec, f: WavePacket, g: WavePacket,
-                      quad: QuadratureSpec, cutoff: float):
-    """One quadrature pass; returns (value, |f|^2 integral, |g|^2 integral)."""
-    dim = spec.dim
-    mass = spec.constants.mass
-    if mass == 0.0 and quad.nodes % 2:
-        # even node counts keep the grid away from the 1/omega point at k=0
-        raise InvalidInputError(
-            "massless kernels need an even node count so no quadrature node "
-            "falls on k=0"
-        )
-    axes = [_axis_rule(quad, cutoff) for _ in range(dim)]
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    kvec = np.stack(grids, axis=-1)
-    omega = np.sqrt(np.sum(kvec * kvec, axis=-1) + mass * mass)
-
-    weight = _variant_weight(spec, omega)
-    for axis_index, (_, w) in enumerate(axes):
-        shape = [1] * dim
-        shape[axis_index] = -1
-        weight = weight * w.reshape(shape)
-    weight = weight / (2.0 * math.pi) ** dim
-
-    ft = fourier_transform(f, omega, kvec)
-    gt = fourier_transform(g, omega, kvec)
-    value = np.sum(weight * np.conj(ft) * gt)
-    norm_f = float(np.sum(weight * (np.conj(ft) * ft).real))
-    norm_g = float(np.sum(weight * (np.conj(gt) * gt).real))
-    return complex(value), norm_f, norm_g
+                      nodes: int, cutoff: float) -> complex:
+    """One radial pass.  conj(f~) g~ = conj(A_f T_f) A_g T_g (2 pi sigma_f
+    sigma_g)^D exp(c0 - alpha r^2 + b.k); each direction term is the one
+    exponent exp(c0 - alpha r^2 + r s u), s = sqrt(b.b), of modulus <= 1."""
+    r, radial, u, mean = _radial_rule(spec.dim, nodes)
+    r = cutoff * r
+    omega = np.sqrt(r * r + spec.constants.mass ** 2)
+    sf2, sg2 = f.width_x ** 2, g.width_x ** 2
+    kf, kg = np.asarray(f.carrier_wavevector), np.asarray(g.carrier_wavevector)
+    xf, xg = np.asarray(f.center_x), np.asarray(g.center_x)
+    b = sf2 * kf + sg2 * kg + 1j * (xf - xg)
+    c0 = -0.5 * (sf2 * (kf @ kf) + sg2 * (kg @ kg)) - 1j * (kf @ xf - kg @ xg)
+    exponent = (c0 - 0.5 * (sf2 + sg2) * r * r)[:, None]
+    directions = np.exp(exponent + np.sqrt(complex(b @ b)) * r[:, None] * u) @ mean
+    du_f, du_g = omega - f.carrier_freq, omega - g.carrier_freq
+    time = np.exp(-0.5 * ((f.width_t * du_f) ** 2 + (g.width_t * du_g) ** 2)
+                  - 1j * (du_f * f.center_t - du_g * g.center_t))
+    # the (2 pi)^D of the space factors cancels the measure's 1/(2 pi)^D
+    scale = (2.0 * math.pi * f.amplitude.conjugate() * g.amplitude * f.width_t * g.width_t
+             * (f.width_x * g.width_x) ** spec.dim * cutoff ** spec.dim)
+    return complex(scale * ((radial * _variant_weight(spec, omega) * time) @ directions))
 
 
 @dataclass(frozen=True)
@@ -322,32 +325,49 @@ def inner_product_with_diagnostics(spec: KernelSpec, f: WavePacket, g: WavePacke
                                    check: bool = True):
     """Inner product plus the convergence diagnostics behind it.
 
-    The check doubles both the cutoff and the per-axis node count and
-    requires the two estimates to agree to ``CONVERGENCE_RTOL`` relative
-    to the Cauchy-Schwarz scale sqrt((f,f)(g,g)).  That scale dominates
-    |(f,g)| and is invariant under rescaling either packet, so pairs whose
-    inner product is small through cancellation do not fail spuriously.
+    The check doubles both the cutoff and the node count, so it certifies
+    the radius and the direction rule together, and requires the two
+    estimates to agree to ``CONVERGENCE_RTOL`` relative to the
+    Cauchy-Schwarz scale sqrt((f,f)(g,g)).  That scale dominates |(f,g)|
+    and is invariant under rescaling either packet, so pairs whose inner
+    product is small through cancellation do not fail spuriously.  A
+    non-finite estimate, or a vanishing scale for packets of nonzero
+    amplitude, is an accuracy failure too: neither can be checked.
     """
     if not (f.dim == g.dim == spec.dim):
         raise InvalidInputError(
             f"dimension mismatch: kernel D={spec.dim}, f D={f.dim}, g D={g.dim}"
         )
-    quad = spec.quadrature
+    nodes = spec.quadrature.nodes
     cutoff = _resolve_cutoff(spec, f, g)
-    value, _, _ = _reduced_integral(spec, f, g, quad, cutoff)
+    value = _reduced_integral(spec, f, g, nodes, cutoff)
     if not check:
         return value, None
 
-    refined_quad = QuadratureSpec(cutoff=None, nodes=2 * quad.nodes, rule=quad.rule)
-    refined, norm_f, norm_g = _reduced_integral(spec, f, g, refined_quad, 2.0 * cutoff)
-    err = abs(refined - value)
+    refined = _reduced_integral(spec, f, g, 2 * nodes, 2.0 * cutoff)
+    norm_f = _reduced_integral(spec, f, f, 2 * nodes, 2.0 * cutoff).real
+    norm_g = _reduced_integral(spec, g, g, 2 * nodes, 2.0 * cutoff).real
+    if not np.all(np.isfinite([value, refined, norm_f, norm_g])):
+        raise AccuracyError(
+            f"quadrature gave a non-finite estimate: base {value} vs doubled "
+            f"{refined}, norms {norm_f} and {norm_g}",
+            coarse=value,
+            refined=refined,
+        )
     scale = math.sqrt(max(norm_f, 0.0) * max(norm_g, 0.0))
-    rel = err / scale if scale > 0.0 else 0.0
+    if scale == 0.0 and f.amplitude != 0 and g.amplitude != 0:
+        raise AccuracyError(
+            f"quadrature found no weight: the norms of packets with nonzero "
+            f"amplitude came out {norm_f} and {norm_g} at cutoff {cutoff}",
+            coarse=value,
+            refined=refined,
+        )
+    rel = abs(refined - value) / scale if scale > 0.0 else 0.0
     diag = QuadratureDiagnostics(
         value=value,
         refined=refined,
         cutoff=cutoff,
-        nodes=quad.nodes,
+        nodes=nodes,
         relative_shift=rel,
     )
     if rel > CONVERGENCE_RTOL:

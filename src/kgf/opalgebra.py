@@ -494,11 +494,13 @@ def _check_pairing_size(n: int):
 
 
 def enumerate_pairings(n: int):
-    """All perfect matchings of positions 0..n-1 as lists of (p, q), p < q."""
+    """All perfect matchings of positions 0..n-1, yielded as lists of (p, q), p < q.
+
+    The size limit is checked when called, not when first iterated.
+    """
     _check_pairing_size(n)
     if n % 2 or n < 0:
-        return []
-    positions = list(range(n))
+        return iter(())
 
     def rec(remaining):
         if not remaining:
@@ -511,7 +513,7 @@ def enumerate_pairings(n: int):
             for tail in rec(rest):
                 yield [(first, partner)] + tail
 
-    return list(rec(positions))
+    return rec(list(range(n)))
 
 
 def wick_vev(indices, ip) -> complex:

@@ -15,7 +15,7 @@ except ModuleNotFoundError:  # Python 3.10, where pytest depends on tomli
     import tomli as tomllib
 
 import kgf
-from kgf import opalgebra
+from kgf import cli, opalgebra
 from kgf.cli import main
 from kgf.sampler import read_samples_binary, read_samples_csv
 
@@ -87,6 +87,41 @@ class TestConfigHandling:
         base = parse_value(capsys.readouterr().out.splitlines()[0])
         assert overridden == base
 
+    def test_old_rule_key_loads_and_trapezoid_exits_2(self, tmp_path, capsys):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["quadrature"] = {"rule": "gauss-legendre"}
+        cfg = write_config(tmp_path, config)
+        assert main(["innerprod", "--config", cfg, "-f", "f1", "-g", "f2"]) == 0
+        config["quadrature"] = {"rule": "trapezoid"}
+        cfg = write_config(tmp_path, config)
+        assert main(["innerprod", "--config", cfg, "-f", "f1", "-g", "f2"]) == 2
+        assert "quadrature/rule" in capsys.readouterr().err
+
+    def test_node_ceiling_exits_2_before_quadrature(
+            self, tmp_path, capsys, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran before the node check")
+
+        monkeypatch.setattr(cli, "inner_product_with_diagnostics", no_quadrature)
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["quadrature"] = {"nodes": 100000}
+        cfg = write_config(tmp_path, config)
+        assert main(["innerprod", "--config", cfg, "-f", "f1", "-g", "f2"]) == 2
+        assert "MAX_QUADRATURE_NODES" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["innerprod", "-f", "f1", "-g", "f2"],
+        ["expect", "phi[f1] phi[f2]"],
+        ["verify", "--suite", "spectra"],
+    ])
+    def test_out_is_rejected_where_nothing_is_written(self, tmp_path, command):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "artifacts"
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--config", cfg, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert not out.exists()
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"ensemble": "vacuum", "samples": 2})
         assert main(["sample", "--config", cfg, "--seed", "-1",
@@ -119,12 +154,31 @@ class TestInnerprod:
         assert "unknown function name 'nope'" in capsys.readouterr().err
 
     def test_under_resolved_quadrature_exits_3(self, tmp_path, capsys):
+        # massless D=1: the quantum integral diverges logarithmically at k=0
         cfg = write_config(tmp_path, {
-            "constants": {"mass": 0.05},
-            "packets": {"f": {"width_x": 0.5, "carrier_freq": 1.0}},
+            "constants": {"mass": 0.0},
+            "packets": {"f": {"width_x": 2.0}},
         })
         assert main(["innerprod", "--config", cfg, "-f", "f", "-g", "f"]) == 3
         assert "accuracy error" in capsys.readouterr().err
+
+    def test_narrow_packet_exits_3(self, tmp_path, capsys):
+        # width 0.001 puts the cutoff at 12000, far past the integrand
+        cfg = write_config(tmp_path, {
+            "packets": {"f": {"width_x": 0.001, "carrier_freq": 1.0}},
+        })
+        assert main(["innerprod", "--config", cfg, "-f", "f", "-g", "f"]) == 3
+        assert "accuracy error" in capsys.readouterr().err
+
+    def test_d3_default_quadrature(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"dim": 3, "packets": {
+            "f1": {"carrier_freq": 0.5},
+            "f2": {"center_x": [0.4, 0.0, -0.2], "carrier_wavevector": [0.8, 0.1, 0.0]},
+        }})
+        assert main(["innerprod", "--config", cfg, "-f", "f1", "-g", "f2"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("(f1, f2)_quantum = ")
+        assert "nodes 256" in out[1]
 
 
 class TestExpect:
@@ -199,7 +253,7 @@ class TestExpect:
 
     def test_unnamed_packets_are_not_integrated(self, tmp_path, capsys):
         config = json.loads(json.dumps(BASE_CONFIG))
-        config["packets"]["bad"] = {"width_x": 0.02, "carrier_freq": 1.0}
+        config["packets"]["bad"] = {"width_x": 0.001, "carrier_freq": 1.0}
         cfg = write_config(tmp_path, config)
         assert main(["innerprod", "--config", cfg, "-f", "bad", "-g", "bad"]) == 3
         capsys.readouterr()

@@ -287,11 +287,11 @@ class TestNormalOrdering:
 
 class TestWickEquivalence:
     def test_pairing_counts_are_double_factorials(self):
-        assert enumerate_pairings(0) == [[]]
-        assert enumerate_pairings(2) == [[(0, 1)]]
-        assert len(enumerate_pairings(4)) == 3
-        assert len(enumerate_pairings(6)) == 15
-        assert enumerate_pairings(3) == []
+        assert list(enumerate_pairings(0)) == [[]]
+        assert list(enumerate_pairings(2)) == [[(0, 1)]]
+        assert len(list(enumerate_pairings(4))) == 3
+        assert len(list(enumerate_pairings(6))) == 15
+        assert list(enumerate_pairings(3)) == []
 
     def test_pairings_are_perfect_matchings(self):
         for matching in enumerate_pairings(6):
