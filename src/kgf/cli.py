@@ -366,29 +366,26 @@ def cmd_sample(args) -> int:
     n = int(_pick(args.samples, config, "samples", 100))
     seed = _seed(args, config)
     workers = _workers(args)
-    fields = sampler.sample_array(density, lattice, seed, n,
-                                  pin_zero_mode=args.pin_zero_mode,
-                                  workers=workers)
+    chunks = sampler.sample_chunks(density, lattice, seed, n,
+                                   pin_zero_mode=args.pin_zero_mode,
+                                   workers=workers)
     out = _out_dir(args)
-    if args.format == "csv":
-        path = out / "samples.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            sampler.write_samples_csv(fh, lattice, fields)
-    else:
-        path = out / "samples.bin"
-        with open(path, "wb") as fh:
-            sampler.write_samples_binary(fh, lattice, fields)
+    text = args.format == "csv"
+    path = out / ("samples.csv" if text else "samples.bin")
+    acc = sampler.SpectrumAccumulator(lattice)
+    with open(path, "w" if text else "wb",
+              encoding="utf-8" if text else None) as fh:
+        write = sampler.samples_writer(fh, lattice, args.format)
+        for chunk in chunks:
+            write(chunk.start, chunk.values)
+            acc.add(chunk)
     print(f"wrote {path} ({n} samples, seed {seed}, workers {workers})")
     if n >= 2:
-        acc = sampler.SpectrumAccumulator(lattice)
-        for values in fields:
-            acc.update(sampler.FieldConfiguration(lattice, values))
-        estimate = acc.finalize()
         expected = sampler.expected_power(density, lattice,
                                           pin_zero_mode=args.pin_zero_mode)
         spath = out / "spectrum.csv"
-        spath.write_text(sampler.spectrum_csv(estimate, expected),
-                         encoding="utf-8")
+        with open(spath, "w", encoding="utf-8") as fh:
+            sampler.write_spectrum_csv(fh, acc.finalize(), expected)
         print(f"wrote {spath}")
     return 0
 

@@ -29,12 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, InvalidInputError
+from .errors import AccuracyError, DomainError, InvalidInputError, SizeLimitError
 from .spectra import Ensemble, SpectralDensity, spectral_coefficient
 
 __all__ = [
     "TAIL_TOL",
     "MIN_CUTOFF",
+    "MAX_FOCK_STATES",
     "VACUUM_GIBBS_X",
     "ModeSpec",
     "bose_occupancy",
@@ -47,6 +48,11 @@ __all__ = [
 
 TAIL_TOL = 1e-12
 MIN_CUTOFF = 8
+
+#: Most number states one mode may sum over (about 100 MB of temporaries).
+#: The automatic cutoff grows like ln(1/(TAIL_TOL x))/x as the Gibbs
+#: argument x -> 0, so it refuses x below about 1e-5.
+MAX_FOCK_STATES = 2**22
 
 #: Gibbs argument standing in for x -> infinity when an ensemble's mode is a
 #: pure ground state: e^(-64) ~ 1.6e-28 leaves no excited weight at 1e-12.
@@ -77,6 +83,11 @@ class ModeSpec:
                                         f"got {value!r}")
         if self.cutoff == 0:
             object.__setattr__(self, "cutoff", _auto_cutoff(self.gibbs_x))
+        if self.cutoff > MAX_FOCK_STATES:
+            raise SizeLimitError(
+                f"cutoff {self.cutoff} exceeds the number-state limit "
+                f"MAX_FOCK_STATES = {MAX_FOCK_STATES} (gibbs_x {self.gibbs_x!r})"
+            )
         if self.cutoff < MIN_CUTOFF:
             raise InvalidInputError(
                 f"cutoff must be >= {MIN_CUTOFF}, got {self.cutoff}"

@@ -18,18 +18,29 @@ which follows by Gaussian integration: a +/-k pair shares one complex
 coefficient u+iv whose exponent is -(2 c/V)(u^2+v^2), so Var u = Var v =
 V/(4c); a self-conjugate mode (j in {0, N/2} on every axis) is real with
 exponent -(c/V)u^2, so Var u = V/(2c).  The generator draws exactly these
-Gaussians in k-space and inverse-transforms.
+Gaussians on the half mode grid that ``irfftn`` reads (last axis j in
+0..N/2; inside the planes j_last = 0 and N/2 the conjugate partners are
+set explicitly) and inverse-transforms.
 
-Randomness is counter-based: sample ``i`` of seed ``s`` reads from a
-Philox stream with key (s, tag) and counter block i, so streams are
-reproducible and independent of how samples are scheduled over workers.
+Randomness is counter-based and comes in blocks: sample ``i`` of seed
+``s`` is row ``i % BLOCK_SIZE`` of block ``i // BLOCK_SIZE``, and each
+block reads one Philox stream with key (s, tag) and counter block index.
+A block's rows come out in chunks of bounded bytes, drawn one after
+another from that block's generator; sequential draws from one generator
+give the same bytes as one draw, so neither the chunk size nor the number
+of worker threads (which split the work over blocks) changes a byte, and
+the first n samples of a seed are the same for every longer run.
 """
 
 from __future__ import annotations
 
+import functools
 import io
+import itertools
 import math
 import struct
+import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -37,13 +48,16 @@ import numpy as np
 
 from .errors import DegenerateModeError, InvalidInputError
 from .kernels import PhysicalConstants
-from .spectra import Ensemble, SpectralDensity, spectral_coefficient
+from .spectra import SpectralDensity, spectral_coefficient
 
 __all__ = [
+    "BLOCK_SIZE",
     "LatticeSpec",
     "FieldConfiguration",
+    "SampleChunk",
     "SpectrumAccumulator",
     "SpectrumEstimate",
+    "sample_chunks",
     "sample_fields",
     "sample_array",
     "power_spectrum",
@@ -53,14 +67,26 @@ __all__ = [
     "hamiltonian_classical",
     "hamiltonian_quantum",
     "density_exponent",
+    "samples_writer",
     "write_samples_csv",
     "read_samples_csv",
     "write_samples_binary",
     "read_samples_binary",
+    "write_spectrum_csv",
     "spectrum_csv",
 ]
 
 MAX_TOTAL_SITES = 2**24
+
+#: Samples per Philox key block: part of the stream format, not a tuning knob.
+BLOCK_SIZE = 256
+
+#: Upper bound on the field values of one chunk (at least one sample).
+#: Resident memory scales with it; the stream bytes do not depend on it.
+_CHUNK_BYTES = 2**20
+
+#: Rows formatted at once by the spectrum writer.
+_CSV_SLAB_ROWS = 4096
 
 #: Distinguishes field-sampling Philox streams from any other use of a seed.
 _PHILOX_TAG = 0x4B474631  # "KGF1"
@@ -147,10 +173,73 @@ class FieldConfiguration:
         return self.lattice.spacing**self.lattice.dim * np.fft.fftn(self.values)
 
 
-class _SpectrumPlan:
-    """Precomputed per-mode scales and conjugation bookkeeping.
+class _HalfGrid:
+    """The half mode grid of ``rfftn`` (last axis j in 0..N/2), flattened.
 
-    Read-only after construction, so one plan can serve many samples and
+    A mode with 0 < j_last < N/2 stands for its -k partner as well.  In
+    the planes j_last = 0 and N/2 both partners are stored: ``mirrored``
+    modes are the conjugates of their ``partner`` entries, and the
+    ``self_conjugate`` modes are real.
+    """
+
+    def __init__(self, lattice: LatticeSpec):
+        n = lattice.sites_per_axis
+        self.shape = lattice.shape[:-1] + (n // 2 + 1,)
+        self.axes = tuple(range(1, lattice.dim + 1))
+        index = np.indices(self.shape).reshape(lattice.dim, -1)
+        conj = (n - index) % n
+        in_planes = conj[-1] <= n // 2
+        partner = np.ravel_multi_index(tuple(np.where(in_planes, conj, 0)),
+                                       self.shape)
+        flat = np.arange(index.shape[1])
+        self.self_conjugate = flat[in_planes & (partner == flat)]
+        mirrored = in_planes & (partner < flat)
+        self.mirrored, self.partner = flat[mirrored], partner[mirrored]
+        self.multiplicity = np.where(in_planes, 1.0, 2.0).reshape(self.shape)
+        full = np.indices(lattice.shape)
+        source = np.where(full[-1] > n // 2, (n - full) % n, full)
+        self.full_from_half = np.ravel_multi_index(tuple(source), self.shape)
+
+
+@functools.lru_cache(maxsize=4)
+def _half_grid(lattice: LatticeSpec) -> _HalfGrid:
+    return _HalfGrid(lattice)
+
+
+def _power(lattice: LatticeSpec, values: np.ndarray) -> np.ndarray:
+    """|phi~_k|^2 on the half mode grid for a batch of configurations."""
+    modes = np.fft.rfftn(values, axes=_half_grid(lattice).axes)
+    power = modes.real**2 + modes.imag**2
+    power *= lattice.spacing ** (2 * lattice.dim)
+    return power
+
+
+@dataclass(frozen=True)
+class SampleChunk:
+    """Samples ``start`` .. ``start + len(values) - 1`` of one stream.
+
+    ``power`` holds |phi~_k|^2 of each sample on the half mode grid (last
+    axis j in 0..N/2), from a forward transform of ``values``.
+    """
+
+    lattice: LatticeSpec
+    start: int
+    values: np.ndarray
+    power: np.ndarray
+
+    def mode_sums(self, weights: np.ndarray) -> np.ndarray:
+        """Per sample (1/V) sum_k w_k |phi~_k|^2, for weights on the full
+        mode grid (FFT layout) that are even in k."""
+        grid = _half_grid(self.lattice)
+        half = np.asarray(weights)[..., : grid.shape[-1]] * grid.multiplicity
+        rows = self.power.reshape(len(self.power), -1)
+        return rows @ half.reshape(-1) / self.lattice.volume
+
+
+class _SpectrumPlan:
+    """Precomputed per-mode scales on the half mode grid.
+
+    Read-only after construction, so one plan can serve many blocks and
     many threads.
     """
 
@@ -174,49 +263,100 @@ class _SpectrumPlan:
             mode = np.unravel_index(flat, shape)
             signed = tuple(int(j) if j <= n // 2 else int(j - n) for j in mode)
             raise DegenerateModeError(signed, float(coeff[mode]))
-
-        # conjugate-index map per axis: j -> (N - j) mod N
-        rev = (n - np.arange(n)) % n
-        conj_of = np.ix_(*[rev for _ in range(lattice.dim)])
-        lin = np.arange(lattice.total_sites).reshape(shape)
-        lin_conj = lin[conj_of]
-        self.self_conjugate = lin == lin_conj
-        self.canonical = lin <= lin_conj
-        self.conj_of = conj_of
-
-        volume = lattice.volume
-        safe = np.where(coeff > 0.0, coeff, 1.0)
-        self.scale_pair = np.sqrt(volume / (4.0 * safe))
-        self.scale_self = np.sqrt(volume / (2.0 * safe))
-        self.scale_pair[pinned] = 0.0
-        self.scale_self[pinned] = 0.0
         self.coefficients = coeff
         self.pinned = pinned
 
-    def draw(self, seed: int, sample_index: int) -> np.ndarray:
-        """One field configuration's values, a pure function of (seed, index)."""
+        self.grid = _half_grid(lattice)
+        half = np.s_[..., : self.grid.shape[-1]]
+        safe = np.where(coeff > 0.0, coeff, 1.0)[half].reshape(-1)
+        held = ~pinned[half].reshape(-1)
+        selfs = self.grid.self_conjugate
+        self.scale = np.sqrt(lattice.volume / (4.0 * safe)) * held
+        self.scale_self = np.sqrt(lattice.volume / (2.0 * safe[selfs])) * held[selfs]
+
+    def _draw(self, rng: np.random.Generator, rows: int) -> np.ndarray:
+        """The next ``rows`` configurations from one block's generator."""
+        grid = self.grid
+        z = rng.standard_normal((rows, self.scale.size, 2))
+        real_modes = z[:, grid.self_conjugate, 0] * self.scale_self
+        spectrum = z.view(np.complex128)[..., 0]
+        spectrum *= self.scale
+        spectrum[:, grid.self_conjugate] = real_modes
+        spectrum[:, grid.mirrored] = np.conj(spectrum[:, grid.partner])
+        values = np.fft.irfftn(spectrum.reshape((rows,) + grid.shape),
+                               s=self.lattice.shape, axes=grid.axes)
+        values /= self.lattice.spacing**self.lattice.dim
+        return values
+
+    def block_chunks(self, seed: int, block: int, rows: int):
+        """The first ``rows`` samples of one block, as chunks in order."""
         key = np.array([np.uint64(seed), np.uint64(_PHILOX_TAG)], dtype=np.uint64)
-        counter = np.array([0, np.uint64(sample_index), 0, 0], dtype=np.uint64)
+        counter = np.array([0, np.uint64(block), 0, 0], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
-        z = rng.standard_normal(size=(2,) + self.lattice.shape)
+        step = max(1, min(BLOCK_SIZE,
+                          _CHUNK_BYTES // (8 * self.lattice.total_sites)))
+        for offset in range(0, rows, step):
+            values = self._draw(rng, min(step, rows - offset))
+            yield SampleChunk(self.lattice, block * BLOCK_SIZE + offset,
+                              values, _power(self.lattice, values))
 
-        spectrum = (z[0] + 1j * z[1]) * self.scale_pair
-        spectrum[self.self_conjugate] = (
-            z[0][self.self_conjugate] * self.scale_self[self.self_conjugate]
-        )
-        spectrum = np.where(
-            self.canonical, spectrum, np.conj(spectrum[self.conj_of])
-        )
+    def draw(self, seed: int, sample_index: int) -> np.ndarray:
+        """One configuration's values, read off its block's stream."""
+        block, row = divmod(sample_index, BLOCK_SIZE)
+        for chunk in self.block_chunks(seed, block, row + 1):
+            pass
+        return chunk.values[-1]
 
-        a_pow = self.lattice.spacing**self.lattice.dim
-        values = np.fft.ifftn(spectrum) / a_pow
-        residue = float(np.max(np.abs(values.imag)))
-        scale = max(float(np.max(np.abs(values.real))), 1e-300)
-        if residue > 1e-12 * scale:
-            raise InvalidInputError(
-                f"inverse transform left imaginary residue {residue:.3e}"
-            )
-        return np.ascontiguousarray(values.real)
+
+def _in_order(blocks, workers: int):
+    """Chain the blocks' chunk iterators, advancing up to ``workers`` at once.
+
+    Each open block has at most one chunk in flight, so about
+    ``workers + 1`` chunks are resident however long the stream is.
+    """
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        window = deque()
+
+        def open_block():
+            chunks = next(blocks, None)
+            if chunks is not None:
+                window.append((chunks, pool.submit(next, chunks, None)))
+
+        for _ in range(workers):
+            open_block()
+        try:
+            while window:
+                chunks, pending = window[0]
+                chunk = pending.result()
+                if chunk is None:
+                    window.popleft()
+                    open_block()
+                    continue
+                window[0] = (chunks, pool.submit(next, chunks, None))
+                yield chunk
+        finally:
+            for _, pending in window:
+                pending.cancel()
+
+
+def sample_chunks(density: SpectralDensity, lattice: LatticeSpec, seed: int,
+                  n: int, pin_zero_mode: bool = False, workers: int = 1):
+    """The ``n`` samples of ``seed`` as :class:`SampleChunk` s in index order.
+
+    Arguments are checked and the plan is built before this returns; the
+    chunks are drawn as they are consumed.  ``workers > 1`` draws several
+    blocks at once on threads; the bytes are the same for every count.
+    """
+    if n < 1:
+        raise InvalidInputError(f"sample count must be >= 1, got {n}")
+    if workers < 1:
+        raise InvalidInputError(f"worker count must be >= 1, got {workers}")
+    plan = _SpectrumPlan(density, lattice, pin_zero_mode)
+    blocks = (plan.block_chunks(seed, b, min(BLOCK_SIZE, n - b * BLOCK_SIZE))
+              for b in range(-(-n // BLOCK_SIZE)))
+    if workers == 1:
+        return itertools.chain.from_iterable(blocks)
+    return _in_order(blocks, workers)
 
 
 def sample_fields(density: SpectralDensity, lattice: LatticeSpec, seed: int,
@@ -226,39 +366,22 @@ def sample_fields(density: SpectralDensity, lattice: LatticeSpec, seed: int,
     Deterministic given (seed, lattice, density, n); sample ``i`` never
     depends on how earlier samples were produced.
     """
-    if n < 1:
-        raise InvalidInputError(f"sample count must be >= 1, got {n}")
-    plan = _SpectrumPlan(density, lattice, pin_zero_mode)
-    for i in range(n):
-        yield FieldConfiguration(lattice, plan.draw(seed, i))
+    for chunk in sample_chunks(density, lattice, seed, n, pin_zero_mode):
+        for values in chunk.values:
+            yield FieldConfiguration(lattice, values)
 
 
 def sample_array(density: SpectralDensity, lattice: LatticeSpec, seed: int,
                  n: int, pin_zero_mode: bool = False, workers: int = 1) -> np.ndarray:
     """All ``n`` samples stacked, shape (n,) + lattice.shape, ordered by index.
 
-    ``workers > 1`` parallelizes generation over sample indices with
-    threads; the output is byte-identical for every worker count.
+    ``workers > 1`` draws blocks on threads; the output is byte-identical
+    for every worker count.
     """
-    if n < 1:
-        raise InvalidInputError(f"sample count must be >= 1, got {n}")
-    if workers < 1:
-        raise InvalidInputError(f"worker count must be >= 1, got {workers}")
-    plan = _SpectrumPlan(density, lattice, pin_zero_mode)
+    chunks = sample_chunks(density, lattice, seed, n, pin_zero_mode, workers)
     out = np.empty((n,) + lattice.shape, dtype=float)
-    if workers == 1:
-        for i in range(n):
-            out[i] = plan.draw(seed, i)
-        return out
-
-    def fill(block):
-        for i in block:
-            out[i] = plan.draw(seed, i)
-
-    blocks = [range(w, n, workers) for w in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for future in [pool.submit(fill, b) for b in blocks]:
-            future.result()
+    for chunk in chunks:
+        out[chunk.start:chunk.start + len(chunk.values)] = chunk.values
     return out
 
 
@@ -277,27 +400,41 @@ class SpectrumAccumulator:
 
     Accepts partitioned inputs: accumulators over disjoint sample sets
     merge associatively, so partial sums from parallel workers combine to
-    the same estimate.
+    the same estimate.  The moments live on the half mode grid; a real
+    field has |phi~_-k|^2 = |phi~_k|^2.
     """
 
     def __init__(self, lattice: LatticeSpec):
         self.lattice = lattice
         self.count = 0
-        self._mean = np.zeros(lattice.shape)
-        self._m2 = np.zeros(lattice.shape)
+        self._mean = np.zeros(_half_grid(lattice).shape)
+        self._m2 = np.zeros(_half_grid(lattice).shape)
+
+    def _check(self, lattice: LatticeSpec):
+        if lattice != self.lattice:
+            raise InvalidInputError("mixed lattice specs in one spectrum estimate")
+
+    def _fold(self, power: np.ndarray):
+        part = SpectrumAccumulator(self.lattice)
+        part.count = len(power)
+        part._mean = power.mean(axis=0)
+        part._m2 = np.sum((power - part._mean) ** 2, axis=0)
+        merged = self.merge(part)
+        self.count, self._mean, self._m2 = merged.count, merged._mean, merged._m2
+
+    def add(self, chunk: SampleChunk):
+        """Fold in every sample of a chunk."""
+        self._check(chunk.lattice)
+        self._fold(chunk.power)
 
     def update(self, cfg: FieldConfiguration):
-        if cfg.lattice != self.lattice:
-            raise InvalidInputError("mixed lattice specs in one spectrum estimate")
-        power = np.abs(cfg.modes()) ** 2
-        self.count += 1
-        delta = power - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (power - self._mean)
+        """Fold in one configuration."""
+        self._check(cfg.lattice)
+        self._fold(_power(self.lattice, cfg.values[None]))
 
     def merge(self, other: "SpectrumAccumulator") -> "SpectrumAccumulator":
-        if other.lattice != self.lattice:
-            raise InvalidInputError("mixed lattice specs in one spectrum estimate")
+        """Chan-Golub-LeVeque combination of two disjoint sample sets."""
+        self._check(other.lattice)
         merged = SpectrumAccumulator(self.lattice)
         total = self.count + other.count
         if total == 0:
@@ -313,12 +450,13 @@ class SpectrumAccumulator:
     def finalize(self) -> SpectrumEstimate:
         if self.count < 2:
             raise InvalidInputError("need at least 2 samples for a spectrum estimate")
+        full = _half_grid(self.lattice).full_from_half
         variance = self._m2 / (self.count - 1)
         stderr = np.sqrt(variance / self.count)
         return SpectrumEstimate(
             lattice=self.lattice,
-            mean=self._mean.copy(),
-            stderr=stderr,
+            mean=self._mean.reshape(-1)[full],
+            stderr=stderr.reshape(-1)[full],
             count=self.count,
         )
 
@@ -407,52 +545,81 @@ def density_exponent(density: SpectralDensity, cfg: FieldConfiguration) -> float
 # --- file formats ----------------------------------------------------------
 
 
+def _prefixes(index_rows) -> list:
+    """``"i0,i1,...,"`` for each row of indices, built once per table."""
+    return [",".join(map(str, row)) + "," for row in index_rows]
+
+
+def _csv_header(dim: int) -> str:
+    index_cols = ",".join(f"site_index_{d}" for d in range(dim))
+    return f"sample,{index_cols},value\n"
+
+
+def samples_writer(stream, lattice: LatticeSpec, fmt: str):
+    """Write the header of a ``"csv"`` or ``"binary"`` samples file.
+
+    Returns ``write(start, values)``, which appends the samples
+    ``start, start + 1, ...`` held in ``values`` (shape (rows,) + lattice
+    shape); call it with consecutive chunks in index order.
+    """
+    if fmt == "binary":
+        stream.write(BINARY_MAGIC + struct.pack(
+            "<qqd", lattice.dim, lattice.sites_per_axis, lattice.spacing))
+
+        def write_binary(start, values):
+            stream.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
+        return write_binary
+    if fmt != "csv":
+        raise InvalidInputError(f"unknown samples format {fmt!r}")
+    stream.write(_csv_header(lattice.dim))
+    prefixes = _prefixes(np.ndindex(lattice.shape))
+
+    def write_csv(start, values):
+        rows = np.asarray(values, dtype=float).reshape(len(values), -1)
+        for s, row in enumerate(rows.tolist(), start=start):
+            head = f"{s},"
+            stream.write("".join([f"{head}{p}{v:.17g}\n"
+                                  for p, v in zip(prefixes, row)]))
+    return write_csv
+
+
 def write_samples_csv(stream, lattice: LatticeSpec, samples: np.ndarray):
     """One row per site: ``sample,site_index_0[,...],value``."""
-    dim = lattice.dim
-    index_cols = ",".join(f"site_index_{d}" for d in range(dim))
-    stream.write(f"sample,{index_cols},value\n")
-    site_indices = list(np.ndindex(lattice.shape))
-    for s, values in enumerate(samples):
-        flat = values.reshape(-1)
-        for site, value in zip(site_indices, flat):
-            idx = ",".join(str(i) for i in site)
-            stream.write(f"{s},{idx},{value:.17g}\n")
+    samples_writer(stream, lattice, "csv")(0, samples)
 
 
 def read_samples_csv(stream):
-    """Inverse of :func:`write_samples_csv`; returns (dim, N, samples array)."""
-    header = stream.readline().strip().split(",")
-    if header[:1] != ["sample"] or header[-1:] != ["value"]:
+    """Inverse of :func:`write_samples_csv`; returns (dim, N, samples array).
+
+    numpy's line parser streams the rows into flat integer and float
+    buffers; a row that is not ``dim + 1`` integers and a float is refused.
+    """
+    header = stream.readline().strip()
+    dim = header.count(",") - 1
+    if dim not in (1, 2, 3) or header + "\n" != _csv_header(dim):
         raise InvalidInputError(f"unexpected sample CSV header {header!r}")
-    dim = len(header) - 2
-    rows = []
-    for line in stream:
-        line = line.strip()
-        if line:
-            rows.append(line.split(","))
-    if not rows:
+    row = np.dtype([("index", "<i8", (dim + 1,)), ("value", "<f8")])
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            rows = np.loadtxt(stream, dtype=row, delimiter=",", comments=None,
+                              ndmin=1)
+        except ValueError as exc:
+            raise InvalidInputError(f"malformed sample CSV: {exc}") from None
+    if rows.size == 0:
         raise InvalidInputError("sample CSV has no data rows")
-    n_samples = int(rows[-1][0]) + 1
-    sites_per_axis = max(int(r[1]) for r in rows) + 1
-    shape = (n_samples,) + (sites_per_axis,) * dim
-    out = np.zeros(shape)
-    for r in rows:
-        s = int(r[0])
-        site = tuple(int(v) for v in r[1:-1])
-        out[(s,) + site] = float(r[-1])
+    index = rows["index"]
+    n_samples = int(index[-1, 0]) + 1
+    sites_per_axis = int(index[:, 1].max()) + 1
+    out = np.zeros((n_samples,) + (sites_per_axis,) * dim)
+    out[tuple(index.T)] = rows["value"]
     return dim, sites_per_axis, out
 
 
 def write_samples_binary(stream, lattice: LatticeSpec, samples: np.ndarray):
     """Raw block: magic ``KGF1``, then D, N as int64 LE, a as float64 LE,
     then all values as float64 LE, row-major, samples concatenated in order."""
-    stream.write(BINARY_MAGIC)
-    stream.write(struct.pack("<q", lattice.dim))
-    stream.write(struct.pack("<q", lattice.sites_per_axis))
-    stream.write(struct.pack("<d", lattice.spacing))
-    data = np.ascontiguousarray(samples, dtype="<f8")
-    stream.write(data.tobytes())
+    samples_writer(stream, lattice, "binary")(0, samples)
 
 
 def read_samples_binary(stream):
@@ -472,21 +639,26 @@ def read_samples_binary(stream):
     return lattice, samples
 
 
-def spectrum_csv(estimate: SpectrumEstimate, expected: np.ndarray) -> str:
-    """CSV ``k_index_0[,...],mean,stderr,count,expected`` in signed-index order."""
+def write_spectrum_csv(stream, estimate: SpectrumEstimate, expected: np.ndarray):
+    """CSV ``k_index_0[,...],mean,stderr,count,expected`` in signed-index
+    order, formatted and written a slab of rows at a time."""
     lattice = estimate.lattice
     dim = lattice.dim
     index_cols = ",".join(f"k_index_{d}" for d in range(dim))
-    buf = io.StringIO()
-    buf.write(f"{index_cols},mean,stderr,count,expected\n")
+    stream.write(f"{index_cols},mean,stderr,count,expected\n")
     signed = lattice.mode_indices().reshape(-1, dim)
-    mean = estimate.mean.reshape(-1)
-    stderr = estimate.stderr.reshape(-1)
-    expect = np.asarray(expected).reshape(-1)
-    for row in range(signed.shape[0]):
-        idx = ",".join(str(int(v)) for v in signed[row])
-        buf.write(
-            f"{idx},{mean[row]:.17g},{stderr[row]:.17g},{estimate.count},"
-            f"{expect[row]:.17g}\n"
-        )
+    table = np.stack([estimate.mean.reshape(-1), estimate.stderr.reshape(-1),
+                      np.asarray(expected, dtype=float).reshape(-1)], axis=1)
+    count = estimate.count
+    for first in range(0, len(table), _CSV_SLAB_ROWS):
+        slab = np.s_[first:first + _CSV_SLAB_ROWS]
+        rows = zip(_prefixes(signed[slab].tolist()), table[slab].tolist())
+        stream.write("".join([f"{p}{m:.17g},{se:.17g},{count},{e:.17g}\n"
+                              for p, (m, se, e) in rows]))
+
+
+def spectrum_csv(estimate: SpectrumEstimate, expected: np.ndarray) -> str:
+    """:func:`write_spectrum_csv` as a string."""
+    buf = io.StringIO()
+    write_spectrum_csv(buf, estimate, expected)
     return buf.getvalue()

@@ -281,6 +281,14 @@ def _moment_pass_fraction(estimate: sampler.SpectrumEstimate,
     return frac, float(np.max(z))
 
 
+def _sampled_spectrum(density: SpectralDensity, lattice: sampler.LatticeSpec,
+                      seed: int, n: int) -> sampler.SpectrumEstimate:
+    acc = sampler.SpectrumAccumulator(lattice)
+    for chunk in sampler.sample_chunks(density, lattice, seed, n):
+        acc.add(chunk)
+    return acc.finalize()
+
+
 def check_sampler_moments(n_samples: int = 20000,
                           seed: int = DEFAULT_SEED) -> CheckResult:
     """Per-mode E[|phi~_k|^2] = V/(2c) on all five ensembles, plus determinism."""
@@ -290,8 +298,7 @@ def check_sampler_moments(n_samples: int = 20000,
     passed = True
     for ensemble, density in _verification_densities().items():
         t0 = time.perf_counter()
-        stream = sampler.sample_fields(density, lattice, seed, n_samples)
-        estimate = sampler.power_spectrum(stream)
+        estimate = _sampled_spectrum(density, lattice, seed, n_samples)
         expected = sampler.expected_power(density, lattice)
         frac, worst_z = _moment_pass_fraction(estimate, expected)
         dt = time.perf_counter() - t0
@@ -315,11 +322,11 @@ def check_equipartition(n_samples: int = 20000,
     constants = PhysicalConstants(hbar=1.0, kT=1.0, mass=1.0, xi=0.5)
     density = SpectralDensity(Ensemble.CLASSICAL_EQUILIBRIUM, constants)
     lattice = sampler.LatticeSpec(dim=1, sites_per_axis=64, spacing=1.0)
-    values = np.fromiter(
-        (sampler.hamiltonian_classical(cfg, constants)
-         for cfg in sampler.sample_fields(density, lattice, seed + 1, n_samples)),
-        dtype=float, count=n_samples,
-    )
+    half_omega_sq = 0.5 * (lattice.mode_magnitudes() ** 2 + constants.mass**2)
+    values = np.concatenate([
+        chunk.mode_sums(half_omega_sq)
+        for chunk in sampler.sample_chunks(density, lattice, seed + 1, n_samples)
+    ])
     target = lattice.total_sites * constants.kT / 2.0
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(n_samples))
@@ -357,9 +364,7 @@ def check_fock_oracle(n_samples: int = 20000,
         worst_density = max(worst_density, chk.rel_err)
 
     lattice = sampler.LatticeSpec(dim=1, sites_per_axis=64, spacing=1.0)
-    estimate = sampler.power_spectrum(
-        sampler.sample_fields(thermal, lattice, seed + 2, n_samples)
-    )
+    estimate = _sampled_spectrum(thermal, lattice, seed + 2, n_samples)
     kmags = lattice.mode_magnitudes()
     oracle = np.array([
         fockoracle.mode_variance_numeric(fockoracle.ModeSpec(

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 try:
@@ -15,9 +16,11 @@ except ModuleNotFoundError:  # Python 3.10, where pytest depends on tomli
     import tomli as tomllib
 
 import kgf
-from kgf import cli, opalgebra
+from kgf import cli, opalgebra, sampler
 from kgf.cli import main
+from kgf.kernels import PhysicalConstants
 from kgf.sampler import read_samples_binary, read_samples_csv
+from kgf.spectra import Ensemble, SpectralDensity
 
 BASE_CONFIG = {
     "constants": {"mass": 1.0, "xi": 0.5},
@@ -382,6 +385,29 @@ class TestSample:
         a = (a_dir / "samples.bin").read_bytes()
         b = (b_dir / "samples.bin").read_bytes()
         assert a == b
+
+    def test_streamed_files_equal_one_in_process_draw(self, tmp_path):
+        n = sampler.BLOCK_SIZE + 5
+        args = ["sample", "--ensemble", "thermal", "--dim", "2",
+                "--lattice-n", "8", "--samples", str(n), "--seed", "23",
+                "--workers", "2"]
+        assert main([*args, "--format", "binary", "--out", str(tmp_path / "b")]) == 0
+        assert main([*args, "--out", str(tmp_path / "c")]) == 0
+        lattice = sampler.LatticeSpec(dim=2, sites_per_axis=8)
+        density = SpectralDensity(Ensemble.QUANTUM_THERMAL, PhysicalConstants())
+        reference = sampler.sample_array(density, lattice, 23, n, workers=1)
+        with open(tmp_path / "b" / "samples.bin", "rb") as fh:
+            _, binary = read_samples_binary(fh)
+        with open(tmp_path / "c" / "samples.csv", encoding="utf-8") as fh:
+            _, _, text = read_samples_csv(fh)
+        assert binary.tobytes() == reference.tobytes()
+        assert text.tobytes() == reference.tobytes()
+        estimate = sampler.power_spectrum(
+            sampler.FieldConfiguration(lattice, v) for v in reference)
+        rows = np.loadtxt(tmp_path / "c" / "spectrum.csv", delimiter=",",
+                          skiprows=1)
+        assert np.allclose(rows[:, 2], estimate.mean.reshape(-1), rtol=1e-12)
+        assert np.all(rows[:, 4] == n)
 
     def test_config_seed_matches_flag_seed(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from kgf.errors import AccuracyError, DomainError, InvalidInputError
+from kgf import fockoracle
+from kgf.errors import AccuracyError, DomainError, InvalidInputError, SizeLimitError
 from kgf.fockoracle import (
+    MAX_FOCK_STATES,
     MIN_CUTOFF,
     TAIL_TOL,
     VACUUM_GIBBS_X,
@@ -65,6 +67,22 @@ class TestModeSpec:
         # e^(-0.2 * 100) ~ 2e-9: fails the construction bound outright
         with pytest.raises(InvalidInputError):
             ModeSpec(omega=1.0, hbar_eff=1.0, gibbs_x=0.2, cutoff=100)
+
+    @pytest.mark.parametrize("kw", [{"gibbs_x": 1e-8},
+                                    {"cutoff": MAX_FOCK_STATES + 1}])
+    def test_state_limit_refuses_before_allocating(self, kw, monkeypatch):
+        # the automatic cutoff at x = 1e-8 is 4.6e9 states (about 110 GB)
+        def no_arange(*args, **kwargs):
+            raise AssertionError("number states were allocated")
+        monkeypatch.setattr(fockoracle.np, "arange", no_arange)
+        with pytest.raises(SizeLimitError, match="MAX_FOCK_STATES"):
+            mode = ModeSpec(**{"omega": 1.0, "hbar_eff": 1.0, "gibbs_x": 1.0, **kw})
+            mode_variance_numeric(mode)
+
+    def test_state_limit_spares_the_verify_range(self):
+        for x in np.geomspace(0.2, 10.0, 20):
+            mode = ModeSpec(omega=1.3, hbar_eff=0.7, gibbs_x=float(x))
+            assert MIN_CUTOFF <= mode.cutoff <= 147
 
 
 class TestModeVariance:

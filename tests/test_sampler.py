@@ -1,15 +1,19 @@
 """Lattice sampler: moment contract, determinism, functionals, file formats."""
 
+import hashlib
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from kgf import sampler
 from kgf.errors import DegenerateModeError, InvalidInputError
 from kgf.kernels import PhysicalConstants
 from kgf.sampler import (
     BINARY_MAGIC,
+    BLOCK_SIZE,
     FieldConfiguration,
     LatticeSpec,
     SpectrumAccumulator,
@@ -21,6 +25,7 @@ from kgf.sampler import (
     read_samples_binary,
     read_samples_csv,
     sample_array,
+    sample_chunks,
     sample_fields,
     smear,
     smear_variance,
@@ -122,6 +127,15 @@ class TestMomentContract:
         z = np.abs(est.mean - expect) / est.stderr
         assert np.all(z < 5.0)
 
+    def test_every_mode_within_five_stderr_3d(self):
+        lat = LatticeSpec(dim=3, sites_per_axis=8, spacing=0.8)
+        acc = SpectrumAccumulator(lat)
+        for chunk in sample_chunks(THERMAL, lat, seed=31551, n=3000):
+            acc.add(chunk)
+        est = acc.finalize()
+        z = np.abs(est.mean - expected_power(THERMAL, lat)) / est.stderr
+        assert np.all(z < 5.0)
+
     def test_spatial_mean_of_samples_is_unbiased_zero(self):
         lat = LatticeSpec(dim=1, sites_per_axis=32)
         fields = sample_array(VACUUM, lat, seed=900, n=2000)
@@ -164,9 +178,68 @@ class TestDeterminism:
     LAT = LatticeSpec(dim=1, sites_per_axis=32)
 
     def test_worker_count_does_not_change_bytes(self):
-        one = sample_array(VACUUM, self.LAT, seed=42, n=64, workers=1)
-        four = sample_array(VACUUM, self.LAT, seed=42, n=64, workers=4)
-        assert one.tobytes() == four.tobytes()
+        n = 2 * BLOCK_SIZE + 37  # two whole blocks and a partial third
+        one = sample_array(VACUUM, self.LAT, seed=42, n=n, workers=1)
+        for workers in (2, 3):
+            many = sample_array(VACUUM, self.LAT, seed=42, n=n, workers=workers)
+            assert one.tobytes() == many.tobytes()
+
+    def test_prefix_crosses_block_boundary(self):
+        short = sample_array(VACUUM, self.LAT, seed=42, n=BLOCK_SIZE + 1)
+        long = sample_array(VACUUM, self.LAT, seed=42, n=3 * BLOCK_SIZE,
+                            workers=2)
+        assert short.tobytes() == long[:BLOCK_SIZE + 1].tobytes()
+
+    def test_chunk_size_does_not_change_bytes(self, monkeypatch):
+        lat = LatticeSpec(dim=2, sites_per_axis=8)
+        row_bytes = 8 * lat.total_sites
+        n = 2 * BLOCK_SIZE + 37
+        default = sample_array(THERMAL, lat, seed=7, n=n)
+        for rows in (1, 7):
+            monkeypatch.setattr(sampler, "_CHUNK_BYTES", rows * row_bytes)
+            chunks = list(sample_chunks(THERMAL, lat, seed=7, n=n, workers=2))
+            assert max(len(c.values) for c in chunks) == rows
+            assert [c.start for c in chunks] == sorted(c.start for c in chunks)
+            drawn = np.concatenate([c.values for c in chunks])
+            assert drawn.tobytes() == default.tobytes()
+
+    def test_chunks_respect_the_byte_bound(self, monkeypatch):
+        lat = LatticeSpec(dim=3, sites_per_axis=16)
+        monkeypatch.setattr(sampler, "_CHUNK_BYTES", 100_000)
+        chunks = list(sample_chunks(THERMAL, lat, seed=3, n=20))
+        assert sum(len(c.values) for c in chunks) == 20
+        assert all(c.values.nbytes <= 100_000 for c in chunks)
+
+    def test_many_threads_keep_order_and_surface_errors(self, monkeypatch):
+        lat = LatticeSpec(dim=1, sites_per_axis=8)
+        n = 8 * BLOCK_SIZE + 5
+        monkeypatch.setattr(sampler, "_CHUNK_BYTES", 64 * 8 * lat.total_sites)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            serial = sample_array(VACUUM, lat, seed=4, n=n)
+            threaded = sample_array(VACUUM, lat, seed=4, n=n, workers=8)
+            assert serial.tobytes() == threaded.tobytes()
+
+            draw = sampler._SpectrumPlan._draw
+            calls = []
+
+            def failing_draw(plan, rng, rows):
+                calls.append(rows)
+                if len(calls) == 6:
+                    raise InvalidInputError("draw failed")
+                return draw(plan, rng, rows)
+            monkeypatch.setattr(sampler._SpectrumPlan, "_draw", failing_draw)
+            with pytest.raises(InvalidInputError, match="draw failed"):
+                sample_array(VACUUM, lat, seed=4, n=n, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_plan_draw_reads_the_block_stream(self):
+        plan = sampler._SpectrumPlan(VACUUM, self.LAT, pin_zero_mode=False)
+        arr = sample_array(VACUUM, self.LAT, seed=42, n=BLOCK_SIZE + 2)
+        for i in (0, BLOCK_SIZE - 1, BLOCK_SIZE + 1):
+            assert plan.draw(42, i).tobytes() == arr[i].tobytes()
 
     def test_generator_matches_array(self):
         gen = np.stack([
@@ -201,6 +274,25 @@ class TestDeterminism:
     def test_worker_count_validated(self):
         with pytest.raises(InvalidInputError):
             sample_array(VACUUM, self.LAT, seed=1, n=1, workers=0)
+
+
+class TestGoldenStreams:
+    """sha256 of small binary sample streams, pinned so that any change to
+    the stream format or to the draw is deliberate."""
+
+    N_SAMPLES = BLOCK_SIZE + 3
+
+    @pytest.mark.parametrize("dim,sites,digest", [
+        (1, 16, "c675b1bf5cfb22f2cb24edfcd0ea8c0c9861099f8d6a8781056fe93958c1512b"),
+        (2, 8, "3ef195685b831dffca14d2196b011a8f6a3b832d21dfa10d07502b11d7a1b6de"),
+        (3, 8, "0c6df1aebb598965a9b5c9308960967c21b474cd3bbf3872eb423e9047cdd297"),
+    ])
+    def test_digest(self, dim, sites, digest):
+        lat = LatticeSpec(dim=dim, sites_per_axis=sites, spacing=0.5)
+        buf = io.BytesIO()
+        write_samples_binary(buf, lat, sample_array(THERMAL, lat, seed=2026,
+                                                    n=self.N_SAMPLES))
+        assert hashlib.sha256(buf.getvalue()).hexdigest() == digest
 
 
 class TestDegenerateModes:
@@ -336,6 +428,36 @@ class TestAccumulator:
         assert np.allclose(a.mean, b.mean, rtol=1e-12)
         assert np.allclose(a.stderr, b.stderr, rtol=1e-12)
 
+    def test_chunk_accumulation_matches_per_configuration_updates(self):
+        n = BLOCK_SIZE + 9
+        per_cfg = power_spectrum(sample_fields(THERMAL, self.LAT, seed=58, n=n))
+        acc = SpectrumAccumulator(self.LAT)
+        for chunk in sample_chunks(THERMAL, self.LAT, seed=58, n=n, workers=2):
+            acc.add(chunk)
+        chunked = acc.finalize()
+        assert chunked.count == per_cfg.count == n
+        assert np.allclose(chunked.mean, per_cfg.mean, rtol=1e-12)
+        assert np.allclose(chunked.stderr, per_cfg.stderr, rtol=1e-10)
+
+    @pytest.mark.parametrize("dim,sites", [(1, 16), (2, 8), (3, 8)])
+    def test_chunk_power_is_the_full_fft_power(self, dim, sites):
+        lat = LatticeSpec(dim=dim, sites_per_axis=sites, spacing=0.6)
+        chunk = next(sample_chunks(VACUUM, lat, seed=59, n=5))
+        acc = SpectrumAccumulator(lat)
+        acc.add(chunk)
+        full = np.mean([np.abs(FieldConfiguration(lat, v).modes()) ** 2
+                        for v in chunk.values], axis=0)
+        assert np.allclose(acc.finalize().mean, full, rtol=1e-12, atol=0)
+
+    def test_mode_sums_match_hamiltonian_classical(self):
+        lat = LatticeSpec(dim=2, sites_per_axis=8, spacing=0.7)
+        chunk = next(sample_chunks(CLASSICAL, lat, seed=60, n=6))
+        omega_sq = lat.mode_magnitudes() ** 2 + NATURAL.mass**2
+        got = chunk.mode_sums(0.5 * omega_sq)
+        want = [hamiltonian_classical(FieldConfiguration(lat, v), NATURAL)
+                for v in chunk.values]
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
     def test_merge_with_empty_is_identity(self):
         cfgs = self.configs(56, 4)
         acc = SpectrumAccumulator(self.LAT)
@@ -365,7 +487,54 @@ class TestAccumulator:
             acc.merge(SpectrumAccumulator(other))
 
 
+def naive_samples_csv(lattice, samples):
+    """Reference writer: index columns formatted anew on every row."""
+    cols = ",".join(f"site_index_{d}" for d in range(lattice.dim))
+    out = [f"sample,{cols},value\n"]
+    for s, values in enumerate(samples):
+        for site, value in zip(np.ndindex(lattice.shape), values.reshape(-1)):
+            idx = ",".join(str(i) for i in site)
+            out.append(f"{s},{idx},{value:.17g}\n")
+    return "".join(out)
+
+
+def naive_spectrum_csv(estimate, expected):
+    """Reference writer: index columns formatted anew on every row."""
+    lat = estimate.lattice
+    cols = ",".join(f"k_index_{d}" for d in range(lat.dim))
+    out = [f"{cols},mean,stderr,count,expected\n"]
+    signed = lat.mode_indices().reshape(-1, lat.dim)
+    mean, stderr = estimate.mean.reshape(-1), estimate.stderr.reshape(-1)
+    expect = np.asarray(expected).reshape(-1)
+    for row in range(signed.shape[0]):
+        idx = ",".join(str(int(v)) for v in signed[row])
+        out.append(f"{idx},{mean[row]:.17g},{stderr[row]:.17g},"
+                   f"{estimate.count},{expect[row]:.17g}\n")
+    return "".join(out)
+
+
 class TestFileFormats:
+    @pytest.mark.parametrize("dim,sites", [(1, 16), (2, 8), (3, 8)])
+    def test_writers_match_naive_per_row_writers(self, dim, sites):
+        lat = LatticeSpec(dim=dim, sites_per_axis=sites, spacing=0.5)
+        samples = sample_array(THERMAL, lat, seed=16, n=3)
+        buf = io.StringIO()
+        write_samples_csv(buf, lat, samples)
+        assert buf.getvalue() == naive_samples_csv(lat, samples)
+        est = power_spectrum(FieldConfiguration(lat, v) for v in samples)
+        expected = expected_power(THERMAL, lat)
+        assert spectrum_csv(est, expected) == naive_spectrum_csv(est, expected)
+
+    def test_chunked_csv_writes_equal_one_write(self):
+        lat = LatticeSpec(dim=2, sites_per_axis=8)
+        samples = sample_array(VACUUM, lat, seed=17, n=5)
+        whole, parts = io.StringIO(), io.StringIO()
+        write_samples_csv(whole, lat, samples)
+        write = sampler.samples_writer(parts, lat, "csv")
+        write(0, samples[:2])
+        write(2, samples[2:])
+        assert parts.getvalue() == whole.getvalue()
+
     def test_csv_round_trip_1d(self):
         lat = LatticeSpec(dim=1, sites_per_axis=8, spacing=0.5)
         samples = sample_array(VACUUM, lat, seed=12, n=3)
@@ -388,9 +557,32 @@ class TestFileFormats:
         assert (dim, n) == (2, 8)
         assert np.array_equal(back, samples)
 
+    def test_csv_round_trip_3d(self):
+        lat = LatticeSpec(dim=3, sites_per_axis=8)
+        samples = sample_array(THERMAL, lat, seed=18, n=2)
+        buf = io.StringIO()
+        write_samples_csv(buf, lat, samples)
+        buf.seek(0)
+        dim, n, back = read_samples_csv(buf)
+        assert (dim, n) == (3, 8)
+        assert back.tobytes() == samples.tobytes()
+
     def test_csv_header_validated(self):
         with pytest.raises(InvalidInputError):
             read_samples_csv(io.StringIO("x,y\n"))
+
+    @pytest.mark.parametrize("header", [
+        "sample,value", "sample,site_index_0,site_index_1",
+        "sample,i,value", "sample,site_index_1,value",
+    ])
+    def test_csv_header_names_checked(self, header):
+        with pytest.raises(InvalidInputError):
+            read_samples_csv(io.StringIO(f"{header}\n0,0,1.0\n"))
+
+    @pytest.mark.parametrize("row", ["0,1,2,3.5", "0,1.5,3.5", "0,1,abc"])
+    def test_csv_bad_row_rejected(self, row):
+        with pytest.raises(InvalidInputError):
+            read_samples_csv(io.StringIO(f"sample,site_index_0,value\n{row}\n"))
 
     def test_csv_needs_data(self):
         with pytest.raises(InvalidInputError):
