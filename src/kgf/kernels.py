@@ -345,8 +345,12 @@ def inner_product_with_diagnostics(spec: KernelSpec, f: WavePacket, g: WavePacke
         return value, None
 
     refined = _reduced_integral(spec, f, g, 2 * nodes, 2.0 * cutoff)
-    norm_f = _reduced_integral(spec, f, f, 2 * nodes, 2.0 * cutoff).real
-    norm_g = _reduced_integral(spec, g, g, 2 * nodes, 2.0 * cutoff).real
+    if f is g or f == g:
+        # (f, f) refined is the Cauchy-Schwarz scale itself: one pass, not three
+        norm_f = norm_g = refined.real
+    else:
+        norm_f = _reduced_integral(spec, f, f, 2 * nodes, 2.0 * cutoff).real
+        norm_g = _reduced_integral(spec, g, g, 2 * nodes, 2.0 * cutoff).real
     if not np.all(np.isfinite([value, refined, norm_f, norm_g])):
         raise AccuracyError(
             f"quadrature gave a non-finite estimate: base {value} vs doubled "

@@ -12,10 +12,16 @@ One kernel, :func:`contract`, evaluates every vacuum expectation value: a
 word's VEV is the sum over its pairings (a hafnian) of inner products,
 computed by a memoised recursion over the set of unpaired letters.  Field
 letters ``phi[i] = adag[i] + a[i]`` enter it directly, so a product of n
-fields is never expanded into its 2^n words.  The rewriting engine,
-:func:`normal_order`, moves every creation letter to the front by the
-relation above; it is kept as the independent referee the verification
-suite checks the kernel against.
+fields is never expanded into its 2^n words.
+
+The rewriting engine, :func:`normal_order`, moves every creation letter
+to the front by the relation above, one whole expression at a time: the
+words are grouped by their first letter L (or their last), each group's
+sum of rests is normal-ordered once, and L is put back into the sorted
+creation or annihilation run, applying the relation once for each letter
+of the other kind that it passes.  It shares no code with the kernel and
+is kept as the independent referee the verification suite checks the
+kernel against.
 
 The two-point orientation that falls out of the commutator as written is
 ``<0| phi[f1] phi[f2] |0> = (f2, f1)``: the later insertion sits in the
@@ -28,6 +34,7 @@ of the algebra.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import io
 import re
@@ -322,7 +329,9 @@ class OperatorExpression:
         return _wrap(out)
 
     def is_normal_ordered(self) -> bool:
-        return all(_first_inversion(word, "leftmost") is None for word in self.terms)
+        """True when no annihilation letter precedes a creation letter."""
+        return all(all(k1 <= k2 for (k1, _), (k2, _) in zip(word, word[1:]))
+                   for word in self.terms)
 
     def max_word_length(self) -> int:
         return max((len(w) for w in self.terms), default=0)
@@ -357,39 +366,54 @@ def field_operator(registry: FunctionRegistry, index: int) -> OperatorExpression
     return OperatorExpression.create(index) + OperatorExpression.annihilate(index)
 
 
-def _first_inversion(word: tuple, strategy: str):
-    """Position of an adjacent (a, adag) pair to rewrite, or None."""
-    positions = range(len(word) - 1)
-    if strategy == "rightmost":
-        positions = reversed(positions)
-    for p in positions:
-        if word[p][0] == ANNIHILATE and word[p + 1][0] == CREATE:
-            return p
-    return None
+def _insert(run: tuple, letter: tuple) -> tuple:
+    """``run`` with ``letter`` added, kept sorted: same-kind letters commute."""
+    at = bisect.bisect(run, letter)
+    return run[:at] + (letter,) + run[at:]
 
 
-def _normal_order_word(word: tuple, ip, strategy: str, cache: dict) -> dict:
-    word = canonical_word(word)
-    hit = cache.get(word)
+def _order_terms(terms: dict, ip, from_left: bool, memo: dict) -> dict:
+    """N(terms) as {(creation run, annihilation run): coeff}.
+
+    Takes each word's first letter L (``from_left``) so that
+    N(c + sum_L L S_L) = c + sum_L L N(S_L), or mirrored, its last letter.
+    Each rest S_L is normal-ordered once, memoised on its terms.
+    """
+    key = frozenset(terms.items())
+    hit = memo.get(key)
     if hit is not None:
         return hit
-    p = _first_inversion(word, strategy)
-    if p is None:
-        result = {word: 1.0 + 0.0j}
-        cache[word] = result
-        return result
-    annihilate_letter, create_letter = word[p], word[p + 1]
-    swapped = word[:p] + (create_letter, annihilate_letter) + word[p + 2:]
-    reduced = word[:p] + word[p + 2:]
-    contraction = complex(ip[(create_letter[1], annihilate_letter[1])])
-
-    result: dict = {}
-    for w, c in _normal_order_word(swapped, ip, strategy, cache).items():
-        _accumulate(result, w, c)
-    for w, c in _normal_order_word(reduced, ip, strategy, cache).items():
-        _accumulate(result, w, c * contraction)
-    cache[word] = result
-    return result
+    out: dict = {}
+    groups: dict = {}
+    for word, coeff in terms.items():
+        if not word:
+            out[((), ())] = coeff
+        elif from_left:
+            groups.setdefault(word[0], {})[word[1:]] = coeff
+        else:
+            groups.setdefault(word[-1], {})[word[:-1]] = coeff
+    for letter, rest in groups.items():
+        kind, index = letter
+        for (creators, annihilators), coeff in _order_terms(rest, ip, from_left, memo).items():
+            if kind == CREATE:
+                moved = (_insert(creators, letter), annihilators)
+                out[moved] = out.get(moved, 0) + coeff
+                if not from_left:
+                    # C A adag[f] = C adag[f] A + sum_i (f, a_i) C (A without a_i)
+                    for i, (_, g) in enumerate(annihilators):
+                        dropped = (creators, annihilators[:i] + annihilators[i + 1:])
+                        out[dropped] = out.get(dropped, 0) + coeff * complex(ip[(index, g)])
+            else:
+                moved = (creators, _insert(annihilators, letter))
+                out[moved] = out.get(moved, 0) + coeff
+                if from_left:
+                    # a[g] C A = C a[g] A + sum_i (c_i, g) (C without c_i) A
+                    for i, (_, f) in enumerate(creators):
+                        dropped = (creators[:i] + creators[i + 1:], annihilators)
+                        out[dropped] = out.get(dropped, 0) + coeff * complex(ip[(f, index)])
+    out = {run: c for run, c in out.items() if c != 0}
+    memo[key] = out
+    return out
 
 
 def _check_strategy(strategy: str):
@@ -400,17 +424,21 @@ def _check_strategy(strategy: str):
 def normal_order(expr: OperatorExpression, ip, strategy: str = "leftmost") -> OperatorExpression:
     """Rewrite ``expr`` so every word has all creation letters first.
 
-    Repeatedly substitutes a[g] adag[f] -> adag[f] a[g] + (f, g).  The
-    substitution order (``leftmost`` or ``rightmost`` innermost pair) does
-    not change the canonical result.
+    Works on the whole expression.  ``strategy`` selects which end of the
+    words is peeled: ``leftmost`` groups the words by their first letter
+    and normal-orders each group's sum of suffixes, then prepends the
+    letter; ``rightmost`` groups by the last letter and appends it.  A
+    prepended a[g] passes every creation letter adag[c_i] of a term and
+    adds (c_i, g) times the term without it; an appended adag[f] passes
+    every a[a_i] and adds (f, a_i).  Each sum of suffixes is rewritten once
+    per call (the memo is not kept, since ``ip`` differs between calls).
+    Both strategies give the same canonical result, and exactly-zero
+    coefficients are dropped.
     """
     _check_strategy(strategy)
-    cache: dict = {}
-    out: dict = {}
-    for word, coeff in expr.terms.items():
-        for w, c in _normal_order_word(word, ip, strategy, cache).items():
-            _accumulate(out, w, c * coeff)
-    return _wrap(out)
+    ordered = _order_terms(expr.terms, ip, strategy == "leftmost", {})
+    return _wrap({creators + annihilators: c
+                  for (creators, annihilators), c in ordered.items()})
 
 
 #: Letter kinds, symbolic or parsed, that can annihilate and that can create.

@@ -593,6 +593,10 @@ def read_samples_csv(stream):
 
     numpy's line parser streams the rows into flat integer and float
     buffers; a row that is not ``dim + 1`` integers and a float is refused.
+    N is one more than the largest site index in any column, and the rows
+    must be n * N^D, each index column equal to the writer's row-major
+    order; the check reduces strided views, so no index-sized array is
+    allocated.
     """
     header = stream.readline().strip()
     dim = header.count(",") - 1
@@ -609,11 +613,29 @@ def read_samples_csv(stream):
     if rows.size == 0:
         raise InvalidInputError("sample CSV has no data rows")
     index = rows["index"]
-    n_samples = int(index[-1, 0]) + 1
-    sites_per_axis = int(index[:, 1].max()) + 1
-    out = np.zeros((n_samples,) + (sites_per_axis,) * dim)
-    out[tuple(index.T)] = rows["value"]
-    return dim, sites_per_axis, out
+    sites_per_axis = max(int(index[:, 1:].max()) + 1, 1)
+    n_samples, extra = divmod(len(rows), sites_per_axis ** dim)
+    if extra:
+        raise InvalidInputError(
+            f"sample CSV has {len(rows)} rows, not a whole number of "
+            f"{sites_per_axis}^{dim}-site lattices"
+        )
+    shape = (n_samples,) + (sites_per_axis,) * dim
+    grid = index.reshape(shape + (dim + 1,))
+    for axis in range(dim + 1):
+        # every entry of the column equals its position along ``axis``
+        # exactly when its min and max over the other axes both do
+        others = tuple(a for a in range(dim + 1) if a != axis)
+        expected = np.arange(shape[axis])
+        column = grid[..., axis]
+        if not (np.array_equal(column.min(axis=others), expected)
+                and np.array_equal(column.max(axis=others), expected)):
+            name = "sample" if axis == 0 else f"site_index_{axis - 1}"
+            raise InvalidInputError(
+                f"sample CSV column {name} is not in writer order "
+                f"({n_samples} samples of a {sites_per_axis}^{dim} lattice)"
+            )
+    return dim, sites_per_axis, np.ascontiguousarray(rows["value"]).reshape(shape)
 
 
 def write_samples_binary(stream, lattice: LatticeSpec, samples: np.ndarray):

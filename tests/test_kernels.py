@@ -304,6 +304,59 @@ class TestQuadratureBehavior:
             positivity_check(quantum(), packet())
 
 
+class TestDiagonalPasses:
+    """A diagonal doubled check is one integral: (f, f) refined is its own scale."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        import kgf.kernels as K
+
+        calls = []
+        real = K._reduced_integral
+
+        def counted(spec, f, g, nodes, cutoff):
+            calls.append((f, g, nodes, cutoff))
+            return real(spec, f, g, nodes, cutoff)
+
+        monkeypatch.setattr(K, "_reduced_integral", counted)
+        return calls, real
+
+    def test_positivity_check_makes_two_passes(self, passes):
+        calls, real = passes
+        spec = quantum()
+        f = packet(center_x=(0.3,), carrier_freq=0.7, amplitude=1 - 0.5j)
+        value, diag = inner_product_with_diagnostics(spec, f, packet(
+            center_x=(0.3,), carrier_freq=0.7, amplitude=1 - 0.5j))
+        assert len(calls) == 2
+        calls.clear()
+        assert positivity_check(spec, f) == value.real
+        assert len(calls) == 2
+        # the formula with three separate doubled passes, bit for bit
+        base = real(spec, f, f, 256, diag.cutoff)
+        refined = real(spec, f, f, 512, 2.0 * diag.cutoff)
+        norm = real(spec, f, f, 512, 2.0 * diag.cutoff).real
+        assert (value, diag.refined) == (base, refined)
+        assert diag.relative_shift == abs(refined - base) / math.sqrt(norm * norm)
+
+    def test_three_packet_table_makes_eighteen_passes(self, passes):
+        from kgf.opalgebra import FunctionRegistry, InnerProductTable
+
+        calls, real = passes
+        spec = quantum()
+        reg = FunctionRegistry()
+        packets = [packet(), packet(center_x=(0.4,), carrier_wavevector=(0.8,)),
+                   packet(carrier_freq=0.5, width_x=1.3, amplitude=0.5j)]
+        for p in packets:
+            reg.register(packet=p)
+        table = InnerProductTable.from_kernel(spec, reg)
+        assert len(calls) == 18
+        for i, f in enumerate(packets, start=1):
+            for j, g in enumerate(packets, start=1):
+                if i <= j:
+                    cutoff = max(f.suggested_cutoff, g.suggested_cutoff)
+                    assert table[(i, j)] == real(spec, f, g, 256, cutoff)
+
+
 class TestHigherDimensions:
     def test_d2_norm_factorizes_for_product_packet(self):
         # separable Gaussian: the D=2 norm with mass m equals a 1-D

@@ -61,6 +61,64 @@ def permanent(matrix):
     return total
 
 
+def reference_normal_order(expr, ip, strategy="leftmost"):
+    """The adjacent-swap rewriter, kept as the referee of normal_order.
+
+    Rewrites one word at a time: the leftmost (or rightmost) adjacent
+    a[g] adag[f] becomes adag[f] a[g] + (f, g), recursively, memoised per
+    canonical word.  Returns the terms dict with exact zeros dropped.
+    """
+    cache = {}
+
+    def first_inversion(word):
+        positions = range(len(word) - 1)
+        if strategy == "rightmost":
+            positions = reversed(positions)
+        for p in positions:
+            if word[p][0] == ANNIHILATE and word[p + 1][0] == CREATE:
+                return p
+        return None
+
+    def rewrite(word):
+        word = canonical_word(word)
+        if word in cache:
+            return cache[word]
+        p = first_inversion(word)
+        if p is None:
+            result = {word: 1.0 + 0.0j}
+        else:
+            annihilator, creator = word[p], word[p + 1]
+            contraction = complex(ip[(creator[1], annihilator[1])])
+            result = {}
+            swapped = word[:p] + (creator, annihilator) + word[p + 2:]
+            for w, c in rewrite(swapped).items():
+                result[w] = result.get(w, 0) + c
+            for w, c in rewrite(word[:p] + word[p + 2:]).items():
+                result[w] = result.get(w, 0) + c * contraction
+            result = {w: c for w, c in result.items() if c != 0}
+        cache[word] = result
+        return result
+
+    out = {}
+    for word, coeff in expr.terms.items():
+        for w, c in rewrite(word).items():
+            out[w] = out.get(w, 0) + c * coeff
+    return {w: c for w, c in out.items() if c != 0}
+
+
+def assert_same_terms(got, want, rel=1e-12):
+    assert got.keys() == want.keys()
+    for word, value in want.items():
+        assert abs(got[word] - value) <= rel * abs(value), word
+
+
+def random_word(rng, length, functions):
+    kinds = rng.integers(0, 2, size=length)
+    indices = rng.integers(1, functions + 1, size=length)
+    return tuple((CREATE if k == 0 else ANNIHILATE, int(i))
+                 for k, i in zip(kinds, indices))
+
+
 class TestCanonicalWord:
     def test_same_kind_runs_sort_by_index(self):
         word = ((ANNIHILATE, 2), (ANNIHILATE, 1), (CREATE, 3), (CREATE, 1))
@@ -283,6 +341,62 @@ class TestNormalOrdering:
             OperatorExpression.annihilate(1) * OperatorExpression.annihilate(2),
             DYADIC_TABLE,
         ) == 0.0
+
+
+class TestNormalOrderReferee:
+    """normal_order against the adjacent-swap rewriter, term by term."""
+
+    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+    def test_random_mixed_words(self, strategy):
+        rng = np.random.default_rng(8080)
+        for _ in range(12):
+            table = random_table(rng, 3)
+            terms = {}
+            for length in range(9):
+                word = random_word(rng, length, 3)
+                terms[word] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                # a shared suffix under two prefixes exercises the memo
+                terms[random_word(rng, 2, 3) + word[1:]] = 1.0
+            expr = OperatorExpression(terms)
+            got = normal_order(expr, table, strategy=strategy)
+            assert got.is_normal_ordered()
+            assert_same_terms(got.terms, reference_normal_order(expr, table, strategy))
+
+    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+    def test_expanded_phi_products(self, strategy):
+        rng = np.random.default_rng(8181)
+        reg = FunctionRegistry()
+        for name in ("u", "v", "w"):
+            reg.register(name)
+        for _ in range(3):
+            table = random_table(rng, 3)
+            for n in range(1, 9):
+                indices = [int(i) for i in rng.integers(1, 4, size=n)]
+                expr = OperatorExpression.identity()
+                for i in indices:
+                    expr = expr * field_operator(reg, i)
+                got = normal_order(expr, table, strategy=strategy).terms
+                assert_same_terms(got, reference_normal_order(expr, table, strategy))
+                if n % 2:
+                    assert () not in got
+
+    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+    def test_cancelled_terms_are_dropped(self, strategy):
+        a1, adag2 = OperatorExpression.annihilate(1), OperatorExpression.create(2)
+        contraction = DYADIC_TABLE[(2, 1)]
+        # the reordered word cancels, only the contraction survives
+        commutator = a1 * adag2 - adag2 * a1
+        assert normal_order(commutator, DYADIC_TABLE, strategy).terms == {
+            (): contraction,
+        }
+        # the identity cancels, only the reordered word survives
+        shifted = a1 * adag2 - OperatorExpression.identity().scaled(contraction)
+        assert normal_order(shifted, DYADIC_TABLE, strategy).terms == {
+            ((CREATE, 2), (ANNIHILATE, 1)): 1.0,
+        }
+        assert reference_normal_order(shifted, DYADIC_TABLE, strategy) == {
+            ((CREATE, 2), (ANNIHILATE, 1)): 1.0,
+        }
 
 
 class TestWickEquivalence:

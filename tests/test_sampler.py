@@ -588,6 +588,27 @@ class TestFileFormats:
         with pytest.raises(InvalidInputError):
             read_samples_csv(io.StringIO("sample,site_index_0,value\n"))
 
+    @pytest.mark.parametrize("text", [
+        "sample,site_index_0,value\n1,0,1.0\n1,1,2.0\n0,0,3.0\n0,1,4.0\n",
+        "sample,site_index_0,site_index_1,value\n0,0,0,1.0\n0,0,1,2.0\n",
+    ], ids=["samples_out_of_order_1d", "last_axis_beyond_first_2d"])
+    def test_csv_rows_out_of_writer_order_rejected(self, text):
+        with pytest.raises(InvalidInputError):
+            read_samples_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("edit", ["drop", "swap"])
+    def test_csv_dropped_or_swapped_row_rejected(self, edit):
+        lat = LatticeSpec(dim=2, sites_per_axis=8)
+        buf = io.StringIO()
+        write_samples_csv(buf, lat, sample_array(VACUUM, lat, seed=19, n=2))
+        lines = buf.getvalue().splitlines(keepends=True)
+        if edit == "drop":
+            del lines[70]
+        else:
+            lines[2], lines[9] = lines[9], lines[2]
+        with pytest.raises(InvalidInputError):
+            read_samples_csv(io.StringIO("".join(lines)))
+
     def test_binary_round_trip(self):
         lat = LatticeSpec(dim=2, sites_per_axis=8, spacing=0.25)
         samples = sample_array(THERMAL, lat, seed=14, n=3)
