@@ -11,8 +11,8 @@ verify      the cross-module verification suite
 Configuration precedence: command-line flag, then --config JSON document,
 then built-in default.  Every floating-point value is printed with 17
 significant digits so artifacts round-trip exactly.  Exit codes: 0 on
-success, 2 on validation errors, 3 on accuracy errors.  KGF_THREADS
-overrides the sampling worker count.
+success, 2 on validation errors, 3 on accuracy errors.  The sampling
+worker count comes from --workers alone.
 """
 
 from __future__ import annotations
@@ -20,11 +20,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
-
-import jsonschema
 
 from . import opalgebra, sampler, spectra, verify
 from .errors import AccuracyError, InvalidInputError, KGFError
@@ -127,6 +124,63 @@ CONFIG_SCHEMA = {
 }
 
 
+#: The JSON Schema keywords that :func:`_schema_error` interprets.
+_SCHEMA_KEYWORDS = frozenset({
+    "type", "enum", "minimum", "maximum", "exclusiveMinimum", "properties",
+    "additionalProperties", "items", "minItems", "maxItems",
+})
+_JSON_TYPES = {"object": dict, "array": list, "string": str,
+               "null": type(None), "number": (int, float), "integer": int}
+
+
+def _is_type(value, name: str) -> bool:
+    """JSON Schema's ``type``: a bool is no number, 16.0 is an integer."""
+    if isinstance(value, bool):
+        return False
+    if name == "integer" and isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, _JSON_TYPES[name])
+
+
+def _schema_error(value, schema: dict, path: tuple = ()):
+    """The first ``(path, reason)`` where ``value`` breaks ``schema``, or None.
+
+    Interprets only :data:`_SCHEMA_KEYWORDS`, the ones CONFIG_SCHEMA uses;
+    like JSON Schema, a bound ignores non-numbers and passes NaN.
+    """
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_is_type(value, name) for name in types):
+        return path, f"{value!r} is not of type {' or '.join(map(repr, types))}"
+    if "enum" in schema and value not in schema["enum"]:
+        return path, f"{value!r} is not one of {schema['enum']!r}"
+    if _is_type(value, "number"):
+        if "minimum" in schema and value < schema["minimum"]:
+            return path, f"{value!r} is less than the minimum of {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return path, f"{value!r} is not above {schema['exclusiveMinimum']!r}"
+        if "maximum" in schema and value > schema["maximum"]:
+            return path, f"{value!r} is greater than the maximum of {schema['maximum']!r}"
+    children = []
+    if isinstance(value, list):
+        low, high = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+        if not low <= len(value) <= high:
+            return path, f"{value!r} does not have {low} to {high} items"
+        children = [(i, item, schema.get("items", {})) for i, item in enumerate(value)]
+    if isinstance(value, dict):
+        known = schema.get("properties", {})
+        extra = schema.get("additionalProperties", {})
+        for key, item in value.items():
+            if key not in known and extra is False:
+                return path, f"additional property {key!r} is not allowed"
+            children.append((key, item, known.get(key, extra)))
+    for key, item, sub in children:
+        error = _schema_error(item, sub, path + (key,))
+        if error is not None:
+            return error
+    return None
+
+
 def load_config(path: str | None) -> dict:
     """Read and schema-validate the JSON config; {} when no path given."""
     if path is None:
@@ -138,13 +192,13 @@ def load_config(path: str | None) -> dict:
         raise InvalidInputError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"config {path} is not valid JSON: {exc}") from None
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
+    error = _schema_error(raw, CONFIG_SCHEMA)
+    if error is not None:
+        at, reason = error
+        where = "/".join(str(p) for p in at) or "(top level)"
         raise InvalidInputError(
-            f"config {path} failed validation at {where}: {exc.message}"
-        ) from None
+            f"config {path} failed validation at {where}: {reason}"
+        )
     return raw
 
 
@@ -171,8 +225,8 @@ def _dim(args, config: dict) -> int:
     return int(_pick(args.dim, config, "dim", 1))
 
 
-def _seed(args, config: dict) -> int:
-    seed = int(_pick(args.seed, config, "seed", 0))
+def _seed(args, config: dict, default: int = 0) -> int:
+    seed = int(_pick(args.seed, config, "seed", default))
     if not 0 <= seed < 2**64:
         raise InvalidInputError(f"seed must fit in 64 bits, got {seed}")
     return seed
@@ -239,22 +293,6 @@ def _density(args, config: dict) -> SpectralDensity:
     if lam is None:
         lam = lambda_of_xi(constants.xi)
     return SpectralDensity(ensemble, constants, lam=float(lam))
-
-
-def _workers(args) -> int:
-    env = os.environ.get("KGF_THREADS")
-    if env is not None:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise InvalidInputError(
-                f"KGF_THREADS must be an integer, got {env!r}"
-            ) from None
-    else:
-        workers = args.workers
-    if workers < 1:
-        raise InvalidInputError(f"worker count must be >= 1, got {workers}")
-    return workers
 
 
 def _fmt(value: float) -> str:
@@ -365,10 +403,9 @@ def cmd_sample(args) -> int:
     )
     n = int(_pick(args.samples, config, "samples", 100))
     seed = _seed(args, config)
-    workers = _workers(args)
     chunks = sampler.sample_chunks(density, lattice, seed, n,
                                    pin_zero_mode=args.pin_zero_mode,
-                                   workers=workers)
+                                   workers=args.workers)
     out = _out_dir(args)
     text = args.format == "csv"
     path = out / ("samples.csv" if text else "samples.bin")
@@ -379,7 +416,7 @@ def cmd_sample(args) -> int:
         for chunk in chunks:
             write(chunk.start, chunk.values)
             acc.add(chunk)
-    print(f"wrote {path} ({n} samples, seed {seed}, workers {workers})")
+    print(f"wrote {path} ({n} samples, seed {seed}, workers {args.workers})")
     if n >= 2:
         expected = sampler.expected_power(density, lattice,
                                           pin_zero_mode=args.pin_zero_mode)
@@ -392,10 +429,8 @@ def cmd_sample(args) -> int:
 
 def cmd_verify(args) -> int:
     config = load_config(args.config)
-    seed = _pick(args.seed, config, "seed", verify.DEFAULT_SEED)
-    if not 0 <= int(seed) < 2**64:
-        raise InvalidInputError(f"seed must fit in 64 bits, got {seed}")
-    results = verify.run_suite(args.suite, seed=int(seed))
+    seed = _seed(args, config, verify.DEFAULT_SEED)
+    results = verify.run_suite(args.suite, seed=seed)
     print(verify.format_results(results))
     return 0 if all(r.passed for r in results) else 1
 
@@ -456,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spacing", type=float, metavar="A")
     p.add_argument("--samples", type=int, metavar="COUNT")
     p.add_argument("--workers", type=int, default=1,
-                   help="sampling threads (KGF_THREADS overrides)")
+                   help="sampling threads (default 1)")
     p.add_argument("--pin-zero-mode", action="store_true",
                    help="set the k=0 mode to zero instead of failing when c(0)=0")
     p.add_argument("--format", choices=("csv", "binary"), default="csv")

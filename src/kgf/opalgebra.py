@@ -436,7 +436,14 @@ def normal_order(expr: OperatorExpression, ip, strategy: str = "leftmost") -> Op
     coefficients are dropped.
     """
     _check_strategy(strategy)
-    ordered = _order_terms(expr.terms, ip, strategy == "leftmost", {})
+    try:
+        ordered = _order_terms(expr.terms, ip, strategy == "leftmost", {})
+    except RecursionError:
+        longest = max(map(len, expr.terms))
+        raise SizeLimitError(
+            f"refusing to normal-order a {longest}-letter word: peeling it "
+            f"nests deeper than the interpreter's recursion limit"
+        ) from None
     return _wrap({creators + annihilators: c
                   for (creators, annihilators), c in ordered.items()})
 

@@ -18,6 +18,7 @@ except ModuleNotFoundError:  # Python 3.10, where pytest depends on tomli
 import kgf
 from kgf import cli, opalgebra, sampler
 from kgf.cli import main
+from kgf.errors import InvalidInputError
 from kgf.kernels import PhysicalConstants
 from kgf.sampler import read_samples_binary, read_samples_csv
 from kgf.spectra import Ensemble, SpectralDensity
@@ -48,11 +49,6 @@ def parse_value(line):
     re_s, sign, im_s = rhs.rsplit(" ", 2)
     imag = float(im_s[:-1])
     return complex(float(re_s), imag if sign == "+" else -imag)
-
-
-@pytest.fixture(autouse=True)
-def no_thread_env(monkeypatch):
-    monkeypatch.delenv("KGF_THREADS", raising=False)
 
 
 class TestConfigHandling:
@@ -129,7 +125,135 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, {"ensemble": "vacuum", "samples": 2})
         assert main(["sample", "--config", cfg, "--seed", "-1",
                      "--lattice-n", "8", "--out", str(tmp_path)]) == 2
-        assert "seed" in capsys.readouterr().err
+        assert "seed must fit in 64 bits" in capsys.readouterr().err
+        assert main(["verify", "--suite", "spectra", "--seed", "-1"]) == 2
+        assert "seed must fit in 64 bits" in capsys.readouterr().err
+
+
+# Every key CONFIG_SCHEMA knows, at a valid value.
+FULL_CONFIG = {
+    "constants": {"hbar": 1.0, "kT": 1.0, "mass": 1.0, "xi": 0.5},
+    "dim": 2,
+    "packets": {"f1": {
+        "center_t": 0.0, "center_x": [0.0, 0.5], "width_t": 1.0,
+        "width_x": 1.0, "carrier_freq": 0.0, "carrier_wavevector": [0.5, 0.0],
+        "amplitude": [1.0, 0.0],
+    }},
+    "quadrature": {"cutoff": None, "nodes": 64, "rule": "gauss-legendre"},
+    "lattice": {"sites_per_axis": 16, "spacing": 0.5},
+    "ensemble": "vacuum",
+    "lambda": 1.0,
+    "samples": 3,
+    "seed": 7,
+    "k_grid": {"min": 0.0, "max": 4.0, "count": 8},
+}
+
+# Wrong types, bools, integral floats, each bound and its neighbours,
+# vector lengths, enum members and strangers, null, NaN and +-inf.
+MUTANT_VALUES = [
+    True, False, None, -1, 0, 1, 2, 3, 4, 7, 8, 15, 16, 16.0, 16.5,
+    -0.0, 1e-300, -1e-300, 2**64 - 1, 2**64, 1.8e19, 2.0**64,
+    math.nan, math.inf, -math.inf, "", "1", "vacuum", "maxwellian",
+    "gauss-legendre", "trapezoid", [], [1.0], [1.0, 2.0], [1, 2, 3],
+    [1, 2, 3, 4], [True, 1.0], [None, 0.0], [1.0, "x"], {}, {"x": 1},
+]
+
+
+def config_places(node, path=()):
+    """``(path, value)`` for ``node`` itself and for every value inside it."""
+    yield path, node
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from config_places(child, path + (key,))
+
+
+def replaced(node, path, value):
+    """A copy of ``node`` with the value at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    copy = node.copy()
+    copy[path[0]] = replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+def mutants():
+    """FULL_CONFIG with each MUTANT_VALUES entry at each place, and with an
+    unknown key added to each object."""
+    for path, node in config_places(FULL_CONFIG):
+        for value in MUTANT_VALUES:
+            yield replaced(FULL_CONFIG, path, value)
+        if isinstance(node, dict):
+            yield replaced(FULL_CONFIG, path, dict(node, bogus=1))
+
+
+def schema_keywords(schema):
+    """Every keyword used anywhere in ``schema``, property names excluded."""
+    for keyword, arg in schema.items():
+        yield keyword
+        if keyword == "properties":
+            for sub in arg.values():
+                yield from schema_keywords(sub)
+        elif keyword in ("items", "additionalProperties") and isinstance(arg, dict):
+            yield from schema_keywords(arg)
+
+
+class TestConfigSchema:
+    def test_every_schema_keyword_is_interpreted(self):
+        used = set(schema_keywords(cli.CONFIG_SCHEMA))
+        assert used <= cli._SCHEMA_KEYWORDS
+        assert {"type", "enum", "minimum", "additionalProperties"} <= used
+
+    @pytest.mark.parametrize("config, error", [
+        (FULL_CONFIG, None),
+        ({"samples": 16.0}, None),
+        ({"lambda": math.nan, "k_grid": {"max": math.inf}}, None),
+        ({"samples": True}, "at samples: True is not of type 'integer'"),
+        ({"lambda": False}, "at lambda: False is not of type 'number'"),
+        ({"quadrature": {"nodes": 16.5}}, "at quadrature/nodes: "),
+        ({"lattice": {"spacing": -math.inf}}, "at lattice/spacing: "),
+        ({"packets": {"f1": {"center_x": [0.0, "x"]}}},
+         "at packets/f1/center_x/1: 'x' is not of type 'number'"),
+        ({"packets": {"f1": {"width": 1.0}}}, "at packets/f1: .*'width'"),
+        ([], r"at \(top level\): \[\] is not of type 'object'"),
+    ])
+    def test_loads_or_names_the_failing_path(self, tmp_path, config, error):
+        path = write_config(tmp_path, config)
+        if error is None:
+            assert cli.load_config(path).keys() == config.keys()
+        else:
+            with pytest.raises(InvalidInputError,
+                               match=f"failed validation {error}"):
+                cli.load_config(path)
+
+    def test_accepts_and_refuses_what_jsonschema_does(self, tmp_path):
+        jsonschema = pytest.importorskip("jsonschema")
+        validator_class = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)
+        validator_class.check_schema(cli.CONFIG_SCHEMA)
+        reference = validator_class(cli.CONFIG_SCHEMA)
+        outcomes = {True: 0, False: 0}
+        for config in mutants():
+            path = write_config(tmp_path, config)
+            try:
+                cli.load_config(path)
+                accepted = True
+            except InvalidInputError:
+                accepted = False
+            assert accepted == reference.is_valid(config), config
+            outcomes[accepted] += 1
+        assert min(outcomes.values()) > 100
+
+    def test_loading_a_config_does_not_import_jsonschema(self, tmp_path):
+        cfg = write_config(tmp_path, FULL_CONFIG)
+        code = ("import sys, kgf.cli; kgf.cli.load_config(sys.argv[1]); "
+                "print(sorted(m for m in sys.modules if m.startswith('jsonschema')))")
+        src = str(Path(kgf.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code, cfg], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestInnerprod:
@@ -422,16 +546,11 @@ class TestSample:
         assert (flag_dir / "samples.bin").read_bytes() == \
             (cfg_dir / "samples.bin").read_bytes()
 
-    def test_thread_env_overrides_flag(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("KGF_THREADS", "2")
-        assert main([*self.COMMON, "--workers", "1",
-                     "--out", str(tmp_path)]) == 0
-        assert "workers 2" in capsys.readouterr().out
-
-    def test_bad_thread_env_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("KGF_THREADS", "many")
-        assert main([*self.COMMON, "--out", str(tmp_path)]) == 2
-        assert "KGF_THREADS" in capsys.readouterr().err
+    def test_zero_workers_exits_2_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert main([*self.COMMON, "--workers", "0", "--out", str(out)]) == 2
+        assert "worker count must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_degenerate_mode_exits_2_and_names_mode(self, tmp_path, capsys):
         assert main(["sample", "--ensemble", "classical", "--mass", "0",

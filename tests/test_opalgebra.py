@@ -332,6 +332,13 @@ class TestNormalOrdering:
         with pytest.raises(MissingInnerProductError):
             normal_order(expr, DYADIC_TABLE)
 
+    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+    def test_deep_word_is_refused_not_crashed(self, strategy):
+        # one recursion level per letter: 1200 letters pass the limit
+        word = ((ANNIHILATE, 1), (CREATE, 1)) * 600
+        with pytest.raises(SizeLimitError, match="recursion limit"):
+            normal_order(OperatorExpression({word: 1.0}), DYADIC_TABLE, strategy)
+
     def test_vacuum_expectation_trivial_cases(self):
         assert vacuum_expectation(OperatorExpression.identity(), DYADIC_TABLE) == 1.0
         assert vacuum_expectation(OperatorExpression.zero(), DYADIC_TABLE) == 0.0
