@@ -192,6 +192,11 @@ def load_config(path: str | None) -> dict:
         raise InvalidInputError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"config {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidInputError(
+            f"config {path} nests arrays or objects deeper than the JSON "
+            f"parser's recursion limit ({sys.getrecursionlimit()})"
+        ) from None
     error = _schema_error(raw, CONFIG_SCHEMA)
     if error is not None:
         at, reason = error

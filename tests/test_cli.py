@@ -64,6 +64,12 @@ class TestConfigHandling:
                      "-f", "f1", "-g", "f2"]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_nesting_past_the_recursion_limit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert main(["spectra", "--config", str(path)]) == 2
+        assert "nests arrays or objects deeper" in capsys.readouterr().err
+
     def test_schema_violation_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"ensemble": "maxwellian"})
         assert main(["spectra", "--config", cfg]) == 2

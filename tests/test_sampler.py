@@ -76,7 +76,7 @@ class TestLatticeSpec:
 
     def test_mode_indices_signed(self):
         lat = LatticeSpec(dim=1, sites_per_axis=8)
-        assert lat.mode_indices().reshape(-1).tolist() == [0, 1, 2, 3, 4, -3, -2, -1]
+        assert lat.axis_mode_indices() == [0, 1, 2, 3, 4, -3, -2, -1]
 
     def test_mode_magnitudes_radial(self):
         lat = LatticeSpec(dim=2, sites_per_axis=8, spacing=2.0)
@@ -294,6 +294,39 @@ class TestGoldenStreams:
                                                     n=self.N_SAMPLES))
         assert hashlib.sha256(buf.getvalue()).hexdigest() == digest
 
+    @pytest.mark.parametrize("density,dim,sites,pin,samples_digest,spectrum_digest", [
+        (THERMAL, 1, 16, False,
+         "a000c1decadb45600fbeee6a55dc5ba13ed19a2fc2ac468233efc77aa63282bb",
+         "156c62172d3dfb90d616f1b42ece5b31154d95bc67a3d9c16b9707305809a05e"),
+        (THERMAL, 2, 8, False,
+         "6df93ed3716c896c06dc3ef7bd0763af2d45dcf77888c3381a55155be36c23f1",
+         "5be8f988dce812b8ed3a1a1f91a25ce1f157d13d88040b2a41af82b3ec72b5ee"),
+        (THERMAL, 3, 8, False,
+         "e34f1d950b2f29bec8e6ad6e2c1376f5002234778b327ec865db047cc46d4527",
+         "dc6f7acdfafbaeae85d1ba30922c03f3922b6112aa8a27bcbe760d5d488cc4e4"),
+        # massless classical: the pinned zero mode's expected column holds 0
+        (SpectralDensity(Ensemble.CLASSICAL_EQUILIBRIUM, PhysicalConstants(mass=0.0)),
+         2, 8, True,
+         "7519a53d30305fb9aaa5d7040686d95b5b03c8f40e1affeac2795388ea2803f0",
+         "65caf72309db0dda6a1b9e969f02d4b1010237488824c96a3f9ba88ab7f3a61a"),
+    ], ids=["thermal_d1", "thermal_d2", "thermal_d3", "massless_pinned_d2"])
+    def test_csv_digests(self, density, dim, sites, pin, samples_digest,
+                         spectrum_digest):
+        """The samples and spectrum CSVs of a stream, written chunk by chunk
+        as ``kgf sample`` writes them."""
+        lat = LatticeSpec(dim=dim, sites_per_axis=sites, spacing=0.5)
+        buf = io.StringIO()
+        write = sampler.samples_writer(buf, lat, "csv")
+        acc = SpectrumAccumulator(lat)
+        for chunk in sample_chunks(density, lat, seed=2026, n=self.N_SAMPLES,
+                                   pin_zero_mode=pin):
+            write(chunk.start, chunk.values)
+            acc.add(chunk)
+        spectrum = spectrum_csv(acc.finalize(),
+                                expected_power(density, lat, pin_zero_mode=pin))
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == samples_digest
+        assert hashlib.sha256(spectrum.encode()).hexdigest() == spectrum_digest
+
 
 class TestDegenerateModes:
     def test_massless_classical_zero_mode_raises(self):
@@ -499,11 +532,16 @@ def naive_samples_csv(lattice, samples):
 
 
 def naive_spectrum_csv(estimate, expected):
-    """Reference writer: index columns formatted anew on every row."""
+    """Reference writer: index columns formatted anew on every row, from
+    numpy's FFT frequencies (Nyquist folded to +N/2)."""
     lat = estimate.lattice
     cols = ",".join(f"k_index_{d}" for d in range(lat.dim))
     out = [f"{cols},mean,stderr,count,expected\n"]
-    signed = lat.mode_indices().reshape(-1, lat.dim)
+    n = lat.sites_per_axis
+    j = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    j[n // 2] = abs(j[n // 2])
+    grids = np.meshgrid(*[j] * lat.dim, indexing="ij")
+    signed = np.stack(grids, axis=-1).reshape(-1, lat.dim)
     mean, stderr = estimate.mean.reshape(-1), estimate.stderr.reshape(-1)
     expect = np.asarray(expected).reshape(-1)
     for row in range(signed.shape[0]):
@@ -524,6 +562,68 @@ class TestFileFormats:
         est = power_spectrum(FieldConfiguration(lat, v) for v in samples)
         expected = expected_power(THERMAL, lat)
         assert spectrum_csv(est, expected) == naive_spectrum_csv(est, expected)
+
+    EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.5, 2.5])
+
+    def test_spectrum_writer_keeps_signed_zeros_and_subnormals(self):
+        lat = LatticeSpec(dim=2, sites_per_axis=8)
+        rng = np.random.default_rng(20)
+        mean, stderr, expected = (
+            rng.choice(self.EDGE_VALUES, size=lat.shape) for _ in range(3))
+        mean[0, :4] = [0.0, -0.0, 5e-324, 0.0]
+        est = sampler.SpectrumEstimate(lat, mean, stderr, count=3)
+        text = spectrum_csv(est, expected)
+        assert text == naive_spectrum_csv(est, expected)
+        assert "0,0,0," in text and "0,1,-0," in text and "0,2,4.9406564584124654e-324," in text
+
+    def test_samples_writer_keeps_signed_zeros_and_extremes(self):
+        lat = LatticeSpec(dim=2, sites_per_axis=8)
+        samples = np.random.default_rng(21).choice(self.EDGE_VALUES,
+                                                   size=(3,) + lat.shape)
+        buf = io.StringIO()
+        write_samples_csv(buf, lat, samples)
+        assert buf.getvalue() == naive_samples_csv(lat, samples)
+        assert ",-0\n" in buf.getvalue() and ",1e+308\n" in buf.getvalue()
+
+    def test_multi_chunk_d3_stream_matches_naive_writers(self):
+        lat = LatticeSpec(dim=3, sites_per_axis=16, spacing=0.5)
+        chunks = list(sample_chunks(THERMAL, lat, seed=22, n=40))
+        assert len(chunks) >= 2
+        buf = io.StringIO()
+        write = sampler.samples_writer(buf, lat, "csv")
+        acc = SpectrumAccumulator(lat)
+        for chunk in chunks:
+            write(chunk.start, chunk.values)
+            acc.add(chunk)
+        samples = np.concatenate([c.values for c in chunks])
+        assert buf.getvalue() == naive_samples_csv(lat, samples)
+        est, expected = acc.finalize(), expected_power(THERMAL, lat)
+        assert spectrum_csv(est, expected) == naive_spectrum_csv(est, expected)
+
+    # 1 and 7 split an axis; 64 and 130 keep whole trailing axes and take
+    # one or two first-axis indices per slab in D=3
+    @pytest.mark.parametrize("slab_rows", [1, 7, 64, 130])
+    @pytest.mark.parametrize("dim,sites", [(1, 16), (2, 8), (3, 8)])
+    def test_slab_size_does_not_change_bytes(self, monkeypatch, slab_rows,
+                                             dim, sites):
+        lat = LatticeSpec(dim=dim, sites_per_axis=sites, spacing=0.5)
+        samples = sample_array(THERMAL, lat, seed=23, n=3)
+        est = power_spectrum(FieldConfiguration(lat, v) for v in samples)
+        expected = expected_power(THERMAL, lat)
+        monkeypatch.setattr(sampler, "_CSV_SLAB_ROWS", slab_rows)
+        slabs = [rows for _, rows in
+                 sampler._csv_templates(range(sites), dim, "%s\n")("")]
+        assert sum(slabs) == lat.total_sites and max(slabs) <= slab_rows
+        buf = io.StringIO()
+        write_samples_csv(buf, lat, samples)
+        assert buf.getvalue() == naive_samples_csv(lat, samples)
+        assert spectrum_csv(est, expected) == naive_spectrum_csv(est, expected)
+
+    def test_spectrum_writer_refuses_a_short_column(self):
+        lat = LatticeSpec(dim=1, sites_per_axis=8)
+        est = power_spectrum(sample_fields(VACUUM, lat, seed=24, n=3))
+        with pytest.raises(InvalidInputError):
+            spectrum_csv(est, expected_power(VACUUM, lat)[:-1])
 
     def test_chunked_csv_writes_equal_one_write(self):
         lat = LatticeSpec(dim=2, sites_per_axis=8)
