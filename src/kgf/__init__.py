@@ -60,7 +60,6 @@ from .spectra import (
     CrossoverRow,
     Ensemble,
     SpectralDensity,
-    crossover_csv,
     crossover_report,
     lambda_of_xi,
     spectral_coefficient,
@@ -76,7 +75,6 @@ from .sampler import (
     hamiltonian_quantum,
     power_spectrum,
     sample_array,
-    sample_fields,
     smear,
     smear_variance,
 )
@@ -103,9 +101,9 @@ __all__ = [
     "vacuum_expectation", "wick_vev", "excited_state_norm",
     "enumerate_pairings", "parse_expression", "parse_terms",
     "Ensemble", "SpectralDensity", "spectral_coefficient", "lambda_of_xi",
-    "CrossoverRow", "crossover_report", "crossover_csv",
+    "CrossoverRow", "crossover_report",
     "LatticeSpec", "FieldConfiguration", "SpectrumAccumulator",
-    "SpectrumEstimate", "sample_fields", "sample_array", "power_spectrum",
+    "SpectrumEstimate", "sample_array", "power_spectrum",
     "expected_power", "smear", "smear_variance", "hamiltonian_classical",
     "hamiltonian_quantum", "density_exponent",
     "ModeSpec", "bose_occupancy", "mode_variance_numeric",

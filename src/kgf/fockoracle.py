@@ -23,7 +23,6 @@ checks.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -43,7 +42,6 @@ __all__ = [
     "mode_variance_closed",
     "DensityVarianceCheck",
     "verify_density_variance",
-    "density_variance_csv",
 ]
 
 TAIL_TOL = 1e-12
@@ -196,15 +194,3 @@ def verify_density_variance(density: SpectralDensity,
         closed_form=closed,
         rel_err=rel_err,
     )
-
-
-def density_variance_csv(checks) -> str:
-    """CSV ``ensemble,k,numeric,closed_form,rel_err``."""
-    buf = io.StringIO()
-    buf.write("ensemble,k,numeric,closed_form,rel_err\n")
-    for chk in checks:
-        buf.write(
-            f"{chk.ensemble.value},{chk.kmag:.17g},{chk.numeric:.17g},"
-            f"{chk.closed_form:.17g},{chk.rel_err:.17g}\n"
-        )
-    return buf.getvalue()

@@ -150,19 +150,6 @@ class WavePacket:
                 f"widths must be > 0, got tau={self.width_t}, sigma={self.width_x}"
             )
 
-    def scaled(self, factor: complex) -> "WavePacket":
-        """Same packet with the amplitude multiplied by ``factor``."""
-        return WavePacket(
-            dim=self.dim,
-            center_t=self.center_t,
-            center_x=self.center_x,
-            width_t=self.width_t,
-            width_x=self.width_x,
-            carrier_freq=self.carrier_freq,
-            carrier_wavevector=self.carrier_wavevector,
-            amplitude=self.amplitude * complex(factor),
-        )
-
     @property
     def suggested_cutoff(self) -> float:
         """|kbar| + 12/sigma: beyond this the spatial Gaussian is < 1e-12."""

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import bisect
 import enum
-import io
 import re
 from dataclasses import dataclass
 
@@ -188,9 +187,6 @@ class InnerProductTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def items(self):
-        return self._entries.items()
-
     @classmethod
     def from_kernel(cls, spec: KernelSpec, registry: FunctionRegistry,
                     check: bool = True) -> "InnerProductTable":
@@ -205,39 +201,6 @@ class InnerProductTable:
                 if i != j:
                     entries[(j, i)] = value.conjugate()
         return cls(entries)
-
-    @classmethod
-    def from_csv(cls, lines) -> "InnerProductTable":
-        """Parse rows ``i,j,re,im``.  Accepts a string or iterable of lines."""
-        if isinstance(lines, str):
-            lines = lines.splitlines()
-        entries = {}
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise InvalidInputError(
-                    f"line {lineno}: expected 'i,j,re,im', got {line!r}"
-                )
-            try:
-                i, j = int(parts[0]), int(parts[1])
-                re_part, im_part = float(parts[2]), float(parts[3])
-            except ValueError:
-                if lineno == 1:
-                    continue  # tolerate a header row
-                raise InvalidInputError(
-                    f"line {lineno}: expected 'i,j,re,im', got {line!r}"
-                ) from None
-            entries[(i, j)] = complex(re_part, im_part)
-        return cls(entries)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        for (i, j), value in sorted(self._entries.items()):
-            buf.write(f"{i},{j},{value.real:.17g},{value.imag:.17g}\n")
-        return buf.getvalue()
 
 
 class OperatorExpression:
@@ -316,25 +279,6 @@ class OperatorExpression:
     def scaled(self, factor) -> "OperatorExpression":
         factor = complex(factor)
         return _wrap({w: c * factor for w, c in self.terms.items()})
-
-    def adjoint(self) -> "OperatorExpression":
-        """*-involution: reverse each word, swap kinds, conjugate coefficients."""
-        out: dict = {}
-        for word, coeff in self.terms.items():
-            flipped = tuple(
-                (CREATE if kind == ANNIHILATE else ANNIHILATE, index)
-                for kind, index in reversed(word)
-            )
-            _accumulate(out, canonical_word(flipped), coeff.conjugate())
-        return _wrap(out)
-
-    def is_normal_ordered(self) -> bool:
-        """True when no annihilation letter precedes a creation letter."""
-        return all(all(k1 <= k2 for (k1, _), (k2, _) in zip(word, word[1:]))
-                   for word in self.terms)
-
-    def max_word_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
 
     def __repr__(self) -> str:
         if not self.terms:

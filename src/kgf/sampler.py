@@ -58,7 +58,6 @@ __all__ = [
     "SpectrumAccumulator",
     "SpectrumEstimate",
     "sample_chunks",
-    "sample_fields",
     "sample_array",
     "power_spectrum",
     "expected_power",
@@ -347,6 +346,8 @@ def sample_chunks(density: SpectralDensity, lattice: LatticeSpec, seed: int,
     """
     if n < 1:
         raise InvalidInputError(f"sample count must be >= 1, got {n}")
+    if not 0 <= seed < 2**64:
+        raise InvalidInputError(f"seed must be in [0, 2**64), got {seed}")
     if workers < 1:
         raise InvalidInputError(f"worker count must be >= 1, got {workers}")
     plan = _SpectrumPlan(density, lattice, pin_zero_mode)
@@ -355,18 +356,6 @@ def sample_chunks(density: SpectralDensity, lattice: LatticeSpec, seed: int,
     if workers == 1:
         return itertools.chain.from_iterable(blocks)
     return _in_order(blocks, workers)
-
-
-def sample_fields(density: SpectralDensity, lattice: LatticeSpec, seed: int,
-                  n: int, pin_zero_mode: bool = False):
-    """Yield ``n`` i.i.d. configurations drawn from the density.
-
-    Deterministic given (seed, lattice, density, n); sample ``i`` never
-    depends on how earlier samples were produced.
-    """
-    for chunk in sample_chunks(density, lattice, seed, n, pin_zero_mode):
-        for values in chunk.values:
-            yield FieldConfiguration(lattice, values)
 
 
 def sample_array(density: SpectralDensity, lattice: LatticeSpec, seed: int,

@@ -26,7 +26,6 @@ downstream checks work with moments.
 from __future__ import annotations
 
 import enum
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -42,10 +41,7 @@ __all__ = [
     "lambda_of_xi",
     "CrossoverRow",
     "crossover_report",
-    "crossover_csv",
 ]
-
-CROSSOVER_HEADER = "k,c_T,c_E,c_Q,rel_dev_E,rel_dev_Q"
 
 
 class Ensemble(enum.Enum):
@@ -106,26 +102,33 @@ def spectral_coefficient(density: SpectralDensity, kmag):
     """c(|k|) for the given ensemble; vectorized over ``kmag``.
 
     Negative inputs are folded to |k| (the coefficient is even).  Strictly
-    positive for every finite k when the mass is positive.
+    positive for every finite k when the mass is positive; a |k| whose
+    coefficient overflows to infinity is refused.
     """
     k = np.abs(np.asarray(kmag, dtype=float))
     if not np.all(np.isfinite(k)):
         raise InvalidInputError("kmag must be finite")
     c = density.constants
-    omega = np.sqrt(k * k + c.mass * c.mass)
     ens = density.ensemble
-    if ens is Ensemble.CLASSICAL_EQUILIBRIUM:
-        out = omega * omega / (2.0 * c.kT)
-    elif ens is Ensemble.QUANTUM_VACUUM:
-        out = omega / c.hbar
-    elif ens is Ensemble.QUANTUM_THERMAL:
-        out = np.tanh(c.hbar * omega / (2.0 * c.kT)) * omega / c.hbar
-    elif ens is Ensemble.XI_VACUUM:
-        out = omega / (c.xi * c.hbar)
-    elif ens is Ensemble.XI_LAMBDA:
-        out = math.tanh(c.xi / (2.0 * density.lam)) * omega / (c.xi * c.hbar)
-    else:  # pragma: no cover - enum is closed
-        raise InvalidInputError(f"unknown ensemble {ens!r}")
+    with np.errstate(over="ignore"):
+        omega = np.sqrt(k * k + c.mass * c.mass)
+        if ens is Ensemble.CLASSICAL_EQUILIBRIUM:
+            out = omega * omega / (2.0 * c.kT)
+        elif ens is Ensemble.QUANTUM_VACUUM:
+            out = omega / c.hbar
+        elif ens is Ensemble.QUANTUM_THERMAL:
+            out = np.tanh(c.hbar * omega / (2.0 * c.kT)) * omega / c.hbar
+        elif ens is Ensemble.XI_VACUUM:
+            out = omega / (c.xi * c.hbar)
+        elif ens is Ensemble.XI_LAMBDA:
+            out = math.tanh(c.xi / (2.0 * density.lam)) * omega / (c.xi * c.hbar)
+        else:  # pragma: no cover - enum is closed
+            raise InvalidInputError(f"unknown ensemble {ens!r}")
+    overflow = ~np.isfinite(out)
+    if np.any(overflow):
+        raise InvalidInputError(
+            f"{ens.value} coefficient overflows at |k| = {k[overflow].flat[0]:g}"
+        )
     if np.ndim(kmag) == 0:
         return float(out)
     return out
@@ -172,14 +175,3 @@ def crossover_report(constants: PhysicalConstants, k_grid) -> list:
         )
         for kv, t, e, q in zip(k, c_T, c_E, c_Q)
     ]
-
-
-def crossover_csv(rows) -> str:
-    buf = io.StringIO()
-    buf.write(CROSSOVER_HEADER + "\n")
-    for row in rows:
-        buf.write(
-            f"{row.k:.17g},{row.c_T:.17g},{row.c_E:.17g},{row.c_Q:.17g},"
-            f"{row.rel_dev_E:.17g},{row.rel_dev_Q:.17g}\n"
-        )
-    return buf.getvalue()

@@ -323,10 +323,8 @@ def check_equipartition(n_samples: int = 20000,
     density = SpectralDensity(Ensemble.CLASSICAL_EQUILIBRIUM, constants)
     lattice = sampler.LatticeSpec(dim=1, sites_per_axis=64, spacing=1.0)
     half_omega_sq = 0.5 * (lattice.mode_magnitudes() ** 2 + constants.mass**2)
-    values = np.concatenate([
-        chunk.mode_sums(half_omega_sq)
-        for chunk in sampler.sample_chunks(density, lattice, seed + 1, n_samples)
-    ])
+    stream = sampler.sample_chunks(density, lattice, (seed + 1) % 2**64, n_samples)
+    values = np.concatenate([chunk.mode_sums(half_omega_sq) for chunk in stream])
     target = lattice.total_sites * constants.kT / 2.0
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(n_samples))
@@ -364,7 +362,7 @@ def check_fock_oracle(n_samples: int = 20000,
         worst_density = max(worst_density, chk.rel_err)
 
     lattice = sampler.LatticeSpec(dim=1, sites_per_axis=64, spacing=1.0)
-    estimate = _sampled_spectrum(thermal, lattice, seed + 2, n_samples)
+    estimate = _sampled_spectrum(thermal, lattice, (seed + 2) % 2**64, n_samples)
     kmags = lattice.mode_magnitudes()
     oracle = np.array([
         fockoracle.mode_variance_numeric(fockoracle.ModeSpec(

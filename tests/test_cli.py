@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ except ModuleNotFoundError:  # Python 3.10, where pytest depends on tomli
     import tomli as tomllib
 
 import kgf
-from kgf import cli, opalgebra, sampler
+from kgf import cli, opalgebra, sampler, verify
 from kgf.cli import main
 from kgf.errors import InvalidInputError
 from kgf.kernels import PhysicalConstants
@@ -482,6 +483,16 @@ class TestSpectra:
         assert main(["spectra"]) == 2
         assert "no ensemble" in capsys.readouterr().err
 
+    def test_overflowing_coefficient_exits_2_without_a_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectra", "--ensemble", "classical",
+                         "--kmax", "1e308", "--kcount", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows at |k| = 5e+307" in captured.err
+        assert "Warning" not in captured.err
+
 
 class TestSample:
     COMMON = ["sample", "--ensemble", "vacuum", "--lattice-n", "16",
@@ -585,6 +596,24 @@ class TestVerify:
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "everything"])
+
+    @pytest.mark.parametrize("seed", [2**64 - 1, 2**64 - 2])
+    def test_per_check_seeds_wrap_modulo_2_64(self, seed, monkeypatch):
+        drawn = []
+        real = sampler.sample_chunks
+
+        def spy(density, lattice, stream_seed, n, *args, **kwargs):
+            drawn.append(stream_seed)
+            return real(density, lattice, stream_seed, n, *args, **kwargs)
+
+        monkeypatch.setattr(sampler, "sample_chunks", spy)
+        verify.check_equipartition(n_samples=300, seed=seed)
+        verify.check_fock_oracle(n_samples=300, seed=seed)
+        assert drawn == [(seed + 1) % 2**64, (seed + 2) % 2**64]
+
+    @pytest.mark.parametrize("suite", ["sampler", "fock"])
+    def test_top_seed_runs_every_check(self, suite):
+        assert main(["verify", "--suite", suite, "--seed", str(2**64 - 1)]) == 0
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

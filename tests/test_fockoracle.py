@@ -12,10 +12,8 @@ from kgf.fockoracle import (
     MIN_CUTOFF,
     TAIL_TOL,
     VACUUM_GIBBS_X,
-    DensityVarianceCheck,
     ModeSpec,
     bose_occupancy,
-    density_variance_csv,
     mode_variance_closed,
     mode_variance_numeric,
     verify_density_variance,
@@ -200,15 +198,3 @@ class TestDensityVariance:
             Ensemble.QUANTUM_THERMAL, PhysicalConstants(mass=0.0))
         with pytest.raises(InvalidInputError):
             verify_density_variance(density, 0.0)
-
-    def test_csv_layout(self):
-        density = SpectralDensity(Ensemble.QUANTUM_THERMAL, PhysicalConstants())
-        checks = [verify_density_variance(density, k) for k in (0.0, 1.0)]
-        text = density_variance_csv(checks)
-        lines = text.strip().split("\n")
-        assert lines[0] == "ensemble,k,numeric,closed_form,rel_err"
-        assert len(lines) == 3
-        fields = lines[1].split(",")
-        assert fields[0] == "quantum_thermal"
-        assert float(fields[2]) == checks[0].numeric  # 17g round trip
-        assert isinstance(checks[0], DensityVarianceCheck)

@@ -154,35 +154,6 @@ class TestExpressionArithmetic:
         e = OperatorExpression.annihilate(2) * OperatorExpression.create(1)
         assert e.terms == {((ANNIHILATE, 2), (CREATE, 1)): 1.0}
 
-    def test_adjoint_reverses_and_flips(self):
-        e = (1 + 2j) * (OperatorExpression.create(1) * OperatorExpression.annihilate(2))
-        adj = e.adjoint()
-        assert adj.terms == {((CREATE, 2), (ANNIHILATE, 1)): 1 - 2j}
-
-    def test_adjoint_is_involutive(self):
-        e = (0.5 - 0.25j) * (
-            OperatorExpression.create(1) * OperatorExpression.annihilate(2)
-        ) + OperatorExpression.identity()
-        assert e.adjoint().adjoint() == e
-
-    def test_adjoint_antihomomorphism(self):
-        a = OperatorExpression.annihilate(1) + 0.5 * OperatorExpression.create(2)
-        b = OperatorExpression.create(1) * OperatorExpression.annihilate(2)
-        assert (a * b).adjoint() == b.adjoint() * a.adjoint()
-
-    def test_is_normal_ordered(self):
-        good = OperatorExpression.create(1) * OperatorExpression.annihilate(2)
-        bad = OperatorExpression.annihilate(2) * OperatorExpression.create(1)
-        assert good.is_normal_ordered()
-        assert not bad.is_normal_ordered()
-
-    def test_max_word_length(self):
-        e = OperatorExpression.identity() + OperatorExpression.create(1) * (
-            OperatorExpression.create(2) * OperatorExpression.annihilate(1)
-        )
-        assert e.max_word_length() == 3
-        assert OperatorExpression.zero().max_word_length() == 0
-
 
 class TestRegistry:
     def test_register_and_lookup(self):
@@ -237,23 +208,6 @@ class TestInnerProductTable:
         assert (1, 2) in DYADIC_TABLE
         assert (3, 3) not in DYADIC_TABLE
         assert len(DYADIC_TABLE) == 4
-
-    def test_csv_round_trip(self):
-        text = DYADIC_TABLE.to_csv()
-        back = InnerProductTable.from_csv(text)
-        assert dict(back.items()) == dict(DYADIC_TABLE.items())
-
-    def test_csv_header_tolerated(self):
-        table = InnerProductTable.from_csv("i,j,re,im\n1,1,2.0,0.0\n")
-        assert table[(1, 1)] == 2.0
-
-    def test_csv_malformed_field_count(self):
-        with pytest.raises(InvalidInputError):
-            InnerProductTable.from_csv("1,1,2.0\n")
-
-    def test_csv_malformed_value_past_header(self):
-        with pytest.raises(InvalidInputError):
-            InnerProductTable.from_csv("1,1,2.0,0.0\n1,2,xx,0.0\n")
 
     def test_from_kernel_matches_direct_quadrature(self):
         reg = FunctionRegistry()
@@ -366,7 +320,8 @@ class TestNormalOrderReferee:
                 terms[random_word(rng, 2, 3) + word[1:]] = 1.0
             expr = OperatorExpression(terms)
             got = normal_order(expr, table, strategy=strategy)
-            assert got.is_normal_ordered()
+            assert all(all(k1 <= k2 for (k1, _), (k2, _) in zip(w, w[1:]))
+                       for w in got.terms)
             assert_same_terms(got.terms, reference_normal_order(expr, table, strategy))
 
     @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])

@@ -26,7 +26,6 @@ from kgf.sampler import (
     read_samples_csv,
     sample_array,
     sample_chunks,
-    sample_fields,
     smear,
     smear_variance,
     spectrum_csv,
@@ -114,7 +113,8 @@ class TestMomentContract:
     @pytest.mark.parametrize("density", [VACUUM, THERMAL, CLASSICAL])
     def test_every_mode_within_five_stderr_1d(self, density):
         lat = LatticeSpec(dim=1, sites_per_axis=16, spacing=0.7)
-        est = power_spectrum(sample_fields(density, lat, seed=31531, n=4000))
+        est = power_spectrum(FieldConfiguration(lat, v)
+                             for v in sample_array(density, lat, seed=31531, n=4000))
         expect = expected_power(density, lat)
         z = np.abs(est.mean - expect) / est.stderr
         assert est.count == 4000
@@ -122,7 +122,8 @@ class TestMomentContract:
 
     def test_every_mode_within_five_stderr_2d(self):
         lat = LatticeSpec(dim=2, sites_per_axis=16, spacing=1.0)
-        est = power_spectrum(sample_fields(VACUUM, lat, seed=31541, n=3000))
+        est = power_spectrum(FieldConfiguration(lat, v)
+                             for v in sample_array(VACUUM, lat, seed=31541, n=3000))
         expect = expected_power(VACUUM, lat)
         z = np.abs(est.mean - expect) / est.stderr
         assert np.all(z < 5.0)
@@ -145,7 +146,7 @@ class TestMomentContract:
 
     def test_sampled_spectrum_is_hermitian(self):
         lat = LatticeSpec(dim=2, sites_per_axis=8)
-        cfg = next(sample_fields(VACUUM, lat, seed=5, n=1))
+        cfg = FieldConfiguration(lat, sample_array(VACUUM, lat, seed=5, n=1)[0])
         modes = cfg.modes()
         rev = (8 - np.arange(8)) % 8
         mirrored = np.conj(modes[np.ix_(rev, rev)])
@@ -155,8 +156,8 @@ class TestMomentContract:
         lat = LatticeSpec(dim=1, sites_per_axis=32)
         f = np.cos(2.0 * math.pi * 3.0 * np.arange(32) / 32.0)
         xs = np.array([
-            smear(cfg, f)
-            for cfg in sample_fields(THERMAL, lat, seed=77, n=4000)
+            smear(FieldConfiguration(lat, v), f)
+            for v in sample_array(THERMAL, lat, seed=77, n=4000)
         ])
         centered = xs - xs.mean()
         m2 = np.mean(centered**2)
@@ -167,8 +168,8 @@ class TestMomentContract:
         # E[H_C] = N kT / 2 under the classical equilibrium density
         lat = LatticeSpec(dim=1, sites_per_axis=64)
         energies = np.array([
-            hamiltonian_classical(cfg, NATURAL)
-            for cfg in sample_fields(CLASSICAL, lat, seed=1601, n=2000)
+            hamiltonian_classical(FieldConfiguration(lat, v), NATURAL)
+            for v in sample_array(CLASSICAL, lat, seed=1601, n=2000)
         ])
         se = energies.std(ddof=1) / math.sqrt(len(energies))
         assert abs(energies.mean() - 32.0) < 5.0 * se
@@ -241,13 +242,6 @@ class TestDeterminism:
         for i in (0, BLOCK_SIZE - 1, BLOCK_SIZE + 1):
             assert plan.draw(42, i).tobytes() == arr[i].tobytes()
 
-    def test_generator_matches_array(self):
-        gen = np.stack([
-            cfg.values for cfg in sample_fields(VACUUM, self.LAT, seed=42, n=8)
-        ])
-        arr = sample_array(VACUUM, self.LAT, seed=42, n=8)
-        assert gen.tobytes() == arr.tobytes()
-
     def test_samples_are_index_addressed(self):
         # sample i is a pure function of (seed, i): prefixes agree
         short = sample_array(VACUUM, self.LAT, seed=42, n=3)
@@ -268,12 +262,15 @@ class TestDeterminism:
     def test_sample_count_validated(self, bad):
         with pytest.raises(InvalidInputError):
             sample_array(VACUUM, self.LAT, seed=1, n=bad)
-        with pytest.raises(InvalidInputError):
-            list(sample_fields(VACUUM, self.LAT, seed=1, n=bad))
 
     def test_worker_count_validated(self):
         with pytest.raises(InvalidInputError):
             sample_array(VACUUM, self.LAT, seed=1, n=1, workers=0)
+
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    def test_seed_outside_64_bits_refused(self, bad):
+        with pytest.raises(InvalidInputError, match=str(bad)):
+            sample_chunks(VACUUM, self.LAT, seed=bad, n=1)
 
 
 class TestGoldenStreams:
@@ -352,13 +349,13 @@ class TestSmearing:
     LAT = LatticeSpec(dim=1, sites_per_axis=32, spacing=0.25)
 
     def test_delta_smear_reads_site_value(self):
-        cfg = next(sample_fields(VACUUM, self.LAT, seed=11, n=1))
+        cfg = FieldConfiguration(self.LAT, sample_array(VACUUM, self.LAT, seed=11, n=1)[0])
         f = np.zeros(32)
         f[5] = 1.0 / self.LAT.spacing  # lattice delta at site 5
         assert smear(cfg, f) == pytest.approx(cfg.values[5], rel=1e-13)
 
     def test_shape_mismatch_rejected(self):
-        cfg = next(sample_fields(VACUUM, self.LAT, seed=11, n=1))
+        cfg = FieldConfiguration(self.LAT, sample_array(VACUUM, self.LAT, seed=11, n=1)[0])
         with pytest.raises(InvalidInputError):
             smear(cfg, np.zeros(16))
         with pytest.raises(InvalidInputError):
@@ -382,8 +379,8 @@ class TestSmearing:
         f = np.exp(-0.5 * ((x - 4.0) / 1.3) ** 2)
         target = smear_variance(THERMAL, lat, f)
         xs = np.array([
-            smear(cfg, f)
-            for cfg in sample_fields(THERMAL, lat, seed=2024, n=4000)
+            smear(FieldConfiguration(lat, v), f)
+            for v in sample_array(THERMAL, lat, seed=2024, n=4000)
         ])
         var = xs.var(ddof=1)
         se = var * math.sqrt(2.0 / (len(xs) - 1))
@@ -426,7 +423,7 @@ class TestEnergyFunctionals:
         classical = SpectralDensity(Ensemble.CLASSICAL_EQUILIBRIUM, constants)
         vacuum = SpectralDensity(Ensemble.QUANTUM_VACUUM, constants)
         xivac = SpectralDensity(Ensemble.XI_VACUUM, constants)
-        cfg = next(sample_fields(vacuum, self.LAT, seed=8, n=1))
+        cfg = FieldConfiguration(self.LAT, sample_array(vacuum, self.LAT, seed=8, n=1)[0])
         assert density_exponent(classical, cfg) == pytest.approx(
             hamiltonian_classical(cfg, constants) / constants.kT, rel=1e-12
         )
@@ -442,7 +439,8 @@ class TestAccumulator:
     LAT = LatticeSpec(dim=1, sites_per_axis=16)
 
     def configs(self, seed, n):
-        return list(sample_fields(VACUUM, self.LAT, seed=seed, n=n))
+        return [FieldConfiguration(self.LAT, v)
+                for v in sample_array(VACUUM, self.LAT, seed=seed, n=n)]
 
     def test_merge_equals_sequential(self):
         cfgs = self.configs(55, 10)
@@ -463,7 +461,8 @@ class TestAccumulator:
 
     def test_chunk_accumulation_matches_per_configuration_updates(self):
         n = BLOCK_SIZE + 9
-        per_cfg = power_spectrum(sample_fields(THERMAL, self.LAT, seed=58, n=n))
+        per_cfg = power_spectrum(FieldConfiguration(self.LAT, v)
+                                 for v in sample_array(THERMAL, self.LAT, seed=58, n=n))
         acc = SpectrumAccumulator(self.LAT)
         for chunk in sample_chunks(THERMAL, self.LAT, seed=58, n=n, workers=2):
             acc.add(chunk)
@@ -515,7 +514,7 @@ class TestAccumulator:
         other = LatticeSpec(dim=1, sites_per_axis=32)
         acc = SpectrumAccumulator(self.LAT)
         with pytest.raises(InvalidInputError):
-            acc.update(next(sample_fields(VACUUM, other, seed=1, n=1)))
+            acc.update(FieldConfiguration(other, sample_array(VACUUM, other, seed=1, n=1)[0]))
         with pytest.raises(InvalidInputError):
             acc.merge(SpectrumAccumulator(other))
 
@@ -621,7 +620,8 @@ class TestFileFormats:
 
     def test_spectrum_writer_refuses_a_short_column(self):
         lat = LatticeSpec(dim=1, sites_per_axis=8)
-        est = power_spectrum(sample_fields(VACUUM, lat, seed=24, n=3))
+        est = power_spectrum(FieldConfiguration(lat, v)
+                             for v in sample_array(VACUUM, lat, seed=24, n=3))
         with pytest.raises(InvalidInputError):
             spectrum_csv(est, expected_power(VACUUM, lat)[:-1])
 
@@ -735,7 +735,8 @@ class TestFileFormats:
 
     def test_spectrum_csv_layout(self):
         lat = LatticeSpec(dim=1, sites_per_axis=8)
-        est = power_spectrum(sample_fields(VACUUM, lat, seed=15, n=5))
+        est = power_spectrum(FieldConfiguration(lat, v)
+                             for v in sample_array(VACUUM, lat, seed=15, n=5))
         text = spectrum_csv(est, expected_power(VACUUM, lat))
         lines = text.strip().split("\n")
         assert lines[0] == "k_index_0,mean,stderr,count,expected"

@@ -8,10 +8,8 @@ import pytest
 from kgf.errors import DomainError, InvalidInputError
 from kgf.kernels import PhysicalConstants
 from kgf.spectra import (
-    CROSSOVER_HEADER,
     Ensemble,
     SpectralDensity,
-    crossover_csv,
     crossover_report,
     lambda_of_xi,
     spectral_coefficient,
@@ -180,16 +178,3 @@ class TestCrossover:
     def test_kT_zero_rejected(self):
         with pytest.raises(InvalidInputError):
             crossover_report(PhysicalConstants(kT=0.0), [1.0])
-
-    def test_csv_layout_and_precision(self):
-        rows = crossover_report(NATURAL, [0.5])
-        text = crossover_csv(rows)
-        lines = text.strip().split("\n")
-        assert lines[0] == CROSSOVER_HEADER
-        assert lines[0] == "k,c_T,c_E,c_Q,rel_dev_E,rel_dev_Q"
-        fields = lines[1].split(",")
-        assert len(fields) == 6
-        assert float(fields[0]) == 0.5
-        # 17 significant digits round-trip exactly
-        assert float(fields[1]) == rows[0].c_T
-        assert float(fields[4]) == rows[0].rel_dev_E
