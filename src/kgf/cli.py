@@ -9,8 +9,9 @@ sample      lattice field samples plus their power-spectrum estimate
 verify      the cross-module verification suite
 
 Configuration precedence: command-line flag, then --config JSON document,
-then built-in default.  Every floating-point value is printed with 17
-significant digits so artifacts round-trip exactly.  Exit codes: 0 on
+then default, read from the dataclass that owns the value where one does.
+Each subcommand takes only the flags it reads.  Every floating-point value is printed with
+17 significant digits so artifacts round-trip exactly.  Exit codes: 0 on
 success, 2 on validation errors, 3 on accuracy errors.  The sampling
 worker count comes from --workers alone.
 """
@@ -18,6 +19,7 @@ worker count comes from --workers alone.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -37,24 +39,9 @@ from .spectra import Ensemble, SpectralDensity, lambda_of_xi, spectral_coefficie
 
 __all__ = ["main", "build_parser", "CONFIG_SCHEMA", "load_config"]
 
-ENSEMBLE_ALIASES = {
-    "classical": Ensemble.CLASSICAL_EQUILIBRIUM,
-    "classical_equilibrium": Ensemble.CLASSICAL_EQUILIBRIUM,
-    "vacuum": Ensemble.QUANTUM_VACUUM,
-    "quantum_vacuum": Ensemble.QUANTUM_VACUUM,
-    "thermal": Ensemble.QUANTUM_THERMAL,
-    "quantum_thermal": Ensemble.QUANTUM_THERMAL,
-    "xivacuum": Ensemble.XI_VACUUM,
-    "xi_vacuum": Ensemble.XI_VACUUM,
-    "xilambda": Ensemble.XI_LAMBDA,
-    "xi_lambda": Ensemble.XI_LAMBDA,
-}
-
-KERNEL_ALIASES = {
-    "quantum": KernelVariant.QUANTUM,
-    "classical": KernelVariant.CLASSICAL,
-    "xi": KernelVariant.XI_SCALED,
-}
+#: Each ensemble by its full name and by its short alias.
+ENSEMBLE_ALIASES = {ensemble.value: ensemble for ensemble in Ensemble} | dict(
+    zip(("classical", "vacuum", "thermal", "xivacuum", "xilambda"), Ensemble))
 
 _NUMBER = {"type": "number"}
 _VECTOR = {"type": "array", "items": _NUMBER, "minItems": 1, "maxItems": 3}
@@ -181,6 +168,20 @@ def _schema_error(value, schema: dict, path: tuple = ()):
     return None
 
 
+def _unfloatable(value, path: tuple = ()):
+    """The first ``(path, reason)`` where ``value`` holds an integer past the
+    float range, or None.  Not in _schema_error: JSON Schema has no such bound."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            error = _unfloatable(item, path + (key,))
+            if error is not None:
+                return error
+    elif isinstance(value, int) and abs(value) > sys.float_info.max:
+        return path, f"an integer of {len(str(abs(value)))} digits is outside the float range"
+    return None
+
+
 def load_config(path: str | None) -> dict:
     """Read and schema-validate the JSON config; {} when no path given."""
     if path is None:
@@ -190,14 +191,14 @@ def load_config(path: str | None) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or past the int digit limit
         raise InvalidInputError(f"config {path} is not valid JSON: {exc}") from None
     except RecursionError:
         raise InvalidInputError(
             f"config {path} nests arrays or objects deeper than the JSON "
             f"parser's recursion limit ({sys.getrecursionlimit()})"
         ) from None
-    error = _schema_error(raw, CONFIG_SCHEMA)
+    error = _schema_error(raw, CONFIG_SCHEMA) or _unfloatable(raw)
     if error is not None:
         at, reason = error
         where = "/".join(str(p) for p in at) or "(top level)"
@@ -207,31 +208,27 @@ def load_config(path: str | None) -> dict:
     return raw
 
 
-def _pick(flag, config: dict, key: str, default):
-    """Flag beats config beats default."""
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
+def _pick(section: dict, key: str, kind, flag=None, default=None):
+    """Flag beats config beats ``default``, as ``kind``; None if none is given."""
+    value = section.get(key, default) if flag is None else flag
+    return None if value is None else kind(value)
+
+
+def _declared(cls, **values):
+    """``cls(**values)``; a value of None keeps the default ``cls`` declares."""
+    return cls(**{key: value for key, value in values.items() if value is not None})
 
 
 def _constants(args, config: dict) -> PhysicalConstants:
     section = config.get("constants", {})
-    return PhysicalConstants(
-        hbar=float(_pick(args.hbar, section, "hbar", 1.0)),
-        kT=float(_pick(args.kT, section, "kT", 1.0)),
-        mass=float(_pick(args.mass, section, "mass", 1.0)),
-        xi=float(_pick(args.xi, section, "xi", 1.0)),
-    )
-
-
-def _dim(args, config: dict) -> int:
-    return int(_pick(args.dim, config, "dim", 1))
+    return _declared(PhysicalConstants, **{
+        field.name: _pick(section, field.name, float, getattr(args, field.name))
+        for field in dataclasses.fields(PhysicalConstants)
+    })
 
 
 def _seed(args, config: dict, default: int = 0) -> int:
-    seed = int(_pick(args.seed, config, "seed", default))
+    seed = _pick(config, "seed", int, args.seed, default)
     if not 0 <= seed < 2**64:
         raise InvalidInputError(f"seed must fit in 64 bits, got {seed}")
     return seed
@@ -239,23 +236,20 @@ def _seed(args, config: dict, default: int = 0) -> int:
 
 def _quadrature(config: dict) -> QuadratureSpec:
     section = config.get("quadrature", {})
-    return QuadratureSpec(
-        cutoff=section.get("cutoff"),
-        nodes=int(section.get("nodes", 256)),
-    )
+    return _declared(QuadratureSpec, cutoff=_pick(section, "cutoff", float),
+                     nodes=_pick(section, "nodes", int))
 
 
-def _packet(dim: int, fields: dict) -> WavePacket:
-    amp = fields.get("amplitude", [1.0, 0.0])
-    return WavePacket(
+def _packet(dim: int | None, fields: dict) -> WavePacket:
+    amp = fields.get("amplitude")
+    return _declared(
+        WavePacket,
         dim=dim,
-        center_t=float(fields.get("center_t", 0.0)),
         center_x=fields.get("center_x"),
-        width_t=float(fields.get("width_t", 1.0)),
-        width_x=float(fields.get("width_x", 1.0)),
-        carrier_freq=float(fields.get("carrier_freq", 0.0)),
         carrier_wavevector=fields.get("carrier_wavevector"),
-        amplitude=complex(float(amp[0]), float(amp[1])),
+        amplitude=None if amp is None else complex(float(amp[0]), float(amp[1])),
+        **{key: _pick(fields, key, float)
+           for key in ("center_t", "width_t", "width_x", "carrier_freq")},
     )
 
 
@@ -264,7 +258,7 @@ def _registry(args, config: dict, names) -> opalgebra.FunctionRegistry:
 
     Packets the command does not name are neither built nor integrated.
     """
-    dim = _dim(args, config)
+    dim = _pick(config, "dim", int, args.dim)
     registry = opalgebra.FunctionRegistry()
     for name, fields in config.get("packets", {}).items():
         if name in names:
@@ -273,16 +267,27 @@ def _registry(args, config: dict, names) -> opalgebra.FunctionRegistry:
 
 
 def _kernel_spec(args, config: dict) -> KernelSpec:
-    return KernelSpec(
-        variant=KERNEL_ALIASES[args.kernel],
+    return _declared(
+        KernelSpec,
+        variant=None if args.kernel is None else KernelVariant(args.kernel),
         constants=_constants(args, config),
-        dim=_dim(args, config),
+        dim=_pick(config, "dim", int, args.dim),
         quadrature=_quadrature(config),
     )
 
 
+def _lattice(args, config: dict) -> sampler.LatticeSpec:
+    section = config.get("lattice", {})
+    return _declared(
+        sampler.LatticeSpec,
+        dim=_pick(config, "dim", int, args.dim),
+        sites_per_axis=_pick(section, "sites_per_axis", int, args.lattice_n),
+        spacing=_pick(section, "spacing", float, args.spacing),
+    )
+
+
 def _density(args, config: dict) -> SpectralDensity:
-    name = _pick(args.ensemble, config, "ensemble", None)
+    name = _pick(config, "ensemble", str, args.ensemble)
     if name is None:
         raise InvalidInputError("no ensemble given (flag --ensemble or config)")
     try:
@@ -293,11 +298,14 @@ def _density(args, config: dict) -> SpectralDensity:
         ) from None
     constants = _constants(args, config)
     if ensemble is not Ensemble.XI_LAMBDA:
+        if args.lam is not None:
+            raise InvalidInputError(
+                f"--lambda applies only to the xi_lambda ensemble, not {ensemble.value}"
+            )
         return SpectralDensity(ensemble, constants)
-    lam = _pick(args.lam, config, "lambda", None)
-    if lam is None:
-        lam = lambda_of_xi(constants.xi)
-    return SpectralDensity(ensemble, constants, lam=float(lam))
+    lam = _pick(config, "lambda", float, args.lam)
+    return SpectralDensity(ensemble, constants,
+                           lam=lambda_of_xi(constants.xi) if lam is None else lam)
 
 
 def _fmt(value: float) -> str:
@@ -325,7 +333,7 @@ def cmd_innerprod(args) -> int:
     f = registry.packet(registry.index_of(args.f))
     g = registry.packet(registry.index_of(args.g))
     value, diag = inner_product_with_diagnostics(spec, f, g)
-    print(f"({args.f}, {args.g})_{args.kernel} = {_fmt_complex(value)}")
+    print(f"({args.f}, {args.g})_{spec.variant.value} = {_fmt_complex(value)}")
     print(
         f"quadrature: cutoff {_fmt(diag.cutoff)}, nodes {diag.nodes}, "
         f"refined {_fmt_complex(diag.refined)}, "
@@ -373,9 +381,9 @@ def cmd_spectra(args) -> int:
     config = load_config(args.config)
     density = _density(args, config)
     grid_cfg = config.get("k_grid", {})
-    kmin = float(_pick(args.kmin, grid_cfg, "min", 0.0))
-    kmax = float(_pick(args.kmax, grid_cfg, "max", 10.0))
-    count = int(_pick(args.kcount, grid_cfg, "count", 256))
+    kmin = _pick(grid_cfg, "min", float, args.kmin, 0.0)
+    kmax = _pick(grid_cfg, "max", float, args.kmax, 10.0)
+    count = _pick(grid_cfg, "count", int, args.kcount, 256)
     if not (kmax > kmin >= 0.0 and count >= 2):
         raise InvalidInputError(
             f"bad k grid: min {kmin}, max {kmax}, count {count}"
@@ -398,15 +406,8 @@ def cmd_spectra(args) -> int:
 def cmd_sample(args) -> int:
     config = load_config(args.config)
     density = _density(args, config)
-    lattice_cfg = config.get("lattice", {})
-    lattice = sampler.LatticeSpec(
-        dim=_dim(args, config),
-        sites_per_axis=int(
-            _pick(args.lattice_n, lattice_cfg, "sites_per_axis", 64)
-        ),
-        spacing=float(_pick(args.spacing, lattice_cfg, "spacing", 1.0)),
-    )
-    n = int(_pick(args.samples, config, "samples", 100))
+    lattice = _lattice(args, config)
+    n = _pick(config, "samples", int, args.samples, 100)
     seed = _seed(args, config)
     chunks = sampler.sample_chunks(density, lattice, seed, n,
                                    pin_zero_mode=args.pin_zero_mode,
@@ -444,14 +445,26 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON run configuration")
-    common.add_argument("--seed", type=int, metavar="U64")
-    common.add_argument("--dim", type=int, choices=(1, 2, 3))
-    common.add_argument("--hbar", type=float, metavar="F")
-    common.add_argument("--kT", type=float, metavar="F")
-    common.add_argument("--mass", type=float, metavar="F")
-    common.add_argument("--xi", type=float, metavar="F")
+    """One parent parser per flag group; each subcommand lists the groups
+    its ``cmd_*`` reads, so argparse refuses every other flag (exit 2)."""
+    def group(*flags, **options):
+        parent = argparse.ArgumentParser(add_help=False)
+        for flag in flags:
+            parent.add_argument(flag, **options)
+        return parent
+
+    config = group("--config", metavar="PATH", help="JSON run configuration")
+    seed = group("--seed", type=int, metavar="U64")
+    dim = group("--dim", type=int, choices=(1, 2, 3))
+    constants = group(*(f"--{field.name}" for field in
+                        dataclasses.fields(PhysicalConstants)),
+                      type=float, metavar="F")
+    kernel = group("--kernel", choices=sorted(v.value for v in KernelVariant))
+    ensemble = group("--ensemble", choices=sorted(ENSEMBLE_ALIASES))
+    ensemble.add_argument("--lambda", dest="lam", type=float,
+                          help="Gibbs scale of the xi_lambda ensemble, refused "
+                               "with any other (default: the closure value)")
+    out = group("--out", metavar="DIR", help="artifact output directory")
 
     parser = argparse.ArgumentParser(
         prog="kgf",
@@ -460,37 +473,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("innerprod", parents=[common],
+    p = sub.add_parser("innerprod", parents=[config, dim, constants, kernel],
                        help="one inner product with quadrature diagnostics")
-    p.add_argument("--kernel", choices=sorted(KERNEL_ALIASES), default="quantum")
     p.add_argument("-f", required=True, metavar="NAME", help="first packet name")
     p.add_argument("-g", required=True, metavar="NAME", help="second packet name")
     p.set_defaults(func=cmd_innerprod)
 
-    p = sub.add_parser("expect", parents=[common],
+    p = sub.add_parser("expect", parents=[config, dim, constants, kernel],
                        help="vacuum expectation value of an operator string")
     p.add_argument("expression", help="e.g. \"phi[f1] phi[f2]\"")
-    p.add_argument("--kernel", choices=sorted(KERNEL_ALIASES), default="quantum")
     p.add_argument("--show-pairings", action="store_true",
                    help="list Wick pairings of a phi product")
     p.set_defaults(func=cmd_expect)
 
-    p = sub.add_parser("spectra", parents=[common],
+    p = sub.add_parser("spectra", parents=[config, constants, ensemble, out],
                        help="spectral coefficients on a k grid, as CSV")
-    p.add_argument("--ensemble", choices=sorted(ENSEMBLE_ALIASES))
-    p.add_argument("--lambda", dest="lam", type=float,
-                   help="Gibbs scale of the xi-lambda ensemble "
-                        "(default: the closure value)")
     p.add_argument("--kmin", type=float)
     p.add_argument("--kmax", type=float)
     p.add_argument("--kcount", type=int)
-    p.add_argument("--out", metavar="DIR", help="write coefficients.csv here")
     p.set_defaults(func=cmd_spectra)
 
-    p = sub.add_parser("sample", parents=[common],
+    p = sub.add_parser("sample",
+                       parents=[config, seed, dim, constants, ensemble, out],
                        help="draw lattice field samples and their spectrum")
-    p.add_argument("--ensemble", choices=sorted(ENSEMBLE_ALIASES))
-    p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--lattice-n", type=int, metavar="N",
                    help="sites per axis (power of two)")
     p.add_argument("--spacing", type=float, metavar="A")
@@ -500,10 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pin-zero-mode", action="store_true",
                    help="set the k=0 mode to zero instead of failing when c(0)=0")
     p.add_argument("--format", choices=("csv", "binary"), default="csv")
-    p.add_argument("--out", metavar="DIR", help="artifact output directory")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[config, seed],
                        help="run the cross-module verification suite")
     p.add_argument("--suite", choices=sorted(verify.SUITES), default="all")
     p.set_defaults(func=cmd_verify)

@@ -66,6 +66,14 @@ def _require_finite(name, value):
         raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
 
+def _pow(x: float, n: int) -> float:
+    """``x ** n`` for ``x >= 0``; inf, as numpy gives, where the power overflows."""
+    try:
+        return x ** n
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Scales of the theory.  Defaults are natural units.
@@ -280,8 +288,8 @@ def _reduced_integral(spec: KernelSpec, f: WavePacket, g: WavePacket,
     exponent exp(c0 - alpha r^2 + r s u), s = sqrt(b.b), of modulus <= 1."""
     r, radial, u, mean = _radial_rule(spec.dim, nodes)
     r = cutoff * r
-    omega = np.sqrt(r * r + spec.constants.mass ** 2)
-    sf2, sg2 = f.width_x ** 2, g.width_x ** 2
+    omega = np.sqrt(r * r + _pow(spec.constants.mass, 2))
+    sf2, sg2 = _pow(f.width_x, 2), _pow(g.width_x, 2)
     kf, kg = np.asarray(f.carrier_wavevector), np.asarray(g.carrier_wavevector)
     xf, xg = np.asarray(f.center_x), np.asarray(g.center_x)
     b = sf2 * kf + sg2 * kg + 1j * (xf - xg)
@@ -293,7 +301,7 @@ def _reduced_integral(spec: KernelSpec, f: WavePacket, g: WavePacket,
                   - 1j * (du_f * f.center_t - du_g * g.center_t))
     # the (2 pi)^D of the space factors cancels the measure's 1/(2 pi)^D
     scale = (2.0 * math.pi * f.amplitude.conjugate() * g.amplitude * f.width_t * g.width_t
-             * (f.width_x * g.width_x) ** spec.dim * cutoff ** spec.dim)
+             * _pow(f.width_x * g.width_x, spec.dim) * _pow(cutoff, spec.dim))
     return complex(scale * ((radial * _variant_weight(spec, omega) * time) @ directions))
 
 

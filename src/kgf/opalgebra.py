@@ -151,10 +151,6 @@ class FunctionRegistry:
         except KeyError:
             raise FunctionLookupError(f"unknown function name {name!r}") from None
 
-    def name_of(self, index: int) -> str:
-        self._check_index(index)
-        return self._names[index - 1]
-
     def packet(self, index: int) -> WavePacket:
         self._check_index(index)
         pkt = self._packets[index - 1]
@@ -180,12 +176,6 @@ class InnerProductTable:
             return self._entries[pair]
         except KeyError:
             raise MissingInnerProductError(pair) from None
-
-    def __contains__(self, pair) -> bool:
-        return pair in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     @classmethod
     def from_kernel(cls, spec: KernelSpec, registry: FunctionRegistry,

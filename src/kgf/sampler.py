@@ -116,6 +116,12 @@ class LatticeSpec:
             raise InvalidInputError(
                 f"{n}^{self.dim} sites exceeds the {MAX_TOTAL_SITES} site guard"
             )
+        try:  # past the site guard, a finite spacing**(2D) bounds the volume too
+            self.spacing ** (2 * self.dim)
+        except OverflowError:
+            raise InvalidInputError(
+                f"spacing {self.spacing} overflows spacing**{2 * self.dim}"
+            ) from None
 
     @property
     def shape(self) -> tuple:

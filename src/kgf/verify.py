@@ -388,17 +388,8 @@ SUITES = {
     "spectra": (check_lambda_closure, check_crossover),
     "sampler": (check_sampler_moments, check_equipartition),
     "fock": (check_fock_oracle,),
-    "all": (
-        check_kernel_axioms,
-        check_algebra_equivalence,
-        check_two_point,
-        check_lambda_closure,
-        check_crossover,
-        check_sampler_moments,
-        check_equipartition,
-        check_fock_oracle,
-    ),
 }
+SUITES["all"] = sum(SUITES.values(), ())
 
 
 def run_suite(name: str = "all", seed: int = DEFAULT_SEED) -> list:

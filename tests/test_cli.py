@@ -1,5 +1,6 @@
 """Command-line interface: precedence, artifacts, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -20,7 +21,7 @@ import kgf
 from kgf import cli, opalgebra, sampler, verify
 from kgf.cli import main
 from kgf.errors import InvalidInputError
-from kgf.kernels import PhysicalConstants
+from kgf.kernels import KernelSpec, PhysicalConstants, WavePacket
 from kgf.sampler import read_samples_binary, read_samples_csv
 from kgf.spectra import Ensemble, SpectralDensity
 
@@ -135,6 +136,118 @@ class TestConfigHandling:
         assert "seed must fit in 64 bits" in capsys.readouterr().err
         assert main(["verify", "--suite", "spectra", "--seed", "-1"]) == 2
         assert "seed must fit in 64 bits" in capsys.readouterr().err
+
+
+# The options each subcommand takes, besides -h/--help.
+OPTIONS = {
+    "innerprod": "--config --dim --hbar --kT --mass --xi --kernel -f -g",
+    "expect": "--config --dim --hbar --kT --mass --xi --kernel --show-pairings",
+    "spectra": "--config --hbar --kT --mass --xi --ensemble --lambda "
+               "--kmin --kmax --kcount --out",
+    "sample": "--config --seed --dim --hbar --kT --mass --xi --ensemble --lambda "
+              "--lattice-n --spacing --samples --workers --pin-zero-mode "
+              "--format --out",
+    "verify": "--config --seed --suite",
+}
+
+
+def subcommand_parsers():
+    parser = cli.build_parser()
+    action, = (a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_each_subcommand_takes_the_flags_it_reads(self, command):
+        sub = subcommand_parsers()[command]
+        taken = {option for action in sub._actions
+                 for option in action.option_strings} - {"-h", "--help"}
+        assert taken == set(OPTIONS[command].split())
+        positional = [a.dest for a in sub._actions if not a.option_strings]
+        assert positional == (["expression"] if command == "expect" else [])
+
+    @pytest.mark.parametrize("command, flag", [
+        (["innerprod", "-f", "f1", "-g", "f2"], ["--seed", "1"]),
+        (["expect", "phi[f1] phi[f2]"], ["--seed", "1"]),
+        (["spectra", "--ensemble", "thermal"], ["--dim", "3"]),
+        (["spectra", "--ensemble", "thermal"], ["--seed", "9"]),
+        (["verify", "--suite", "spectra"], ["--dim", "2"]),
+        (["verify", "--suite", "spectra"], ["--hbar", "-1"]),
+        (["verify", "--suite", "spectra"], ["--kT", "2"]),
+        (["verify", "--suite", "spectra"], ["--mass", "0"]),
+        (["verify", "--suite", "spectra"], ["--xi", "0.5"]),
+    ])
+    def test_a_flag_the_subcommand_does_not_read_exits_2(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, *flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    def test_unset_values_take_the_dataclass_defaults(self):
+        parsers = subcommand_parsers()
+        args = parsers["innerprod"].parse_args(["-f", "f", "-g", "f"])
+        assert cli._kernel_spec(args, {}) == KernelSpec()
+        registry = cli._registry(args, {"packets": {"f": {}}}, {"f"})
+        assert registry.packet(registry.index_of("f")) == WavePacket()
+        args = parsers["sample"].parse_args([])
+        assert cli._constants(args, {}) == PhysicalConstants()
+        assert cli._lattice(args, {}) == sampler.LatticeSpec()
+
+    @pytest.mark.parametrize("command", [
+        ["spectra", "--ensemble", "thermal", "--lambda", "0.3"],
+        ["sample", "--ensemble", "vacuum", "--lambda", "0.3", "--lattice-n", "8",
+         "--samples", "2"],
+    ])
+    def test_lambda_with_another_ensemble_exits_2(self, command, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert main([*command, "--out", str(out)]) == 2
+        assert "--lambda applies only to the xi_lambda ensemble, not quantum_" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_lambda_with_another_ensemble_is_allowed(self, tmp_path):
+        cfg = write_config(tmp_path, {"ensemble": "vacuum", "lambda": 0.3})
+        assert main(["spectra", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+class TestOverflowingInputs:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("config", [
+        {"packets": {"f": {"width_x": 1e300}, "g": {}}},
+        {"constants": {"mass": 1e308}, "packets": {"f": {}, "g": {}}},
+        {"dim": 2, "quadrature": {"cutoff": 10**200}, "packets": {"f": {}, "g": {}}},
+    ])
+    def test_kernel_overflow_is_a_non_finite_estimate(self, tmp_path, capsys, config):
+        cfg = write_config(tmp_path, config)
+        assert main(["innerprod", "--config", cfg, "-f", "f", "-g", "g"]) == 3
+        assert "non-finite estimate" in capsys.readouterr().err
+
+    def test_spacing_whose_powers_overflow_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"lattice": {"spacing": 1e300}})
+        out = tmp_path / "artifacts"
+        assert main(["sample", "--config", cfg, "--ensemble", "vacuum",
+                     "--lattice-n", "8", "--samples", "2", "--out", str(out)]) == 2
+        assert "spacing 1e+300 overflows spacing**2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, where", [
+        ({"constants": {"mass": 10**400}}, "constants/mass: an integer of 401 digits"),
+        ({"packets": {"f": {"center_x": [-(10**309)]}}}, "packets/f/center_x/0: "),
+    ])
+    def test_integer_past_the_float_range_exits_2(self, tmp_path, capsys, config, where):
+        cfg = write_config(tmp_path, {"packets": {"f": {}}, **config})
+        assert main(["innerprod", "--config", cfg, "-f", "f", "-g", "f"]) == 2
+        assert f"failed validation at {where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [b'{"samples": ' + b"9" * 5000 + b"}",
+                                      b'{"dim": \xff}'])
+    def test_unreadable_numbers_and_bytes_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "run.json"
+        path.write_bytes(text)
+        assert main(["spectra", "--config", str(path)]) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
 
 
 # Every key CONFIG_SCHEMA knows, at a valid value.
