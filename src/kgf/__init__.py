@@ -19,94 +19,56 @@ Five cooperating parts:
 everything as the ``kgf`` command.
 """
 
-from .errors import (
-    AccuracyError,
-    DegenerateModeError,
-    DomainError,
-    ExpressionSyntaxError,
-    FunctionLookupError,
-    InvalidInputError,
-    KGFError,
-    MissingInnerProductError,
-    NumericConsistencyError,
-    SizeLimitError,
-)
-from .kernels import (
-    KernelSpec,
-    KernelVariant,
-    PhysicalConstants,
-    QuadratureSpec,
-    WavePacket,
-    fourier_transform,
-    inner_product,
-    inner_product_with_diagnostics,
-    positivity_check,
-)
-from .opalgebra import (
-    FunctionRegistry,
-    InnerProductTable,
-    LetterKind,
-    OperatorExpression,
-    enumerate_pairings,
-    excited_state_norm,
-    field_operator,
-    normal_order,
-    parse_expression,
-    parse_terms,
-    vacuum_expectation,
-    wick_vev,
-)
-from .spectra import (
-    CrossoverRow,
-    Ensemble,
-    SpectralDensity,
-    crossover_report,
-    lambda_of_xi,
-    spectral_coefficient,
-)
-from .sampler import (
-    FieldConfiguration,
-    LatticeSpec,
-    SpectrumAccumulator,
-    SpectrumEstimate,
-    density_exponent,
-    expected_power,
-    hamiltonian_classical,
-    hamiltonian_quantum,
-    power_spectrum,
-    sample_array,
-    smear,
-    smear_variance,
-)
-from .fockoracle import (
-    DensityVarianceCheck,
-    ModeSpec,
-    bose_occupancy,
-    mode_variance_closed,
-    mode_variance_numeric,
-    verify_density_variance,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "KGFError", "InvalidInputError", "DomainError", "FunctionLookupError",
-    "MissingInnerProductError", "SizeLimitError", "DegenerateModeError",
-    "AccuracyError", "NumericConsistencyError", "ExpressionSyntaxError",
-    "PhysicalConstants", "WavePacket", "KernelVariant", "QuadratureSpec",
-    "KernelSpec", "fourier_transform", "inner_product",
-    "inner_product_with_diagnostics", "positivity_check",
-    "LetterKind", "FunctionRegistry", "InnerProductTable",
-    "OperatorExpression", "field_operator", "normal_order",
-    "vacuum_expectation", "wick_vev", "excited_state_norm",
-    "enumerate_pairings", "parse_expression", "parse_terms",
-    "Ensemble", "SpectralDensity", "spectral_coefficient", "lambda_of_xi",
-    "CrossoverRow", "crossover_report",
-    "LatticeSpec", "FieldConfiguration", "SpectrumAccumulator",
-    "SpectrumEstimate", "sample_array", "power_spectrum",
-    "expected_power", "smear", "smear_variance", "hamiltonian_classical",
-    "hamiltonian_quantum", "density_exponent",
-    "ModeSpec", "bose_occupancy", "mode_variance_numeric",
-    "mode_variance_closed", "DensityVarianceCheck", "verify_density_variance",
-    "__version__",
-]
+#: Each exported name by the submodule that defines it.  Names resolve on
+#: first use (PEP 562), so ``import kgf`` loads no submodule and no numpy:
+#: ``python -m kgf`` runs this file before ``kgf.__main__`` can set its
+#: thread defaults.
+_EXPORTS = {
+    "errors": (
+        "KGFError", "InvalidInputError", "DomainError", "FunctionLookupError",
+        "MissingInnerProductError", "SizeLimitError", "DegenerateModeError",
+        "AccuracyError", "NumericConsistencyError", "ExpressionSyntaxError",
+    ),
+    "kernels": (
+        "PhysicalConstants", "WavePacket", "KernelVariant", "QuadratureSpec",
+        "KernelSpec", "fourier_transform", "inner_product",
+        "inner_product_with_diagnostics", "positivity_check",
+    ),
+    "opalgebra": (
+        "LetterKind", "FunctionRegistry", "InnerProductTable",
+        "OperatorExpression", "field_operator", "normal_order",
+        "vacuum_expectation", "wick_vev", "excited_state_norm",
+        "enumerate_pairings", "parse_expression", "parse_terms",
+    ),
+    "spectra": (
+        "Ensemble", "SpectralDensity", "spectral_coefficient", "lambda_of_xi",
+        "CrossoverRow", "crossover_report",
+    ),
+    "sampler": (
+        "LatticeSpec", "FieldConfiguration", "SpectrumAccumulator",
+        "SpectrumEstimate", "sample_array", "power_spectrum",
+        "expected_power", "smear", "smear_variance", "hamiltonian_classical",
+        "hamiltonian_quantum", "density_exponent",
+    ),
+    "fockoracle": (
+        "ModeSpec", "bose_occupancy", "mode_variance_numeric",
+        "mode_variance_closed", "DensityVarianceCheck", "verify_density_variance",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -25,7 +25,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import opalgebra, sampler, spectra, verify
+from . import opalgebra
 from .errors import AccuracyError, InvalidInputError, KGFError
 from .kernels import (
     KernelSpec,
@@ -38,6 +38,10 @@ from .kernels import (
 from .spectra import Ensemble, SpectralDensity, lambda_of_xi, spectral_coefficient
 
 __all__ = ["main", "build_parser", "CONFIG_SCHEMA", "load_config"]
+
+#: ``sorted(verify.SUITES)``, spelled out so that building the parser does
+#: not import the verification suite.
+_VERIFY_SUITES = ("algebra", "all", "fock", "kernels", "sampler", "spectra")
 
 #: Each ensemble by its full name and by its short alias.
 ENSEMBLE_ALIASES = {ensemble.value: ensemble for ensemble in Ensemble} | dict(
@@ -277,6 +281,8 @@ def _kernel_spec(args, config: dict) -> KernelSpec:
 
 
 def _lattice(args, config: dict) -> sampler.LatticeSpec:
+    from . import sampler
+
     section = config.get("lattice", {})
     return _declared(
         sampler.LatticeSpec,
@@ -404,6 +410,8 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from . import sampler
+
     config = load_config(args.config)
     density = _density(args, config)
     lattice = _lattice(args, config)
@@ -434,6 +442,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     config = load_config(args.config)
     seed = _seed(args, config, verify.DEFAULT_SEED)
     results = verify.run_suite(args.suite, seed=seed)
@@ -509,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[config, seed],
                        help="run the cross-module verification suite")
-    p.add_argument("--suite", choices=sorted(verify.SUITES), default="all")
+    p.add_argument("--suite", choices=_VERIFY_SUITES, default="all")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -178,7 +178,8 @@ class QuadratureSpec:
     The rule is radial: ``nodes`` Gauss-Legendre radii on [0, cutoff] and,
     in D >= 2, as many direction points per radius.  ``cutoff=None`` lets
     each inner product pick |kbar| + 12/sigma over the two packets involved.
-    ``nodes`` lies in [16, MAX_QUADRATURE_NODES].
+    A given cutoff is stored as a float, so its powers overflow to inf as
+    every other scale's do.  ``nodes`` lies in [16, MAX_QUADRATURE_NODES].
     """
 
     cutoff: float | None = None
@@ -186,6 +187,11 @@ class QuadratureSpec:
 
     def __post_init__(self):
         if self.cutoff is not None:
+            try:
+                object.__setattr__(self, "cutoff", float(self.cutoff))
+            except OverflowError:
+                raise InvalidInputError(
+                    "cutoff is an integer outside the float range") from None
             _require_finite("cutoff", self.cutoff)
             if self.cutoff <= 0:
                 raise InvalidInputError(f"cutoff must be > 0, got {self.cutoff}")
@@ -281,11 +287,14 @@ def _variant_weight(spec: KernelSpec, omega: np.ndarray) -> np.ndarray:
     return base * c.xi
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _reduced_integral(spec: KernelSpec, f: WavePacket, g: WavePacket,
                       nodes: int, cutoff: float) -> complex:
     """One radial pass.  conj(f~) g~ = conj(A_f T_f) A_g T_g (2 pi sigma_f
     sigma_g)^D exp(c0 - alpha r^2 + b.k); each direction term is the one
-    exponent exp(c0 - alpha r^2 + r s u), s = sqrt(b.b), of modulus <= 1."""
+    exponent exp(c0 - alpha r^2 + r s u), s = sqrt(b.b), of modulus <= 1.
+    Overflowing scales give inf or nan without a warning: the caller
+    refuses a non-finite result."""
     r, radial, u, mean = _radial_rule(spec.dim, nodes)
     r = cutoff * r
     omega = np.sqrt(r * r + _pow(spec.constants.mass, 2))
@@ -329,6 +338,14 @@ def inner_product_with_diagnostics(spec: KernelSpec, f: WavePacket, g: WavePacke
     non-finite estimate, or a vanishing scale for packets of nonzero
     amplitude, is an accuracy failure too: neither can be checked.
     """
+    return _diagnosed_inner_product(spec, f, g, check)
+
+
+def _diagnosed_inner_product(spec: KernelSpec, f: WavePacket, g: WavePacket,
+                             check: bool, norms: tuple | None = None):
+    """:func:`inner_product_with_diagnostics`; ``norms``, when given, are the
+    refined (f, f) and (g, g) that scale the check, so a caller holding them
+    saves two passes."""
     if not (f.dim == g.dim == spec.dim):
         raise InvalidInputError(
             f"dimension mismatch: kernel D={spec.dim}, f D={f.dim}, g D={g.dim}"
@@ -340,7 +357,9 @@ def inner_product_with_diagnostics(spec: KernelSpec, f: WavePacket, g: WavePacke
         return value, None
 
     refined = _reduced_integral(spec, f, g, 2 * nodes, 2.0 * cutoff)
-    if f is g or f == g:
+    if norms is not None:
+        norm_f, norm_g = norms
+    elif f is g or f == g:
         # (f, f) refined is the Cauchy-Schwarz scale itself: one pass, not three
         norm_f = norm_g = refined.real
     else:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -46,7 +47,7 @@ from .errors import (
     MissingInnerProductError,
     SizeLimitError,
 )
-from .kernels import KernelSpec, WavePacket, inner_product
+from .kernels import KernelSpec, WavePacket, _diagnosed_inner_product
 
 __all__ = [
     "LetterKind",
@@ -180,16 +181,25 @@ class InnerProductTable:
     @classmethod
     def from_kernel(cls, spec: KernelSpec, registry: FunctionRegistry,
                     check: bool = True) -> "InnerProductTable":
-        """All pairwise inner products of the registered packets by quadrature."""
-        entries = {}
-        n = len(registry)
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                value = inner_product(spec, registry.packet(i), registry.packet(j),
-                                      check=check)
-                entries[(i, j)] = value
-                if i != j:
-                    entries[(j, i)] = value.conjugate()
+        """All pairwise inner products of the registered packets by quadrature.
+
+        Each value is :func:`~kgf.kernels.inner_product`'s, bit for bit.  The
+        diagonal is built first, and with ``check`` each off-diagonal pair
+        takes its Cauchy-Schwarz scale from the two packets' refined (f, f)
+        passes: two quadrature passes per pair instead of four.  Those norms
+        are taken at each packet's own doubled cutoff, not at the pair's
+        larger one, which moves the scale only at rounding level.
+        """
+        packets = [registry.packet(i) for i in range(1, len(registry) + 1)]
+        entries, norms = {}, []
+        for i, f in enumerate(packets, start=1):
+            entries[(i, i)], diag = _diagnosed_inner_product(spec, f, f, check)
+            norms.append(None if diag is None else diag.refined.real)
+        for i, j in itertools.combinations(range(len(packets)), 2):
+            value, _ = _diagnosed_inner_product(spec, packets[i], packets[j], check,
+                                                (norms[i], norms[j]))
+            entries[(i + 1, j + 1)] = value
+            entries[(j + 1, i + 1)] = value.conjugate()
         return cls(entries)
 
 

@@ -122,6 +122,12 @@ class LatticeSpec:
             raise InvalidInputError(
                 f"spacing {self.spacing} overflows spacing**{2 * self.dim}"
             ) from None
+        nyquist = math.pi / self.spacing  # mode_magnitudes sums its square per axis
+        if not math.isfinite(self.dim * nyquist * nyquist):
+            raise InvalidInputError(
+                f"spacing {self.spacing} overflows the mode wavenumbers' "
+                f"|k|**2 = {self.dim} (pi/spacing)**2"
+            )
 
     @property
     def shape(self) -> tuple:

@@ -19,6 +19,7 @@ except ModuleNotFoundError:  # Python 3.10, where pytest depends on tomli
 
 import kgf
 from kgf import cli, opalgebra, sampler, verify
+from kgf.__main__ import _BLAS_THREAD_VARIABLES
 from kgf.cli import main
 from kgf.errors import InvalidInputError
 from kgf.kernels import KernelSpec, PhysicalConstants, WavePacket
@@ -213,16 +214,18 @@ class TestOptionSurface:
 
 
 class TestOverflowingInputs:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # the exit-3 message is all of stderr
     @pytest.mark.parametrize("config", [
         {"packets": {"f": {"width_x": 1e300}, "g": {}}},
         {"constants": {"mass": 1e308}, "packets": {"f": {}, "g": {}}},
         {"dim": 2, "quadrature": {"cutoff": 10**200}, "packets": {"f": {}, "g": {}}},
+        {"packets": {"f": {"width_x": 1e-300}, "g": {}}},
     ])
     def test_kernel_overflow_is_a_non_finite_estimate(self, tmp_path, capsys, config):
         cfg = write_config(tmp_path, config)
         assert main(["innerprod", "--config", cfg, "-f", "f", "-g", "g"]) == 3
-        assert "non-finite estimate" in capsys.readouterr().err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("accuracy error: quadrature gave a non-finite estimate")
 
     def test_spacing_whose_powers_overflow_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"lattice": {"spacing": 1e300}})
@@ -230,6 +233,17 @@ class TestOverflowingInputs:
         assert main(["sample", "--config", cfg, "--ensemble", "vacuum",
                      "--lattice-n", "8", "--samples", "2", "--out", str(out)]) == 2
         assert "spacing 1e+300 overflows spacing**2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_spacing_whose_wavenumbers_overflow_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"lattice": {"spacing": 1e-300}})
+        out = tmp_path / "artifacts"
+        assert main(["sample", "--config", cfg, "--ensemble", "vacuum",
+                     "--lattice-n", "8", "--samples", "2", "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == ("error: spacing 1e-300 overflows the mode wavenumbers' "
+                        "|k|**2 = 1 (pi/spacing)**2")
         assert not out.exists()
 
     @pytest.mark.parametrize("config, where", [
@@ -772,7 +786,64 @@ def console_scripts(tmp_path, monkeypatch):
                        prepend=os.pathsep)
 
 
+#: Run as ``python -c SPY ARGS...``: ``python -m kgf ARGS...`` through runpy,
+#: then print as JSON the BLAS thread variables as they stood when numpy was
+#: first imported, and the kgf modules the command loaded.
+SPY = """
+import json, os, runpy, sys
+
+seen = []
+
+class NumpySpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append({key: os.environ.get(key) for key in
+                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+
+sys.meta_path.insert(0, NumpySpy())
+sys.argv[0] = "kgf"
+try:
+    runpy.run_module("kgf", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "env": seen, "modules": sorted(sys.modules)}))
+"""
+
+
+def run_spy(tmp_path, env_update):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    env = {key: value for key, value in os.environ.items()
+           if key not in _BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = str(Path(kgf.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", SPY, "innerprod", "--config", cfg, "-f", "f1", "-g", "f2"],
+        capture_output=True, text=True, timeout=120, env=env | env_update,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["code"] == 0
+    return report
+
+
 class TestEntryPoints:
+    def test_blas_is_single_threaded_before_numpy_loads(self, tmp_path):
+        report = run_spy(tmp_path, {})
+        assert report["env"] == [{"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                                  "MKL_NUM_THREADS": "1"}]
+
+    def test_a_thread_count_the_user_set_is_kept(self, tmp_path):
+        report = run_spy(tmp_path, {"OPENBLAS_NUM_THREADS": "2"})
+        assert report["env"] == [{"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1",
+                                  "MKL_NUM_THREADS": "1"}]
+
+    def test_innerprod_loads_no_sampler_or_verification_suite(self, tmp_path):
+        loaded = set(run_spy(tmp_path, {})["modules"])
+        assert {"kgf.cli", "kgf.kernels"} <= loaded
+        assert loaded.isdisjoint({"kgf.sampler", "kgf.verify", "kgf.fockoracle"})
+
+    def test_suite_choices_are_the_verify_suites(self):
+        assert cli._VERIFY_SUITES == tuple(sorted(verify.SUITES))
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "kgf", "verify", "--suite", "spectra"],

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from kgf.errors import (
+    AccuracyError,
     ExpressionSyntaxError,
     FunctionLookupError,
     InvalidInputError,
     MissingInnerProductError,
     SizeLimitError,
 )
-from kgf.kernels import KernelSpec, WavePacket, inner_product
+from kgf.kernels import KernelSpec, PhysicalConstants, WavePacket, inner_product
 from kgf.opalgebra import (
     ANNIHILATE,
     CREATE,
@@ -212,6 +213,38 @@ class TestInnerProductTable:
         assert table[(1, 2)] == inner_product(spec, f, g)
         assert table[(2, 1)] == table[(1, 2)].conjugate()
         assert table[(1, 1)].imag == pytest.approx(0.0, abs=1e-18)
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_every_entry_is_the_pairs_inner_product(self, check):
+        # D=2 packets with three different automatic cutoffs, and a repeat
+        packets = [WavePacket(dim=2, width_x=0.9, carrier_wavevector=(0.6, -0.2)),
+                   WavePacket(dim=2, center_x=(0.3, 0.1), carrier_freq=0.8,
+                              amplitude=1 - 0.5j),
+                   WavePacket(dim=2, width_x=1.4, center_t=0.5)]
+        packets.append(packets[0])
+        reg = FunctionRegistry()
+        for f in packets:
+            reg.register(packet=f)
+        spec = KernelSpec(dim=2)
+        table = InnerProductTable.from_kernel(spec, reg, check=check)
+        for i, f in enumerate(packets, start=1):
+            for j, g in enumerate(packets[i - 1:], start=i):
+                assert table[(i, j)] == inner_product(spec, f, g, check=check)
+                assert table[(j, i)] == table[(i, j)].conjugate()
+
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_a_non_converging_packet_raises(self, bad_first):
+        # massless D=1: 1/(2|k|) diverges at k=0 where the second packet
+        # has weight; the first sits at k=5 and converges on its own
+        packets = [WavePacket(width_x=2.0, carrier_wavevector=(5.0,)),
+                   WavePacket(width_x=2.0)]
+        reg = FunctionRegistry()
+        for f in packets[::-1] if bad_first else packets:
+            reg.register(packet=f)
+        spec = KernelSpec(constants=PhysicalConstants(mass=0.0))
+        inner_product(spec, packets[0], packets[0])
+        with pytest.raises(AccuracyError, match="did not converge"):
+            InnerProductTable.from_kernel(spec, reg)
 
 
 class TestNormalOrdering:
