@@ -39,10 +39,10 @@ _EXPORTS = {
         "inner_product_with_diagnostics", "positivity_check",
     ),
     "opalgebra": (
-        "LetterKind", "FunctionRegistry", "InnerProductTable",
-        "OperatorExpression", "field_operator", "normal_order",
-        "vacuum_expectation", "wick_vev", "excited_state_norm",
-        "enumerate_pairings", "parse_expression", "parse_terms",
+        "FunctionRegistry", "InnerProductTable", "OperatorExpression",
+        "field_operator", "normal_order", "vacuum_expectation", "wick_vev",
+        "excited_state_norm", "enumerate_pairings", "parse_expression",
+        "parse_terms",
     ),
     "spectra": (
         "Ensemble", "SpectralDensity", "spectral_coefficient", "lambda_of_xi",

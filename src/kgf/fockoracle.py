@@ -8,9 +8,11 @@ e^(-x n) on number states.  Then
     <q^2> = (hbar_eff / (2 omega)) * sum_n e^(-x n) (2n+1) / sum_n e^(-x n)
           = (hbar_eff / (2 omega)) * coth(x/2),
 
-evaluated here by truncated summation with a certified tail bound, never
-via the coth identity, so it can referee the closed-form spectral
-coefficients independently.  The reductions used:
+evaluated here by truncated summation, never via the coth identity, so it
+can referee the closed-form spectral coefficients independently.  Each
+mode's cutoff is derived from its Gibbs argument, and one certification
+remains: :func:`mode_variance_numeric` refuses a sum whose exact discarded
+tail exceeds TAIL_TOL.  The reductions used:
 
     quantum_thermal: hbar_eff = hbar,    x = hbar omega / kT
     xi_lambda:       hbar_eff = xi hbar, x = xi / lambda
@@ -24,7 +26,7 @@ checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,12 +67,16 @@ def _auto_cutoff(x: float) -> int:
 
 @dataclass(frozen=True)
 class ModeSpec:
-    """One harmonic mode with Gibbs-weighted number states."""
+    """One harmonic mode with Gibbs-weighted number states.
+
+    ``cutoff`` is derived, never passed: the number of states summed is
+    always ``_auto_cutoff(gibbs_x)``.
+    """
 
     omega: float
     hbar_eff: float
     gibbs_x: float
-    cutoff: int = 0
+    cutoff: int = field(init=False)
 
     def __post_init__(self):
         for name in ("omega", "hbar_eff", "gibbs_x"):
@@ -79,21 +85,11 @@ class ModeSpec:
                     and value > 0):
                 raise InvalidInputError(f"{name} must be a finite positive number, "
                                         f"got {value!r}")
-        if self.cutoff == 0:
-            object.__setattr__(self, "cutoff", _auto_cutoff(self.gibbs_x))
+        object.__setattr__(self, "cutoff", _auto_cutoff(self.gibbs_x))
         if self.cutoff > MAX_FOCK_STATES:
             raise SizeLimitError(
                 f"cutoff {self.cutoff} exceeds the number-state limit "
                 f"MAX_FOCK_STATES = {MAX_FOCK_STATES} (gibbs_x {self.gibbs_x!r})"
-            )
-        if self.cutoff < MIN_CUTOFF:
-            raise InvalidInputError(
-                f"cutoff must be >= {MIN_CUTOFF}, got {self.cutoff}"
-            )
-        if math.exp(-self.gibbs_x * self.cutoff) >= TAIL_TOL:
-            raise InvalidInputError(
-                f"cutoff {self.cutoff} leaves tail weight "
-                f"{math.exp(-self.gibbs_x * self.cutoff):.3e} >= {TAIL_TOL}"
             )
 
 
@@ -107,9 +103,9 @@ def bose_occupancy(x: float) -> float:
 def _tail_mass(mode: ModeSpec) -> float:
     """Discarded Gibbs weight sum_{n>=cutoff} e^(-x n) = e^(-xC)/(1-e^(-x)).
 
-    Exact geometric tail.  The auto-selected cutoff keeps it below
-    TAIL_TOL; a hand-picked cutoff can pass the raw construction bound
-    yet fail here.
+    Exact geometric tail, the oracle's one certification: the derived
+    cutoff keeps it below TAIL_TOL, and :func:`mode_variance_numeric`
+    refuses any sum where it does not.
     """
     return math.exp(-mode.gibbs_x * mode.cutoff) / (-math.expm1(-mode.gibbs_x))
 

@@ -1,8 +1,9 @@
 """Free *-algebra over creation/annihilation symbols and its vacuum state.
 
-Words are finite sequences of letters ``adag[i]`` / ``a[i]`` over registered
-test functions, expressions are complex linear combinations of words, and
-the only non-trivial relation is
+Words are finite sequences of letters ``(kind, index)`` over registered
+test functions, with ``kind`` one of the parser's keywords ``"adag"``,
+``"a"`` or (in :func:`contract` only) ``"phi"``.  Expressions are complex
+linear combinations of words, and the only non-trivial relation is
 
     a[g] adag[f]  =  adag[f] a[g] + (f, g) * 1,
 
@@ -16,11 +17,11 @@ fields is never expanded into its 2^n words.
 
 The rewriting engine, :func:`normal_order`, moves every creation letter
 to the front by the relation above, one whole expression at a time: the
-words are grouped by their first letter L (or their last), each group's
-sum of rests is normal-ordered once, and L is put back into the sorted
-creation or annihilation run, applying the relation once for each letter
-of the other kind that it passes.  It shares no code with the kernel and
-is kept as the independent referee the verification suite checks the
+words are grouped by their first letter L, each group's sum of rests is
+normal-ordered once, and L is put back into the sorted creation or
+annihilation run; an annihilation letter applies the relation once for
+each creation letter that it passes.  It shares no code with the kernel
+and is kept as the independent referee the verification suite checks the
 kernel against.
 
 The two-point orientation that falls out of the commutator as written is
@@ -35,7 +36,6 @@ of the algebra.
 from __future__ import annotations
 
 import bisect
-import enum
 import itertools
 import re
 from dataclasses import dataclass
@@ -50,7 +50,6 @@ from .errors import (
 from .kernels import KernelSpec, WavePacket, _diagnosed_inner_product
 
 __all__ = [
-    "LetterKind",
     "FunctionRegistry",
     "InnerProductTable",
     "OperatorExpression",
@@ -75,13 +74,8 @@ MAX_PAIRING_SIZE = 16
 MAX_CONTRACTION_STATES = 2**17
 
 
-class LetterKind(enum.IntEnum):
-    CREATE = 0
-    ANNIHILATE = 1
-
-
-CREATE = LetterKind.CREATE
-ANNIHILATE = LetterKind.ANNIHILATE
+CREATE = "adag"
+ANNIHILATE = "a"
 
 
 def canonical_word(letters) -> tuple:
@@ -91,7 +85,7 @@ def canonical_word(letters) -> tuple:
     run = []
     run_kind = None
     for kind, index in letters:
-        if kind is not run_kind and run:
+        if kind != run_kind and run:
             out.extend(sorted(run))
             run = []
         run_kind = kind
@@ -103,9 +97,7 @@ def canonical_word(letters) -> tuple:
 def _word_str(word) -> str:
     if not word:
         return "1"
-    return " ".join(
-        ("adag[%d]" if kind == CREATE else "a[%d]") % index for kind, index in word
-    )
+    return " ".join(f"{kind}[{index}]" for kind, index in word)
 
 
 class FunctionRegistry:
@@ -124,13 +116,7 @@ class FunctionRegistry:
     def __len__(self) -> int:
         return len(self._names)
 
-    @property
-    def names(self) -> tuple:
-        return tuple(self._names)
-
-    def register(self, name: str | None = None, packet: WavePacket | None = None) -> int:
-        if name is None:
-            name = f"f{len(self._names) + 1}"
+    def register(self, name: str, packet: WavePacket | None = None) -> int:
         if name in self._index_by_name:
             raise InvalidInputError(f"function name {name!r} already registered")
         self._names.append(name)
@@ -237,16 +223,10 @@ class OperatorExpression:
     def annihilate(cls, index: int) -> "OperatorExpression":
         return cls({((ANNIHILATE, index),): 1.0})
 
-    def __iter__(self):
-        return iter(self.terms.items())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, OperatorExpression):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other) -> "OperatorExpression":
         if not isinstance(other, OperatorExpression):
@@ -316,11 +296,11 @@ def _insert(run: tuple, letter: tuple) -> tuple:
     return run[:at] + (letter,) + run[at:]
 
 
-def _order_terms(terms: dict, ip, from_left: bool, memo: dict) -> dict:
+def _order_terms(terms: dict, ip, memo: dict) -> dict:
     """N(terms) as {(creation run, annihilation run): coeff}.
 
-    Takes each word's first letter L (``from_left``) so that
-    N(c + sum_L L S_L) = c + sum_L L N(S_L), or mirrored, its last letter.
+    Takes each word's first letter L so that
+    N(c + sum_L L S_L) = c + sum_L L N(S_L).
     Each rest S_L is normal-ordered once, memoised on its terms.
     """
     key = frozenset(terms.items())
@@ -330,58 +310,41 @@ def _order_terms(terms: dict, ip, from_left: bool, memo: dict) -> dict:
     out: dict = {}
     groups: dict = {}
     for word, coeff in terms.items():
-        if not word:
-            out[((), ())] = coeff
-        elif from_left:
+        if word:
             groups.setdefault(word[0], {})[word[1:]] = coeff
         else:
-            groups.setdefault(word[-1], {})[word[:-1]] = coeff
+            out[((), ())] = coeff
     for letter, rest in groups.items():
         kind, index = letter
-        for (creators, annihilators), coeff in _order_terms(rest, ip, from_left, memo).items():
+        for (creators, annihilators), coeff in _order_terms(rest, ip, memo).items():
             if kind == CREATE:
                 moved = (_insert(creators, letter), annihilators)
                 out[moved] = out.get(moved, 0) + coeff
-                if not from_left:
-                    # C A adag[f] = C adag[f] A + sum_i (f, a_i) C (A without a_i)
-                    for i, (_, g) in enumerate(annihilators):
-                        dropped = (creators, annihilators[:i] + annihilators[i + 1:])
-                        out[dropped] = out.get(dropped, 0) + coeff * complex(ip[(index, g)])
             else:
                 moved = (creators, _insert(annihilators, letter))
                 out[moved] = out.get(moved, 0) + coeff
-                if from_left:
-                    # a[g] C A = C a[g] A + sum_i (c_i, g) (C without c_i) A
-                    for i, (_, f) in enumerate(creators):
-                        dropped = (creators[:i] + creators[i + 1:], annihilators)
-                        out[dropped] = out.get(dropped, 0) + coeff * complex(ip[(f, index)])
+                # a[g] C A = C a[g] A + sum_i (c_i, g) (C without c_i) A
+                for i, (_, f) in enumerate(creators):
+                    dropped = (creators[:i] + creators[i + 1:], annihilators)
+                    out[dropped] = out.get(dropped, 0) + coeff * complex(ip[(f, index)])
     out = {run: c for run, c in out.items() if c != 0}
     memo[key] = out
     return out
 
 
-def _check_strategy(strategy: str):
-    if strategy not in ("leftmost", "rightmost"):
-        raise InvalidInputError(f"unknown strategy {strategy!r}")
-
-
-def normal_order(expr: OperatorExpression, ip, strategy: str = "leftmost") -> OperatorExpression:
+def normal_order(expr: OperatorExpression, ip) -> OperatorExpression:
     """Rewrite ``expr`` so every word has all creation letters first.
 
-    Works on the whole expression.  ``strategy`` selects which end of the
-    words is peeled: ``leftmost`` groups the words by their first letter
-    and normal-orders each group's sum of suffixes, then prepends the
-    letter; ``rightmost`` groups by the last letter and appends it.  A
-    prepended a[g] passes every creation letter adag[c_i] of a term and
-    adds (c_i, g) times the term without it; an appended adag[f] passes
-    every a[a_i] and adds (f, a_i).  Each sum of suffixes is rewritten once
-    per call (the memo is not kept, since ``ip`` differs between calls).
-    Both strategies give the same canonical result, and exactly-zero
-    coefficients are dropped.
+    Works on the whole expression, always peeling from the left: the words
+    are grouped by their first letter, each group's sum of suffixes is
+    normal-ordered, and the letter is prepended.  A prepended a[g] passes
+    every creation letter adag[c_i] of a term and adds (c_i, g) times the
+    term without it.  Each sum of suffixes is rewritten once per call (the
+    memo is not kept, since ``ip`` differs between calls), and
+    exactly-zero coefficients are dropped.
     """
-    _check_strategy(strategy)
     try:
-        ordered = _order_terms(expr.terms, ip, strategy == "leftmost", {})
+        ordered = _order_terms(expr.terms, ip, {})
     except RecursionError:
         longest = max(map(len, expr.terms))
         raise SizeLimitError(
@@ -392,17 +355,17 @@ def normal_order(expr: OperatorExpression, ip, strategy: str = "leftmost") -> Op
                   for (creators, annihilators), c in ordered.items()})
 
 
-#: Letter kinds, symbolic or parsed, that can annihilate and that can create.
-_ANNIHILATORS = {ANNIHILATE, "a", "phi"}
-_CREATORS = {CREATE, "adag", "phi"}
+#: Letter kinds that can annihilate and that can create.
+_ANNIHILATORS = {"a", "phi"}
+_CREATORS = {"adag", "phi"}
 
 
 def contract(letters, ip) -> complex:
     """<0| L_1 ... L_n |0> for letters ``(kind, index)`` as a pairing sum.
 
-    ``kind`` is a :class:`LetterKind` or a parser keyword (``phi``, ``a``,
-    ``adag``).  A pair p < q is worth ``ip[(index_q, index_p)]`` when letter
-    p can annihilate and letter q can create, else 0; a pairing is worth
+    ``kind`` is a parser keyword: ``phi``, ``a`` or ``adag``.  A pair
+    p < q is worth ``ip[(index_q, index_p)]`` when letter p can
+    annihilate and letter q can create, else 0; a pairing is worth
     the product of its pairs.  The recursion always pairs the lowest
     unpaired letter first and is memoised on the bitmask of unpaired
     letters, so n distinct phi letters visit Fibonacci(n+1) states rather
@@ -456,10 +419,11 @@ def contract(letters, ip) -> complex:
 def vacuum_expectation(expr: OperatorExpression, ip, strategy: str = "leftmost") -> complex:
     """<0| expr |0>: each word's coefficient times its :func:`contract`.
 
-    ``strategy`` is accepted for :func:`normal_order` compatibility and
-    validated, but the kernel's value does not depend on it.
+    ``strategy`` is validated and otherwise ignored.  It stays only because
+    ``perfbench/traced_kgf.py`` passes it by keyword (ROADMAP direction 8).
     """
-    _check_strategy(strategy)
+    if strategy not in ("leftmost", "rightmost"):
+        raise InvalidInputError(f"unknown strategy {strategy!r}")
     return sum((coeff * contract(word, ip) for word, coeff in expr.terms.items()),
                0.0 + 0.0j)
 
@@ -694,10 +658,8 @@ def parse_expression(text: str, registry: FunctionRegistry) -> OperatorExpressio
             index = registry.ensure(ident)
             if keyword == "phi":
                 factor = field_operator(registry, index)
-            elif keyword == "a":
-                factor = OperatorExpression.annihilate(index)
             else:
-                factor = OperatorExpression.create(index)
+                factor = OperatorExpression({((keyword, index),): 1.0})
             expr = expr * factor
         total = total + expr
     return total

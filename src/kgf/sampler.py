@@ -39,6 +39,7 @@ import io
 import itertools
 import math
 import struct
+import sys
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -117,7 +118,7 @@ class LatticeSpec:
                 f"{n}^{self.dim} sites exceeds the {MAX_TOTAL_SITES} site guard"
             )
         try:  # past the site guard, a finite spacing**(2D) bounds the volume too
-            self.spacing ** (2 * self.dim)
+            cell_squared = self.spacing ** (2 * self.dim)
         except OverflowError:
             raise InvalidInputError(
                 f"spacing {self.spacing} overflows spacing**{2 * self.dim}"
@@ -127,6 +128,10 @@ class LatticeSpec:
             raise InvalidInputError(
                 f"spacing {self.spacing} overflows the mode wavenumbers' "
                 f"|k|**2 = {self.dim} (pi/spacing)**2"
+            )
+        if cell_squared < sys.float_info.min:  # the draw divides by spacing**D
+            raise InvalidInputError(
+                f"spacing {self.spacing} underflows spacing**{2 * self.dim}"
             )
 
     @property

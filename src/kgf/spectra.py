@@ -103,7 +103,9 @@ def spectral_coefficient(density: SpectralDensity, kmag):
 
     Negative inputs are folded to |k| (the coefficient is even).  Strictly
     positive for every finite k when the mass is positive; a |k| whose
-    coefficient overflows to infinity is refused.
+    coefficient overflows to infinity is refused.  Where k^2 + m^2
+    overflows, omega comes from ``np.hypot`` instead, so the coefficients
+    linear in omega stay finite up to |k| ~ 1.8e308.
     """
     k = np.abs(np.asarray(kmag, dtype=float))
     if not np.all(np.isfinite(k)):
@@ -112,6 +114,9 @@ def spectral_coefficient(density: SpectralDensity, kmag):
     ens = density.ensemble
     with np.errstate(over="ignore"):
         omega = np.sqrt(k * k + c.mass * c.mass)
+        big = np.isinf(omega)
+        if np.any(big):
+            omega = np.where(big, np.hypot(k, c.mass), omega)
         if ens is Ensemble.CLASSICAL_EQUILIBRIUM:
             out = omega * omega / (2.0 * c.kT)
         elif ens is Ensemble.QUANTUM_VACUUM:

@@ -69,8 +69,8 @@ def _result(name: str, start: float, passed: bool, detail: str) -> CheckResult:
                        elapsed=time.perf_counter() - start)
 
 
-def _random_packet(rng: np.random.Generator, dim: int = 1) -> WavePacket:
-    """Randomized packet the default quadrature certifiably resolves.
+def _random_packet(rng: np.random.Generator) -> WavePacket:
+    """Randomized D=1 packet the default quadrature certifiably resolves.
 
     Widths >= 0.8 cap the cutoff at |kbar| + 15; together with the mass
     floor in the callers this keeps the 1/omega branch point far enough
@@ -78,13 +78,12 @@ def _random_packet(rng: np.random.Generator, dim: int = 1) -> WavePacket:
     """
     amp_re, amp_im = rng.uniform(0.3, 1.5), rng.uniform(-1.0, 1.0)
     return WavePacket(
-        dim=dim,
         center_t=float(rng.uniform(-2.0, 2.0)),
-        center_x=tuple(rng.uniform(-2.0, 2.0, size=dim)),
+        center_x=tuple(rng.uniform(-2.0, 2.0, size=1)),
         width_t=float(rng.uniform(0.8, 1.8)),
         width_x=float(rng.uniform(0.8, 1.8)),
         carrier_freq=float(rng.uniform(-2.0, 2.0)),
-        carrier_wavevector=tuple(rng.uniform(-2.0, 2.0, size=dim)),
+        carrier_wavevector=tuple(rng.uniform(-2.0, 2.0, size=1)),
         amplitude=complex(amp_re, amp_im),
     )
 

@@ -246,6 +246,16 @@ class TestOverflowingInputs:
                         "|k|**2 = 1 (pi/spacing)**2")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_spacing_whose_powers_underflow_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"dim": 3, "lattice": {"spacing": 1e-153}})
+        out = tmp_path / "artifacts"
+        assert main(["sample", "--config", cfg, "--ensemble", "vacuum",
+                     "--lattice-n", "8", "--samples", "2", "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: spacing 1e-153 underflows spacing**6"
+        assert not out.exists()
+
     @pytest.mark.parametrize("config, where", [
         ({"constants": {"mass": 10**400}}, "constants/mass: an integer of 401 digits"),
         ({"packets": {"f": {"center_x": [-(10**309)]}}}, "packets/f/center_x/0: "),
@@ -609,6 +619,17 @@ class TestSpectra:
     def test_missing_ensemble_exits_2(self, capsys):
         assert main(["spectra"]) == 2
         assert "no ensemble" in capsys.readouterr().err
+
+    def test_wavenumber_past_the_square_overflow_is_finite(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectra", "--ensemble", "vacuum",
+                         "--kmax", "1e200", "--kcount", "3"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")
+        assert rows[0] == "k,c"
+        values = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+        assert values.shape == (3, 2) and np.all(np.isfinite(values))
+        assert values[-1, 1] == pytest.approx(1e200, rel=1e-15)
 
     def test_overflowing_coefficient_exits_2_without_a_warning(self, capsys):
         with warnings.catch_warnings():

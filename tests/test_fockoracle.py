@@ -8,7 +8,6 @@ import pytest
 from kgf import fockoracle
 from kgf.errors import AccuracyError, DomainError, InvalidInputError, SizeLimitError
 from kgf.fockoracle import (
-    MAX_FOCK_STATES,
     MIN_CUTOFF,
     TAIL_TOL,
     VACUUM_GIBBS_X,
@@ -57,17 +56,11 @@ class TestModeSpec:
         with pytest.raises(InvalidInputError):
             ModeSpec(**{"omega": 1.0, "hbar_eff": 1.0, "gibbs_x": 1.0, **kw})
 
-    def test_rejects_cutoff_below_floor(self):
-        with pytest.raises(InvalidInputError):
-            ModeSpec(omega=1.0, hbar_eff=1.0, gibbs_x=10.0, cutoff=5)
+    def test_cutoff_is_derived_not_passed(self):
+        with pytest.raises(TypeError):
+            ModeSpec(omega=1.0, hbar_eff=1.0, gibbs_x=10.0, cutoff=400)
 
-    def test_rejects_cutoff_with_visible_tail(self):
-        # e^(-0.2 * 100) ~ 2e-9: fails the construction bound outright
-        with pytest.raises(InvalidInputError):
-            ModeSpec(omega=1.0, hbar_eff=1.0, gibbs_x=0.2, cutoff=100)
-
-    @pytest.mark.parametrize("kw", [{"gibbs_x": 1e-8},
-                                    {"cutoff": MAX_FOCK_STATES + 1}])
+    @pytest.mark.parametrize("kw", [{"gibbs_x": 1e-8}])
     def test_state_limit_refuses_before_allocating(self, kw, monkeypatch):
         # the automatic cutoff at x = 1e-8 is 4.6e9 states (about 110 GB)
         def no_arange(*args, **kwargs):
@@ -121,20 +114,17 @@ class TestModeVariance:
         ]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_handpicked_cutoff_trips_tail_guard(self):
-        # passes the construction bound e^(-xC) < 1e-12 but discards
-        # geometric tail mass 4.7e-12 > TAIL_TOL at evaluation time
-        mode = ModeSpec(omega=1.0, hbar_eff=1.0, gibbs_x=0.2, cutoff=139)
+    def test_handpicked_cutoff_trips_tail_guard(self, monkeypatch):
+        # e^(-0.2 * 139) < 1e-12, yet the geometric tail it discards is
+        # 4.7e-12 > TAIL_TOL: the exact-tail check refuses the sum
+        monkeypatch.setattr(fockoracle, "_auto_cutoff", lambda x: 139)
+        mode = ModeSpec(omega=1.0, hbar_eff=1.0, gibbs_x=0.2)
+        assert mode.cutoff == 139
         with pytest.raises(AccuracyError) as err:
             mode_variance_numeric(mode)
         assert err.value.coarse is not None
         assert err.value.refined is not None
         assert err.value.refined != err.value.coarse
-
-    def test_generous_cutoff_is_accepted(self):
-        mode = ModeSpec(omega=1.0, hbar_eff=1.0, gibbs_x=0.2, cutoff=400)
-        closed = mode_variance_closed(mode)
-        assert mode_variance_numeric(mode) == pytest.approx(closed, rel=1e-12)
 
 
 class TestDensityVariance:
@@ -165,6 +155,14 @@ class TestDensityVariance:
         b = verify_density_variance(vacuum, 0.8)
         assert a.closed_form == pytest.approx(b.closed_form, rel=1e-12)
         assert a.rel_err < 1e-10 and b.rel_err < 1e-10
+
+    @pytest.mark.parametrize("ensemble", [Ensemble.QUANTUM_VACUUM,
+                                          Ensemble.QUANTUM_THERMAL])
+    def test_wavenumber_past_the_square_overflow(self, ensemble):
+        # k*k overflows at 1e200, omega = |k| does not
+        chk = verify_density_variance(SpectralDensity(ensemble), 1e200)
+        assert chk.closed_form == pytest.approx(5e-201, rel=1e-15)
+        assert chk.numeric == pytest.approx(5e-201, rel=1e-14)
 
     def test_vacuum_is_half_inverse_frequency(self):
         density = SpectralDensity(

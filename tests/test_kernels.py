@@ -355,8 +355,8 @@ class TestDiagonalPasses:
         reg = FunctionRegistry()
         packets = [packet(), packet(center_x=(0.4,), carrier_wavevector=(0.8,)),
                    packet(carrier_freq=0.5, width_x=1.3, amplitude=0.5j)]
-        for p in packets:
-            reg.register(packet=p)
+        for i, p in enumerate(packets, start=1):
+            reg.register(f"f{i}", p)
         table = InnerProductTable.from_kernel(spec, reg)
         # two per entry: each off-diagonal check reuses the diagonal norms
         assert len(calls) == 12

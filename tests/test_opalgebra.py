@@ -62,20 +62,17 @@ def permanent(matrix):
     return total
 
 
-def reference_normal_order(expr, ip, strategy="leftmost"):
+def reference_normal_order(expr, ip):
     """The adjacent-swap rewriter, kept as the referee of normal_order.
 
-    Rewrites one word at a time: the leftmost (or rightmost) adjacent
-    a[g] adag[f] becomes adag[f] a[g] + (f, g), recursively, memoised per
-    canonical word.  Returns the terms dict with exact zeros dropped.
+    Rewrites one word at a time: the leftmost adjacent a[g] adag[f]
+    becomes adag[f] a[g] + (f, g), recursively, memoised per canonical
+    word.  Returns the terms dict with exact zeros dropped.
     """
     cache = {}
 
     def first_inversion(word):
-        positions = range(len(word) - 1)
-        if strategy == "rightmost":
-            positions = reversed(positions)
-        for p in positions:
+        for p in range(len(word) - 1):
             if word[p][0] == ANNIHILATE and word[p + 1][0] == CREATE:
                 return p
         return None
@@ -160,9 +157,8 @@ class TestRegistry:
     def test_register_and_lookup(self):
         reg = FunctionRegistry()
         i = reg.register("f")
-        j = reg.register()  # auto-named
+        j = reg.register("g")
         assert (i, j) == (1, 2)
-        assert reg.names == ("f", "f2")
         assert reg.index_of("f") == 1
 
     def test_ensure_registers_once(self):
@@ -223,8 +219,8 @@ class TestInnerProductTable:
                    WavePacket(dim=2, width_x=1.4, center_t=0.5)]
         packets.append(packets[0])
         reg = FunctionRegistry()
-        for f in packets:
-            reg.register(packet=f)
+        for i, f in enumerate(packets, start=1):
+            reg.register(f"f{i}", f)
         spec = KernelSpec(dim=2)
         table = InnerProductTable.from_kernel(spec, reg, check=check)
         for i, f in enumerate(packets, start=1):
@@ -239,8 +235,8 @@ class TestInnerProductTable:
         packets = [WavePacket(width_x=2.0, carrier_wavevector=(5.0,)),
                    WavePacket(width_x=2.0)]
         reg = FunctionRegistry()
-        for f in packets[::-1] if bad_first else packets:
-            reg.register(packet=f)
+        for i, f in enumerate(packets[::-1] if bad_first else packets, start=1):
+            reg.register(f"f{i}", f)
         spec = KernelSpec(constants=PhysicalConstants(mass=0.0))
         inner_product(spec, packets[0], packets[0])
         with pytest.raises(AccuracyError, match="did not converge"):
@@ -294,29 +290,16 @@ class TestNormalOrdering:
         expr = OperatorExpression.create(1) * OperatorExpression.annihilate(2)
         assert normal_order(expr, DYADIC_TABLE) == expr
 
-    def test_strategies_agree_exactly_on_dyadic_table(self):
-        word = ((ANNIHILATE, 1), (CREATE, 2), (ANNIHILATE, 2),
-                (CREATE, 1), (ANNIHILATE, 2), (CREATE, 2))
-        expr = OperatorExpression({word: 1.0 + 0.5j})
-        left = normal_order(expr, DYADIC_TABLE, strategy="leftmost")
-        right = normal_order(expr, DYADIC_TABLE, strategy="rightmost")
-        assert left == right
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(InvalidInputError):
-            normal_order(OperatorExpression.identity(), DYADIC_TABLE, strategy="inner")
-
     def test_missing_table_entry_surfaces(self):
         expr = OperatorExpression.annihilate(3) * OperatorExpression.create(3)
         with pytest.raises(MissingInnerProductError):
             normal_order(expr, DYADIC_TABLE)
 
-    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
-    def test_deep_word_is_refused_not_crashed(self, strategy):
+    def test_deep_word_is_refused_not_crashed(self):
         # one recursion level per letter: 1200 letters pass the limit
         word = ((ANNIHILATE, 1), (CREATE, 1)) * 600
         with pytest.raises(SizeLimitError, match="recursion limit"):
-            normal_order(OperatorExpression({word: 1.0}), DYADIC_TABLE, strategy)
+            normal_order(OperatorExpression({word: 1.0}), DYADIC_TABLE)
 
     def test_vacuum_expectation_trivial_cases(self):
         assert vacuum_expectation(OperatorExpression.identity(), DYADIC_TABLE) == 1.0
@@ -332,8 +315,7 @@ class TestNormalOrdering:
 class TestNormalOrderReferee:
     """normal_order against the adjacent-swap rewriter, term by term."""
 
-    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
-    def test_random_mixed_words(self, strategy):
+    def test_random_mixed_words(self):
         rng = np.random.default_rng(8080)
         for _ in range(12):
             table = random_table(rng, 3)
@@ -344,13 +326,13 @@ class TestNormalOrderReferee:
                 # a shared suffix under two prefixes exercises the memo
                 terms[random_word(rng, 2, 3) + word[1:]] = 1.0
             expr = OperatorExpression(terms)
-            got = normal_order(expr, table, strategy=strategy)
-            assert all(all(k1 <= k2 for (k1, _), (k2, _) in zip(w, w[1:]))
+            got = normal_order(expr, table)
+            assert all(all((k1, k2) != (ANNIHILATE, CREATE)
+                           for (k1, _), (k2, _) in zip(w, w[1:]))
                        for w in got.terms)
-            assert_same_terms(got.terms, reference_normal_order(expr, table, strategy))
+            assert_same_terms(got.terms, reference_normal_order(expr, table))
 
-    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
-    def test_expanded_phi_products(self, strategy):
+    def test_expanded_phi_products(self):
         rng = np.random.default_rng(8181)
         reg = FunctionRegistry()
         for name in ("u", "v", "w"):
@@ -362,26 +344,25 @@ class TestNormalOrderReferee:
                 expr = OperatorExpression.identity()
                 for i in indices:
                     expr = expr * field_operator(reg, i)
-                got = normal_order(expr, table, strategy=strategy).terms
-                assert_same_terms(got, reference_normal_order(expr, table, strategy))
+                got = normal_order(expr, table).terms
+                assert_same_terms(got, reference_normal_order(expr, table))
                 if n % 2:
                     assert () not in got
 
-    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
-    def test_cancelled_terms_are_dropped(self, strategy):
+    def test_cancelled_terms_are_dropped(self):
         a1, adag2 = OperatorExpression.annihilate(1), OperatorExpression.create(2)
         contraction = DYADIC_TABLE[(2, 1)]
         # the reordered word cancels, only the contraction survives
         commutator = a1 * adag2 - adag2 * a1
-        assert normal_order(commutator, DYADIC_TABLE, strategy).terms == {
+        assert normal_order(commutator, DYADIC_TABLE).terms == {
             (): contraction,
         }
         # the identity cancels, only the reordered word survives
         shifted = a1 * adag2 - OperatorExpression.identity().scaled(contraction)
-        assert normal_order(shifted, DYADIC_TABLE, strategy).terms == {
+        assert normal_order(shifted, DYADIC_TABLE).terms == {
             ((CREATE, 2), (ANNIHILATE, 1)): 1.0,
         }
-        assert reference_normal_order(shifted, DYADIC_TABLE, strategy) == {
+        assert reference_normal_order(shifted, DYADIC_TABLE) == {
             ((CREATE, 2), (ANNIHILATE, 1)): 1.0,
         }
 
@@ -582,7 +563,7 @@ class TestParser:
     def test_auto_registration_order(self):
         reg = FunctionRegistry()
         parse_expression("phi[b] phi[a] + phi[b]", reg)
-        assert reg.names == ("b", "a")
+        assert (reg.index_of("b"), reg.index_of("a"), len(reg)) == (1, 2, 2)
 
     def test_expression_semantics_match_manual_build(self):
         reg = FunctionRegistry()

@@ -1,6 +1,7 @@
 """Package surface: every exported name resolves, and only on first use."""
 
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -40,3 +41,86 @@ def test_lazy_names_are_the_submodules_objects():
     assert namespace["__version__"] == kgf.__version__
     with pytest.raises(AttributeError, match="no_such_name"):
         kgf.no_such_name
+
+
+_ = object()  # any argument: binding checks names and arity, not types
+
+#: Every kgf name the benchmark harness under ``perfbench/`` looks up, by
+#: caller, with the arguments it passes.  ``traced_kgf.install`` replaces
+#: each name where kgf looks it up and calls the original with these
+#: keywords; the workloads' referees, ``run.py`` and ``test_perfbench.py``
+#: call them directly.  ``None`` marks a name that is only wrapped with
+#: ``*args, **kwargs`` or read, so it only has to resolve.  ROADMAP
+#: direction 8 removes rows as it retires names.
+PERFBENCH_LOOKUPS = [
+    ("traced", "cli.main", (_,), {}),
+    ("traced", "cli.load_config", (_,), {}),
+    ("traced", "cli.inner_product_with_diagnostics", (_, _, _), {"check": True}),
+    ("traced", "kernels.inner_product_with_diagnostics", (_, _, _), {"check": True}),
+    ("traced", "opalgebra.InnerProductTable.from_kernel.__func__", (_, _, _),
+     {"check": True}),
+    ("traced", "opalgebra.parse_terms", None, None),
+    ("traced", "opalgebra.parse_expression", (_, _), {}),
+    ("traced", "opalgebra.vacuum_expectation", (_, _), {"strategy": "leftmost"}),
+    ("traced", "opalgebra.wick_vev", None, None),
+    ("traced", "sampler._SpectrumPlan.draw", (_, _, _), {}),
+    ("traced", "sampler.sample_array", (_, _, _, _), {}),
+    ("traced", "sampler.SpectrumAccumulator.update", (_, _), {}),
+    ("traced", "sampler.power_spectrum", None, None),
+    ("traced", "sampler.expected_power", None, None),
+    ("traced", "sampler.hamiltonian_classical", None, None),
+    ("traced", "sampler.write_samples_csv", None, None),
+    ("traced", "sampler.write_samples_binary", None, None),
+    ("traced", "sampler.spectrum_csv", None, None),
+    ("traced", "verify.run_suite", None, None),
+    ("run", "cli.load_config", (_,), {}),
+    ("run", "errors.KGFError", None, None),
+    ("workloads", "kernels.WavePacket", (), dict.fromkeys(
+        ("dim", "center_t", "center_x", "width_t", "width_x", "carrier_freq",
+         "carrier_wavevector", "amplitude"), _)),
+    ("workloads", "kernels.PhysicalConstants", (), dict.fromkeys(("hbar", "kT", "mass"), _)),
+    ("workloads", "kernels.QuadratureSpec", (), {"nodes": _}),
+    ("workloads", "kernels.KernelSpec", (), dict.fromkeys(
+        ("variant", "constants", "dim", "quadrature"), _)),
+    ("workloads", "kernels.KernelVariant.QUANTUM", None, None),
+    ("workloads", "kernels.KernelVariant.CLASSICAL", None, None),
+    ("workloads", "kernels.inner_product", (_, _, _), {}),
+    ("workloads", "kernels.positivity_check", (_, _), {"check": False}),
+    ("workloads", "sampler.LatticeSpec", (), {"dim": _, "sites_per_axis": _}),
+    ("workloads", "sampler.sample_array", (_, _, _, _), {"workers": 1}),
+    ("workloads", "sampler.read_samples_binary", (_,), {}),
+    ("workloads", "sampler.read_samples_csv", (_,), {}),
+    ("workloads", "spectra.Ensemble.CLASSICAL_EQUILIBRIUM", None, None),
+    ("workloads", "spectra.Ensemble.QUANTUM_THERMAL", None, None),
+    ("workloads", "spectra.Ensemble.QUANTUM_VACUUM", None, None),
+    ("workloads", "spectra.SpectralDensity", (_, _), {}),
+    ("workloads", "spectra.spectral_coefficient", (_, _), {}),
+    ("test_perfbench", "opalgebra.FunctionRegistry", (), {}),
+    ("test_perfbench", "opalgebra.FunctionRegistry.register", (_, _), {}),
+    ("test_perfbench", "opalgebra.InnerProductTable", (_,), {}),
+    ("test_perfbench", "opalgebra.parse_expression", (_, _), {}),
+    ("test_perfbench", "opalgebra.vacuum_expectation", (_, _), {}),
+]
+
+
+@pytest.mark.parametrize("caller, name, args, kwargs", PERFBENCH_LOOKUPS,
+                         ids=[f"{caller}:{name}" for caller, name, *_ in PERFBENCH_LOOKUPS])
+def test_perfbench_lookups_resolve_and_bind(caller, name, args, kwargs):
+    module, *path = name.split(".")
+    obj = importlib.import_module(f"kgf.{module}")
+    for attr in path:
+        obj = getattr(obj, attr)
+    if args is not None:
+        inspect.signature(obj).bind(*args, **kwargs)
+
+
+def test_perfbench_reads_these_attributes():
+    from kgf import kernels, sampler, spectra
+
+    spec = kernels.KernelSpec()
+    assert isinstance(spec.quadrature.nodes, int) and spec.dim == 1
+    lattice = sampler.LatticeSpec(dim=1, sites_per_axis=8)
+    for attr in ("dim", "sites_per_axis", "spacing", "shape", "total_sites", "volume"):
+        getattr(lattice, attr)
+    density = spectra.SpectralDensity(spectra.Ensemble.QUANTUM_VACUUM)
+    assert sampler._SpectrumPlan(density, lattice, False).lattice is lattice

@@ -57,7 +57,7 @@ class TestLatticeSpec:
         {"dim": 4}, {"dim": 0}, {"sites_per_axis": 10},
         {"sites_per_axis": 4}, {"spacing": 0.0}, {"spacing": -1.0},
         {"spacing": float("nan")}, {"spacing": 1e300},
-        {"dim": 3, "spacing": 1e103},
+        {"dim": 3, "spacing": 1e103}, {"dim": 3, "spacing": 1e-153},
     ])
     def test_rejects_bad_parameters(self, kw):
         with pytest.raises(InvalidInputError):

@@ -85,6 +85,26 @@ class TestSpectralCoefficient:
             k = np.geomspace(1e-4, 50.0, 40)
             assert np.all(spectral_coefficient(d, k) > 0)
 
+    @pytest.mark.parametrize("ens", [Ensemble.QUANTUM_VACUUM, Ensemble.QUANTUM_THERMAL,
+                                     Ensemble.XI_VACUUM, Ensemble.XI_LAMBDA])
+    def test_linear_coefficients_finite_past_the_square_overflow(self, ens):
+        # k*k overflows at |k| = 1e200; omega = |k| and c(k) do not
+        c = PhysicalConstants(xi=0.5)
+        lam = 0.7 if ens is Ensemble.XI_LAMBDA else None
+        d = density(ens, c, lam=lam)
+        slope = {Ensemble.QUANTUM_VACUUM: 1.0, Ensemble.QUANTUM_THERMAL: 1.0,
+                 Ensemble.XI_VACUUM: 2.0,
+                 Ensemble.XI_LAMBDA: 2.0 * math.tanh(0.5 / 1.4)}[ens]
+        assert spectral_coefficient(d, 1e200) == pytest.approx(slope * 1e200, rel=1e-15)
+        vec = spectral_coefficient(d, np.array([1.3, -1e200, 1e200]))
+        assert vec[0] == spectral_coefficient(d, 1.3)
+        assert vec[1] == vec[2] == spectral_coefficient(d, 1e200)
+
+    def test_classical_still_refused_past_its_overflow(self):
+        d = density(Ensemble.CLASSICAL_EQUILIBRIUM)
+        with pytest.raises(InvalidInputError, match="overflows at \\|k\\| = 1e\\+200"):
+            spectral_coefficient(d, 1e200)
+
     def test_nonfinite_k_rejected(self):
         d = density(Ensemble.QUANTUM_VACUUM)
         with pytest.raises(InvalidInputError):
