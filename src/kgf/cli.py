@@ -84,11 +84,7 @@ CONFIG_SCHEMA = {
         "quadrature": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "cutoff": {"type": ["number", "null"]},
-                "nodes": {"type": "integer", "minimum": 16},
-                "rule": {"type": "string", "enum": ["gauss-legendre"]},
-            },
+            "properties": {"nodes": {"type": "integer", "minimum": 16}},
         },
         "lattice": {
             "type": "object",
@@ -121,7 +117,7 @@ _SCHEMA_KEYWORDS = frozenset({
     "additionalProperties", "items", "minItems", "maxItems",
 })
 _JSON_TYPES = {"object": dict, "array": list, "string": str,
-               "null": type(None), "number": (int, float), "integer": int}
+               "number": (int, float), "integer": int}
 
 
 def _is_type(value, name: str) -> bool:
@@ -139,10 +135,9 @@ def _schema_error(value, schema: dict, path: tuple = ()):
     Interprets only :data:`_SCHEMA_KEYWORDS`, the ones CONFIG_SCHEMA uses;
     like JSON Schema, a bound ignores non-numbers and passes NaN.
     """
-    types = schema.get("type", [])
-    types = [types] if isinstance(types, str) else types
-    if types and not any(_is_type(value, name) for name in types):
-        return path, f"{value!r} is not of type {' or '.join(map(repr, types))}"
+    name = schema.get("type")
+    if name is not None and not _is_type(value, name):
+        return path, f"{value!r} is not of type {name!r}"
     if "enum" in schema and value not in schema["enum"]:
         return path, f"{value!r} is not one of {schema['enum']!r}"
     if _is_type(value, "number"):
@@ -240,8 +235,7 @@ def _seed(args, config: dict, default: int = 0) -> int:
 
 def _quadrature(config: dict) -> QuadratureSpec:
     section = config.get("quadrature", {})
-    return _declared(QuadratureSpec, cutoff=_pick(section, "cutoff", float),
-                     nodes=_pick(section, "nodes", int))
+    return _declared(QuadratureSpec, nodes=_pick(section, "nodes", int))
 
 
 def _packet(dim: int | None, fields: dict) -> WavePacket:

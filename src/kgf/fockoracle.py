@@ -60,9 +60,16 @@ VACUUM_GIBBS_X = 64.0
 
 
 def _auto_cutoff(x: float) -> int:
-    """Smallest n with e^(-x n) < TAIL_TOL * (1 - e^(-x)), at least MIN_CUTOFF."""
-    target = TAIL_TOL * (-math.expm1(-x))
-    return max(MIN_CUTOFF, math.ceil(-math.log(target) / x))
+    """Smallest n with e^(-x n) < TAIL_TOL * (1 - e^(-x)), at least MIN_CUTOFF;
+    refused past MAX_FOCK_STATES while n is a float, which may be inf."""
+    target = TAIL_TOL * (-math.expm1(-x))  # 0 below x ~ 5e-312
+    states = -math.log(target) / x if target > 0 else math.inf
+    if states > MAX_FOCK_STATES:
+        raise SizeLimitError(
+            f"gibbs_x {x!r} needs more number states than the limit "
+            f"MAX_FOCK_STATES = {MAX_FOCK_STATES}"
+        )
+    return max(MIN_CUTOFF, math.ceil(states))
 
 
 @dataclass(frozen=True)
@@ -86,11 +93,6 @@ class ModeSpec:
                 raise InvalidInputError(f"{name} must be a finite positive number, "
                                         f"got {value!r}")
         object.__setattr__(self, "cutoff", _auto_cutoff(self.gibbs_x))
-        if self.cutoff > MAX_FOCK_STATES:
-            raise SizeLimitError(
-                f"cutoff {self.cutoff} exceeds the number-state limit "
-                f"MAX_FOCK_STATES = {MAX_FOCK_STATES} (gibbs_x {self.gibbs_x!r})"
-            )
 
 
 def bose_occupancy(x: float) -> float:

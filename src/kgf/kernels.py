@@ -176,25 +176,15 @@ class QuadratureSpec:
     """How to evaluate the reduced wave-vector integral.
 
     The rule is radial: ``nodes`` Gauss-Legendre radii on [0, cutoff] and,
-    in D >= 2, as many direction points per radius.  ``cutoff=None`` lets
-    each inner product pick |kbar| + 12/sigma over the two packets involved.
-    A given cutoff is stored as a float, so its powers overflow to inf as
-    every other scale's do.  ``nodes`` lies in [16, MAX_QUADRATURE_NODES].
+    in D >= 2, as many direction points per radius.  The cutoff is derived,
+    never set: each inner product takes |kbar| + 12/sigma of whichever of
+    its two packets reaches further.  ``nodes`` lies in
+    [16, MAX_QUADRATURE_NODES].
     """
 
-    cutoff: float | None = None
     nodes: int = 256
 
     def __post_init__(self):
-        if self.cutoff is not None:
-            try:
-                object.__setattr__(self, "cutoff", float(self.cutoff))
-            except OverflowError:
-                raise InvalidInputError(
-                    "cutoff is an integer outside the float range") from None
-            _require_finite("cutoff", self.cutoff)
-            if self.cutoff <= 0:
-                raise InvalidInputError(f"cutoff must be > 0, got {self.cutoff}")
         if self.nodes < 16:
             raise InvalidInputError(f"need at least 16 quadrature nodes, got {self.nodes}")
         if self.nodes > MAX_QUADRATURE_NODES:
@@ -268,12 +258,6 @@ def _radial_rule(dim: int, nodes: int):
         theta = (np.arange(nodes) + 0.5) * (math.pi / nodes)
         return r, radial, np.cos(theta), np.full(nodes, 1.0 / nodes)
     return r, radial, x, 0.5 * w
-
-
-def _resolve_cutoff(spec: KernelSpec, f: WavePacket, g: WavePacket) -> float:
-    if spec.quadrature.cutoff is not None:
-        return spec.quadrature.cutoff
-    return max(f.suggested_cutoff, g.suggested_cutoff)
 
 
 def _variant_weight(spec: KernelSpec, omega: np.ndarray) -> np.ndarray:
@@ -351,7 +335,7 @@ def _diagnosed_inner_product(spec: KernelSpec, f: WavePacket, g: WavePacket,
             f"dimension mismatch: kernel D={spec.dim}, f D={f.dim}, g D={g.dim}"
         )
     nodes = spec.quadrature.nodes
-    cutoff = _resolve_cutoff(spec, f, g)
+    cutoff = max(f.suggested_cutoff, g.suggested_cutoff)
     value = _reduced_integral(spec, f, g, nodes, cutoff)
     if not check:
         return value, None

@@ -89,6 +89,10 @@ _CHUNK_BYTES = 2**20
 #: size; the bytes written do not depend on it.
 _CSV_SLAB_ROWS = 4096
 
+#: Largest ratio of two nonzero mode scales in one draw.  Below it every
+#: mode keeps at least 12 fraction bits in the site sums of the inverse FFT.
+MAX_MODE_SCALE_RATIO = 2**40
+
 #: Distinguishes field-sampling Philox streams from any other use of a seed.
 _PHILOX_TAG = 0x4B474631  # "KGF1"
 
@@ -368,6 +372,13 @@ def sample_chunks(density: SpectralDensity, lattice: LatticeSpec, seed: int,
     if workers < 1:
         raise InvalidInputError(f"worker count must be >= 1, got {workers}")
     plan = _SpectrumPlan(density, lattice, pin_zero_mode)
+    scales = np.concatenate((plan.scale, plan.scale_self))
+    scales = scales[scales > 0.0]
+    if scales.max() > MAX_MODE_SCALE_RATIO * scales.min():
+        raise InvalidInputError(
+            f"spacing {lattice.spacing!r} and mass {density.constants.mass!r} give mode "
+            f"scales spanning {scales.max() / scales.min():.2g}, past MAX_MODE_SCALE_RATIO"
+            f" = {MAX_MODE_SCALE_RATIO:.2g}: smaller modes would round away in the site sums")
     blocks = (plan.block_chunks(seed, b, min(BLOCK_SIZE, n - b * BLOCK_SIZE))
               for b in range(-(-n // BLOCK_SIZE)))
     if workers == 1:

@@ -55,6 +55,14 @@ DEFAULT_SEED = 20608
 MODE_PASS_FRACTION = 0.99
 MODE_SIGMA = 5.0
 
+#: Check sizes: randomized packet pairs of the kernel-axiom and two-point
+#: checks, random ip tables of the algebra check, and samples per sampled
+#: ensemble.  Part of the shipped contract, like the tolerances.
+KERNEL_AXIOM_PAIRS = 100
+TWO_POINT_PAIRS = 20
+ALGEBRA_TABLES = 20
+N_SAMPLES = 20000
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -88,13 +96,13 @@ def _random_packet(rng: np.random.Generator) -> WavePacket:
     )
 
 
-def check_kernel_axioms(pairs: int = 100, seed: int = DEFAULT_SEED) -> CheckResult:
+def check_kernel_axioms(seed: int = DEFAULT_SEED) -> CheckResult:
     """Hermiticity, positivity and xi-scaling on randomized packet pairs."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst_herm = worst_scale = 0.0
     min_norm = math.inf
-    for _ in range(pairs):
+    for _ in range(KERNEL_AXIOM_PAIRS):
         constants = PhysicalConstants(
             hbar=1.0, kT=1.0,
             mass=float(rng.uniform(0.6, 2.0)),
@@ -120,7 +128,7 @@ def check_kernel_axioms(pairs: int = 100, seed: int = DEFAULT_SEED) -> CheckResu
     passed = worst_herm <= 1e-8 and worst_scale <= 1e-12 and min_norm > 0.0
     return _result(
         "kernel_axioms", start, passed,
-        f"{pairs} pairs: hermiticity dev {worst_herm:.2e} (tol 1e-08), "
+        f"{KERNEL_AXIOM_PAIRS} pairs: hermiticity dev {worst_herm:.2e} (tol 1e-08), "
         f"xi-scaling dev {worst_scale:.2e} (tol 1e-12), min norm {min_norm:.3e}",
     )
 
@@ -136,8 +144,7 @@ def _random_hermitian_table(rng: np.random.Generator,
     return opalgebra.InnerProductTable(entries)
 
 
-def check_algebra_equivalence(tables: int = 20,
-                              seed: int = DEFAULT_SEED) -> CheckResult:
+def check_algebra_equivalence(seed: int = DEFAULT_SEED) -> CheckResult:
     """Contraction-kernel VEVs against the rewriting engine on random ip tables.
 
     ``wick_vev`` and ``vacuum_expectation`` both run on the contraction
@@ -151,7 +158,7 @@ def check_algebra_equivalence(tables: int = 20,
         registry.register(f"f{i + 1}")
     worst = 0.0
     odd_ok = True
-    for _ in range(tables):
+    for _ in range(ALGEBRA_TABLES):
         ip = _random_hermitian_table(rng, size)
         for n in (2, 4, 6, 8, 1, 3, 5, 7):
             indices = [int(v) for v in rng.integers(1, size + 1, size=n)]
@@ -169,17 +176,17 @@ def check_algebra_equivalence(tables: int = 20,
     passed = worst <= 1e-10 and odd_ok
     return _result(
         "algebra_equivalence", start, passed,
-        f"{tables} tables, n in 2/4/6/8: worst rel dev {worst:.2e} (tol 1e-10), "
+        f"{ALGEBRA_TABLES} tables, n in 2/4/6/8: worst rel dev {worst:.2e} (tol 1e-10), "
         f"odd products exactly zero: {odd_ok}",
     )
 
 
-def check_two_point(pairs: int = 20, seed: int = DEFAULT_SEED) -> CheckResult:
+def check_two_point(seed: int = DEFAULT_SEED) -> CheckResult:
     """<0| phi[f1] phi[f2] |0> = (f2, f1) under the quantum kernel."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(pairs):
+    for _ in range(TWO_POINT_PAIRS):
         constants = PhysicalConstants(mass=float(rng.uniform(0.6, 2.0)))
         spec = KernelSpec(KernelVariant.QUANTUM, constants, dim=1)
         registry = opalgebra.FunctionRegistry()
@@ -202,7 +209,7 @@ def check_two_point(pairs: int = 20, seed: int = DEFAULT_SEED) -> CheckResult:
     passed = worst <= 1e-8
     return _result(
         "two_point_orientation", start, passed,
-        f"{pairs} pairs: worst rel dev {worst:.2e} (tol 1e-08)",
+        f"{TWO_POINT_PAIRS} pairs: worst rel dev {worst:.2e} (tol 1e-08)",
     )
 
 
@@ -228,13 +235,11 @@ def check_lambda_closure() -> CheckResult:
 def check_crossover() -> CheckResult:
     """c_T tracks c_E below hbar*omega/2kT = 0.1 and c_Q above 3, within 1%.
 
-    Quantitative only in the near-massless regime, enforced here as
-    m <= 0.01 kT/hbar.
+    Quantitative only in the near-massless regime, so the check runs at
+    m = 0.01 kT/hbar.
     """
     start = time.perf_counter()
     constants = PhysicalConstants(hbar=1.0, kT=1.0, mass=0.01)
-    if constants.mass > 0.01 * constants.kT / constants.hbar:
-        raise InvalidInputError("crossover check needs m <= 0.01 kT/hbar")
     k_grid = np.concatenate(([0.0], np.geomspace(1e-3, 20.0, 160)))
     rows = spectra.crossover_report(constants, k_grid)
     worst_low = worst_high = 0.0
@@ -259,18 +264,9 @@ def check_crossover() -> CheckResult:
 
 def _verification_densities() -> dict:
     constants = PhysicalConstants(hbar=1.0, kT=1.0, mass=1.0, xi=0.5)
-    return {
-        Ensemble.CLASSICAL_EQUILIBRIUM:
-            SpectralDensity(Ensemble.CLASSICAL_EQUILIBRIUM, constants),
-        Ensemble.QUANTUM_VACUUM:
-            SpectralDensity(Ensemble.QUANTUM_VACUUM, constants),
-        Ensemble.QUANTUM_THERMAL:
-            SpectralDensity(Ensemble.QUANTUM_THERMAL, constants),
-        Ensemble.XI_VACUUM:
-            SpectralDensity(Ensemble.XI_VACUUM, constants),
-        Ensemble.XI_LAMBDA:
-            SpectralDensity.xi_lambda_closed(constants),
-    }
+    return {ens: SpectralDensity(ens, constants, lam=lambda_of_xi(constants.xi)
+                                 if ens is Ensemble.XI_LAMBDA else None)
+            for ens in Ensemble}
 
 
 def _moment_pass_fraction(estimate: sampler.SpectrumEstimate,
@@ -288,8 +284,7 @@ def _sampled_spectrum(density: SpectralDensity, lattice: sampler.LatticeSpec,
     return acc.finalize()
 
 
-def check_sampler_moments(n_samples: int = 20000,
-                          seed: int = DEFAULT_SEED) -> CheckResult:
+def check_sampler_moments(seed: int = DEFAULT_SEED) -> CheckResult:
     """Per-mode E[|phi~_k|^2] = V/(2c) on all five ensembles, plus determinism."""
     start = time.perf_counter()
     lattice = sampler.LatticeSpec(dim=1, sites_per_axis=64, spacing=1.0)
@@ -297,7 +292,7 @@ def check_sampler_moments(n_samples: int = 20000,
     passed = True
     for ensemble, density in _verification_densities().items():
         t0 = time.perf_counter()
-        estimate = _sampled_spectrum(density, lattice, seed, n_samples)
+        estimate = _sampled_spectrum(density, lattice, seed, N_SAMPLES)
         expected = sampler.expected_power(density, lattice)
         frac, worst_z = _moment_pass_fraction(estimate, expected)
         dt = time.perf_counter() - t0
@@ -306,27 +301,28 @@ def check_sampler_moments(n_samples: int = 20000,
         lines.append(f"{ensemble.value}: {frac:.1%} in {MODE_SIGMA}se "
                      f"(worst z {worst_z:.2f}, {dt:.1f}s)")
     density = _verification_densities()[Ensemble.QUANTUM_VACUUM]
-    serial = sampler.sample_array(density, lattice, seed, 512, workers=1)
-    threaded = sampler.sample_array(density, lattice, seed, 512, workers=4)
-    deterministic = serial.tobytes() == threaded.tobytes()
+    serial, threaded = (
+        b"".join(chunk.values.tobytes() for chunk in sampler.sample_chunks(
+            density, lattice, seed, 512, workers=workers))
+        for workers in (1, 4))
+    deterministic = serial == threaded
     passed = passed and deterministic
     lines.append(f"byte-identical across worker counts: {deterministic}")
     return _result("sampler_moments", start, passed, "; ".join(lines))
 
 
-def check_equipartition(n_samples: int = 20000,
-                        seed: int = DEFAULT_SEED) -> CheckResult:
+def check_equipartition(seed: int = DEFAULT_SEED) -> CheckResult:
     """Classical ensemble: E[H_C] = (mode count) kT/2 within 5 standard errors."""
     start = time.perf_counter()
     constants = PhysicalConstants(hbar=1.0, kT=1.0, mass=1.0, xi=0.5)
     density = SpectralDensity(Ensemble.CLASSICAL_EQUILIBRIUM, constants)
     lattice = sampler.LatticeSpec(dim=1, sites_per_axis=64, spacing=1.0)
     half_omega_sq = 0.5 * (lattice.mode_magnitudes() ** 2 + constants.mass**2)
-    stream = sampler.sample_chunks(density, lattice, (seed + 1) % 2**64, n_samples)
+    stream = sampler.sample_chunks(density, lattice, (seed + 1) % 2**64, N_SAMPLES)
     values = np.concatenate([chunk.mode_sums(half_omega_sq) for chunk in stream])
     target = lattice.total_sites * constants.kT / 2.0
     mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(n_samples))
+    stderr = float(np.std(values, ddof=1) / math.sqrt(N_SAMPLES))
     z = abs(mean - target) / stderr
     passed = z <= MODE_SIGMA
     return _result(
@@ -335,8 +331,7 @@ def check_equipartition(n_samples: int = 20000,
     )
 
 
-def check_fock_oracle(n_samples: int = 20000,
-                      seed: int = DEFAULT_SEED) -> CheckResult:
+def check_fock_oracle(seed: int = DEFAULT_SEED) -> CheckResult:
     """Truncated-basis oracle vs coth closed form, spectral coefficients,
     and the sampled lattice."""
     start = time.perf_counter()
@@ -361,7 +356,7 @@ def check_fock_oracle(n_samples: int = 20000,
         worst_density = max(worst_density, chk.rel_err)
 
     lattice = sampler.LatticeSpec(dim=1, sites_per_axis=64, spacing=1.0)
-    estimate = _sampled_spectrum(thermal, lattice, (seed + 2) % 2**64, n_samples)
+    estimate = _sampled_spectrum(thermal, lattice, (seed + 2) % 2**64, N_SAMPLES)
     kmags = lattice.mode_magnitudes()
     oracle = np.array([
         fockoracle.mode_variance_numeric(fockoracle.ModeSpec(
@@ -399,13 +394,8 @@ def run_suite(name: str = "all", seed: int = DEFAULT_SEED) -> list:
         raise InvalidInputError(
             f"unknown suite {name!r}; choose from {sorted(SUITES)}"
         ) from None
-    results = []
-    for check in checks:
-        if check in (check_lambda_closure, check_crossover):
-            results.append(check())
-        else:
-            results.append(check(seed=seed))
-    return results
+    return [check() if check in (check_lambda_closure, check_crossover)
+            else check(seed=seed) for check in checks]
 
 
 def format_results(results) -> str:

@@ -1,11 +1,12 @@
 """Acceptance gate: one test per shipped criterion, run at desk scale.
 
 Each test prints a single ``criterion N (<label>): PASS/FAIL`` line with
-the measured detail, then asserts.  Tolerances and sample counts are the
+the measured detail, then asserts.  Tolerances and check sizes are the
 shipped contract, not tuning knobs: 1e-8 for quadrature-limited kernel
 identities, 1e-12 for algebraic rescalings, 1e-10 for the rewriting and
-oracle comparisons, five standard errors for sampled moments.  Runtime
-budgets are asserted where the contract states them.
+oracle comparisons, five standard errors for sampled moments.  The check
+sizes are constants of :mod:`kgf.verify`, so each check takes its seed
+only.  Runtime budgets are asserted where the contract states them.
 """
 
 import subprocess
@@ -28,10 +29,16 @@ def report(num, label, result, budget=None):
         )
 
 
+def test_check_sizes_are_the_contract():
+    # the sizes the criteria below state, which each check reads itself
+    assert (verify.KERNEL_AXIOM_PAIRS, verify.ALGEBRA_TABLES,
+            verify.TWO_POINT_PAIRS, verify.N_SAMPLES) == (100, 20, 20, 20000)
+
+
 def test_criterion_1_kernel_axioms():
     # 100 randomized D=1 pairs: Hermiticity and positivity to 1e-8
     # relative, xi-scaling to 1e-12; budget 30 s
-    report(1, "kernel axioms", verify.check_kernel_axioms(100, seed=SEED),
+    report(1, "kernel axioms", verify.check_kernel_axioms(seed=SEED),
            budget=30.0)
 
 
@@ -39,12 +46,12 @@ def test_criterion_2_algorithm_equivalence():
     # rewriting VEV vs Wick-pairing VEV, 20 random Hermitian tables,
     # n in {2,4,6,8} to 1e-10 relative, odd n exactly 0; budget 10 s
     report(2, "algorithm equivalence",
-           verify.check_algebra_equivalence(20, seed=SEED), budget=10.0)
+           verify.check_algebra_equivalence(seed=SEED), budget=10.0)
 
 
 def test_criterion_3_two_point_orientation():
     # <0| phi[f1] phi[f2] |0> = inner_product(f2, f1) to 1e-8, 20 pairs
-    report(3, "two-point orientation", verify.check_two_point(20, seed=SEED))
+    report(3, "two-point orientation", verify.check_two_point(seed=SEED))
 
 
 def test_criterion_4_lambda_closure():
@@ -64,13 +71,13 @@ def test_criterion_6_sampler_moment_contract():
     # >= 99% of modes within 5 stderr of V/(2c); byte-identical across
     # worker counts; budget 60 s per ensemble
     report(6, "sampler moment contract",
-           verify.check_sampler_moments(20000, seed=SEED), budget=5 * 60.0)
+           verify.check_sampler_moments(seed=SEED), budget=5 * 60.0)
 
 
 def test_criterion_7_equipartition():
     # classical ensemble: mean H_C = (mode count) kT / 2 within 5 stderr
     # over 20000 samples
-    report(7, "equipartition", verify.check_equipartition(20000, seed=SEED))
+    report(7, "equipartition", verify.check_equipartition(seed=SEED))
 
 
 def test_criterion_8_fock_oracle():
@@ -78,7 +85,7 @@ def test_criterion_8_fock_oracle():
     # verify_density_variance to 1e-10 on 64 thermal k's and 9 xi's;
     # sampled lattice variance within 5 sigma.  The 10 s budget excludes
     # the sampling leg, so the assert allows for it.
-    report(8, "fock oracle", verify.check_fock_oracle(20000, seed=SEED),
+    report(8, "fock oracle", verify.check_fock_oracle(seed=SEED),
            budget=60.0)
 
 

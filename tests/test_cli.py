@@ -95,15 +95,15 @@ class TestConfigHandling:
         base = parse_value(capsys.readouterr().out.splitlines()[0])
         assert overridden == base
 
-    def test_old_rule_key_loads_and_trapezoid_exits_2(self, tmp_path, capsys):
-        config = json.loads(json.dumps(BASE_CONFIG))
-        config["quadrature"] = {"rule": "gauss-legendre"}
-        cfg = write_config(tmp_path, config)
-        assert main(["innerprod", "--config", cfg, "-f", "f1", "-g", "f2"]) == 0
-        config["quadrature"] = {"rule": "trapezoid"}
+    @pytest.mark.parametrize("key, value", [("cutoff", None), ("cutoff", 9.0),
+                                            ("rule", "gauss-legendre")])
+    def test_quadrature_cutoff_and_rule_keys_exit_2(self, tmp_path, capsys,
+                                                    key, value):
+        config = dict(BASE_CONFIG, quadrature={key: value})
         cfg = write_config(tmp_path, config)
         assert main(["innerprod", "--config", cfg, "-f", "f1", "-g", "f2"]) == 2
-        assert "quadrature/rule" in capsys.readouterr().err
+        assert (f"failed validation at quadrature: additional property "
+                f"{key!r} is not allowed") in capsys.readouterr().err
 
     def test_node_ceiling_exits_2_before_quadrature(
             self, tmp_path, capsys, monkeypatch):
@@ -218,7 +218,7 @@ class TestOverflowingInputs:
     @pytest.mark.parametrize("config", [
         {"packets": {"f": {"width_x": 1e300}, "g": {}}},
         {"constants": {"mass": 1e308}, "packets": {"f": {}, "g": {}}},
-        {"dim": 2, "quadrature": {"cutoff": 10**200}, "packets": {"f": {}, "g": {}}},
+        {"dim": 2, "packets": {"f": {"carrier_wavevector": [1e200, 0]}, "g": {}}},
         {"packets": {"f": {"width_x": 1e-300}, "g": {}}},
     ])
     def test_kernel_overflow_is_a_non_finite_estimate(self, tmp_path, capsys, config):
@@ -256,6 +256,17 @@ class TestOverflowingInputs:
         assert line == "error: spacing 1e-153 underflows spacing**6"
         assert not out.exists()
 
+    def test_spacing_whose_mode_scales_spread_too_far_exits_2(
+            self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"dim": 3, "lattice": {"spacing": 2e-51}})
+        out = tmp_path / "artifacts"
+        assert main(["sample", "--config", cfg, "--ensemble", "vacuum",
+                     "--lattice-n", "8", "--samples", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "spacing 2e-51 and mass 1.0" in err
+        assert "MAX_MODE_SCALE_RATIO" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("config, where", [
         ({"constants": {"mass": 10**400}}, "constants/mass: an integer of 401 digits"),
         ({"packets": {"f": {"center_x": [-(10**309)]}}}, "packets/f/center_x/0: "),
@@ -283,7 +294,7 @@ FULL_CONFIG = {
         "width_x": 1.0, "carrier_freq": 0.0, "carrier_wavevector": [0.5, 0.0],
         "amplitude": [1.0, 0.0],
     }},
-    "quadrature": {"cutoff": None, "nodes": 64, "rule": "gauss-legendre"},
+    "quadrature": {"nodes": 64},
     "lattice": {"sites_per_axis": 16, "spacing": 0.5},
     "ensemble": "vacuum",
     "lambda": 1.0,
@@ -376,8 +387,10 @@ class TestConfigSchema:
         validator_class.check_schema(cli.CONFIG_SCHEMA)
         reference = validator_class(cli.CONFIG_SCHEMA)
         outcomes = {True: 0, False: 0}
-        for config in mutants():
-            path = write_config(tmp_path, config)
+        for i, config in enumerate(mutants()):
+            # a fresh file each: overwriting one file costs far more on some
+            # file systems than writing a new one
+            path = write_config(tmp_path, config, f"mutant{i}.json")
             try:
                 cli.load_config(path)
                 accepted = True
@@ -406,7 +419,11 @@ class TestInnerprod:
         assert main(["innerprod", "--config", cfg, "-f", "f1", "-g", "f2"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("(f1, f2)_quantum = ")
-        assert "quadrature: cutoff" in out[1]
+        # the cutoff is that of f2, which reaches further: 0.8 + 12/1.0
+        f1 = WavePacket(width_x=1.0, carrier_freq=0.5)
+        f2 = WavePacket(center_x=[0.4], carrier_wavevector=[0.8])
+        assert f1.suggested_cutoff < f2.suggested_cutoff
+        assert out[1].startswith(f"quadrature: cutoff {cli._fmt(f2.suggested_cutoff)}, ")
         assert "relative shift" in out[1]
 
     def test_xi_kernel_halves_quantum(self, tmp_path, capsys):
@@ -755,8 +772,9 @@ class TestVerify:
             return real(density, lattice, stream_seed, n, *args, **kwargs)
 
         monkeypatch.setattr(sampler, "sample_chunks", spy)
-        verify.check_equipartition(n_samples=300, seed=seed)
-        verify.check_fock_oracle(n_samples=300, seed=seed)
+        monkeypatch.setattr(verify, "N_SAMPLES", 300)
+        verify.check_equipartition(seed=seed)
+        verify.check_fock_oracle(seed=seed)
         assert drawn == [(seed + 1) % 2**64, (seed + 2) % 2**64]
 
     @pytest.mark.parametrize("suite", ["sampler", "fock"])

@@ -1,6 +1,7 @@
 """Number-basis oracle: Gibbs sums, tail guards, density cross-checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,15 +61,19 @@ class TestModeSpec:
         with pytest.raises(TypeError):
             ModeSpec(omega=1.0, hbar_eff=1.0, gibbs_x=10.0, cutoff=400)
 
-    @pytest.mark.parametrize("kw", [{"gibbs_x": 1e-8}])
+    # the automatic cutoff at x = 1e-8 is 4.6e9 states (about 110 GB); at
+    # the tiny x it would be a 300-digit integer, inf, or a log of 0
+    @pytest.mark.parametrize("kw", [{"gibbs_x": x} for x in
+                                    (1e-8, 1e-300, 1e-307, 1e-313, 5e-324)])
     def test_state_limit_refuses_before_allocating(self, kw, monkeypatch):
-        # the automatic cutoff at x = 1e-8 is 4.6e9 states (about 110 GB)
         def no_arange(*args, **kwargs):
             raise AssertionError("number states were allocated")
         monkeypatch.setattr(fockoracle.np, "arange", no_arange)
-        with pytest.raises(SizeLimitError, match="MAX_FOCK_STATES"):
+        with pytest.raises(SizeLimitError, match="MAX_FOCK_STATES") as err:
             mode = ModeSpec(**{"omega": 1.0, "hbar_eff": 1.0, "gibbs_x": 1.0, **kw})
             mode_variance_numeric(mode)
+        assert f"gibbs_x {kw['gibbs_x']!r}" in str(err.value)
+        assert max(map(len, re.findall(r"\d+", str(err.value)))) < 10
 
     def test_state_limit_spares_the_verify_range(self):
         for x in np.geomspace(0.2, 10.0, 20):

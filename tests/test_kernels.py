@@ -258,11 +258,12 @@ class TestQuadratureBehavior:
             inner_product(quantum(), f, f)
 
     def test_vanishing_norm_raises_accuracy_error(self):
-        # the cutoff misses the packet at k=100: both estimates are exactly
-        # 0, which proves nothing about a packet of nonzero amplitude
-        f = packet(carrier_wavevector=(100.0,))
-        with pytest.raises(AccuracyError):
-            inner_product(quantum(cutoff=10.0), f, f)
+        # the carrier frequency 1000 lies far off the mass shell inside the
+        # cutoff 12: both estimates are exactly 0, which proves nothing
+        # about a packet of nonzero amplitude
+        f = packet(carrier_freq=1000.0)
+        with pytest.raises(AccuracyError, match="found no weight"):
+            inner_product(quantum(), f, f)
 
     def test_massless_even_nodes_is_finite(self):
         f = packet(width_x=2.0)
@@ -271,21 +272,19 @@ class TestQuadratureBehavior:
         assert value.real > 0
 
     @pytest.mark.filterwarnings("error")
-    def test_integer_cutoff_overflows_to_a_non_finite_estimate(self):
-        spec = quantum(dim=2, cutoff=10**200)
-        assert isinstance(spec.quadrature.cutoff, float)
+    def test_overflowing_cutoff_gives_a_non_finite_estimate(self):
+        # the derived cutoff 1e200 + 12 has a square past the float range
+        f = packet(dim=2, carrier_wavevector=(1e200, 0.0))
         with pytest.raises(AccuracyError, match="non-finite estimate"):
-            inner_product(spec, packet(dim=2), packet(dim=2))
+            inner_product(quantum(dim=2), f, packet(dim=2))
 
-    def test_integer_cutoff_past_the_float_range_rejected(self):
-        with pytest.raises(InvalidInputError, match="cutoff"):
-            QuadratureSpec(cutoff=10**400)
-
-    def test_explicit_cutoff_respected(self):
-        f = packet()
-        _, diag = inner_product_with_diagnostics(
-            quantum(cutoff=9.0), f, f)
-        assert diag.cutoff == 9.0
+    def test_cutoff_is_that_of_the_further_reaching_packet(self):
+        f = packet(width_x=0.9, carrier_wavevector=(0.5,))
+        g = packet(width_x=1.6, carrier_wavevector=(2.5,), center_x=(0.3,))
+        assert f.suggested_cutoff != g.suggested_cutoff
+        for a, b in ((f, g), (g, f)):
+            _, diag = inner_product_with_diagnostics(quantum(), a, b)
+            assert diag.cutoff == max(f.suggested_cutoff, g.suggested_cutoff)
 
     def test_node_floor_enforced(self):
         with pytest.raises(InvalidInputError):

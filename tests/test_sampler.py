@@ -346,6 +346,33 @@ class TestDegenerateModes:
         assert expected_power(massless, lat, pin_zero_mode=True)[0] == 0.0
 
 
+class TestModeScaleRatio:
+    @pytest.mark.parametrize("ensemble, dim, n, spacing, mass, pin", [
+        (Ensemble.QUANTUM_VACUUM, 3, 8, 1e-20, 1.0, False),         # 3.3e10
+        (Ensemble.CLASSICAL_EQUILIBRIUM, 1, 64, 1.0, 1e-9, False),  # 4.4e9
+        (Ensemble.CLASSICAL_EQUILIBRIUM, 3, 64, 1.0, 0.01, False),  # 770
+        (Ensemble.CLASSICAL_EQUILIBRIUM, 1, 256, 1.0, 0.0, True),   # 128
+    ])
+    def test_spread_within_the_bound_is_sampled(self, ensemble, dim, n, spacing,
+                                                mass, pin):
+        density = SpectralDensity(ensemble, PhysicalConstants(mass=mass))
+        lat = LatticeSpec(dim=dim, sites_per_axis=n, spacing=spacing)
+        sampler.sample_chunks(density, lat, seed=1, n=1, pin_zero_mode=pin)
+
+    def test_spread_past_the_bound_refused_before_drawing(self, monkeypatch):
+        # spacing 2e-51 at mass 1: the zero mode's scale is 7.4e25 times
+        # the others', which would all round away in the site sums
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(sampler._SpectrumPlan, "block_chunks", no_draw)
+        lat = LatticeSpec(dim=3, sites_per_axis=8, spacing=2e-51)
+        with pytest.raises(InvalidInputError,
+                           match="spacing 2e-51 and mass 1.0 .*7.4e\\+25.*"
+                                 "MAX_MODE_SCALE_RATIO"):
+            sampler.sample_chunks(VACUUM, lat, seed=1, n=1)
+
+
 class TestSmearing:
     LAT = LatticeSpec(dim=1, sites_per_axis=32, spacing=0.25)
 
