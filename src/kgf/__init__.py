@@ -41,8 +41,7 @@ _EXPORTS = {
     "opalgebra": (
         "FunctionRegistry", "InnerProductTable", "OperatorExpression",
         "field_operator", "normal_order", "vacuum_expectation", "wick_vev",
-        "excited_state_norm", "enumerate_pairings", "parse_expression",
-        "parse_terms",
+        "enumerate_pairings", "parse_expression", "parse_terms",
     ),
     "spectra": (
         "Ensemble", "SpectralDensity", "spectral_coefficient", "lambda_of_xi",
@@ -52,10 +51,9 @@ _EXPORTS = {
         "LatticeSpec", "FieldConfiguration", "SpectrumAccumulator",
         "SpectrumEstimate", "sample_array", "power_spectrum",
         "expected_power", "smear", "smear_variance", "hamiltonian_classical",
-        "hamiltonian_quantum", "density_exponent",
     ),
     "fockoracle": (
-        "ModeSpec", "bose_occupancy", "mode_variance_numeric",
+        "ModeSpec", "mode_variance_numeric",
         "mode_variance_closed", "DensityVarianceCheck", "verify_density_variance",
     ),
 }

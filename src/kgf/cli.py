@@ -25,6 +25,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import opalgebra
 from .errors import AccuracyError, InvalidInputError, KGFError
 from .kernels import (
@@ -42,6 +44,9 @@ __all__ = ["main", "build_parser", "CONFIG_SCHEMA", "load_config"]
 #: ``sorted(verify.SUITES)``, spelled out so that building the parser does
 #: not import the verification suite.
 _VERIFY_SUITES = ("algebra", "all", "fock", "kernels", "sampler", "spectra")
+
+#: Most rows ``kgf spectra`` writes: about 40 MB of text, a 160 MB peak.
+MAX_K_GRID_COUNT = 2**20
 
 #: Each ensemble by its full name and by its short alias.
 ENSEMBLE_ALIASES = {ensemble.value: ensemble for ensemble in Ensemble} | dict(
@@ -384,16 +389,14 @@ def cmd_spectra(args) -> int:
     kmin = _pick(grid_cfg, "min", float, args.kmin, 0.0)
     kmax = _pick(grid_cfg, "max", float, args.kmax, 10.0)
     count = _pick(grid_cfg, "count", int, args.kcount, 256)
-    if not (kmax > kmin >= 0.0 and count >= 2):
+    if not (kmax > kmin >= 0.0 and 2 <= count <= MAX_K_GRID_COUNT):
         raise InvalidInputError(
-            f"bad k grid: min {kmin}, max {kmax}, count {count}"
+            f"bad k grid: min {kmin}, max {kmax}, count {count} "
+            f"(count at most MAX_K_GRID_COUNT = {MAX_K_GRID_COUNT})"
         )
-    lines = ["k,c"]
-    step = (kmax - kmin) / (count - 1)
-    for i in range(count):
-        k = kmin + step * i
-        lines.append(f"{_fmt(k)},{_fmt(spectral_coefficient(density, k))}")
-    text = "\n".join(lines) + "\n"
+    k = kmin + (kmax - kmin) / (count - 1) * np.arange(count)
+    c = spectral_coefficient(density, k)
+    text = "k,c\n" + "".join(f"{_fmt(kv)},{_fmt(cv)}\n" for kv, cv in zip(k, c))
     if args.out:
         path = _out_dir(args) / "coefficients.csv"
         path.write_text(text, encoding="utf-8")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, InvalidInputError, SizeLimitError
+from .errors import AccuracyError, InvalidInputError, SizeLimitError
 from .spectra import Ensemble, SpectralDensity, spectral_coefficient
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "MAX_FOCK_STATES",
     "VACUUM_GIBBS_X",
     "ModeSpec",
-    "bose_occupancy",
     "mode_variance_numeric",
     "mode_variance_closed",
     "DensityVarianceCheck",
@@ -93,13 +92,6 @@ class ModeSpec:
                 raise InvalidInputError(f"{name} must be a finite positive number, "
                                         f"got {value!r}")
         object.__setattr__(self, "cutoff", _auto_cutoff(self.gibbs_x))
-
-
-def bose_occupancy(x: float) -> float:
-    """Mean occupancy 1/(e^x - 1) of a Gibbs-weighted mode."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
-        raise DomainError(f"bose_occupancy needs x > 0, got {x!r}")
-    return 1.0 / math.expm1(x)
 
 
 def _tail_mass(mode: ModeSpec) -> float:

@@ -58,7 +58,6 @@ __all__ = [
     "contract",
     "vacuum_expectation",
     "wick_vev",
-    "excited_state_norm",
     "enumerate_pairings",
     "parse_expression",
     "parse_terms",
@@ -470,17 +469,6 @@ def wick_vev(indices, ip) -> complex:
     indices = list(indices)
     _check_pairing_size(len(indices))
     return contract([("phi", i) for i in indices], ip)
-
-
-def excited_state_norm(indices, ip) -> complex:
-    """<0| a[f_n]..a[f_1] adag[f_1]..adag[f_n] |0> by :func:`contract`.
-
-    Equals the permanent of the matrix M[p][q] = ip(f_p, f_q).
-    """
-    indices = list(indices)
-    letters = [(ANNIHILATE, i) for i in reversed(indices)]
-    letters += [(CREATE, i) for i in indices]
-    return contract(letters, ip)
 
 
 # --- operator-string front end -------------------------------------------

@@ -65,8 +65,6 @@ __all__ = [
     "smear",
     "smear_variance",
     "hamiltonian_classical",
-    "hamiltonian_quantum",
-    "density_exponent",
     "samples_writer",
     "write_samples_csv",
     "read_samples_csv",
@@ -92,6 +90,9 @@ _CSV_SLAB_ROWS = 4096
 #: Largest ratio of two nonzero mode scales in one draw.  Below it every
 #: mode keeps at least 12 fraction bits in the site sums of the inverse FFT.
 MAX_MODE_SCALE_RATIO = 2**40
+
+#: Most sampling threads: each opens one block, with about one chunk resident.
+MAX_WORKERS = 64
 
 #: Distinguishes field-sampling Philox streams from any other use of a seed.
 _PHILOX_TAG = 0x4B474631  # "KGF1"
@@ -371,6 +372,9 @@ def sample_chunks(density: SpectralDensity, lattice: LatticeSpec, seed: int,
         raise InvalidInputError(f"seed must be in [0, 2**64), got {seed}")
     if workers < 1:
         raise InvalidInputError(f"worker count must be >= 1, got {workers}")
+    if workers > MAX_WORKERS:
+        raise InvalidInputError(
+            f"worker count {workers} exceeds MAX_WORKERS = {MAX_WORKERS}")
     plan = _SpectrumPlan(density, lattice, pin_zero_mode)
     scales = np.concatenate((plan.scale, plan.scale_self))
     scales = scales[scales > 0.0]
@@ -526,35 +530,12 @@ def smear_variance(density: SpectralDensity, lattice: LatticeSpec,
     return float(np.sum(np.abs(f_modes) ** 2 * per_mode) / lattice.volume**2)
 
 
-def _mode_energies(cfg: FieldConfiguration, mass: float):
-    power = np.abs(cfg.modes()) ** 2
-    ksq = cfg.lattice.mode_magnitudes() ** 2
-    return power, ksq + mass * mass
-
-
 def hamiltonian_classical(cfg: FieldConfiguration,
                           constants: PhysicalConstants) -> float:
     """(1/V) sum_k (1/2)(|k|^2 + m^2) |phi~_k|^2."""
-    power, omega_sq = _mode_energies(cfg, constants.mass)
-    return float(np.sum(0.5 * omega_sq * power) / cfg.lattice.volume)
-
-
-def hamiltonian_quantum(cfg: FieldConfiguration,
-                        constants: PhysicalConstants) -> float:
-    """(1/V) sum_k sqrt(|k|^2 + m^2) |phi~_k|^2."""
-    power, omega_sq = _mode_energies(cfg, constants.mass)
-    return float(np.sum(np.sqrt(omega_sq) * power) / cfg.lattice.volume)
-
-
-def density_exponent(density: SpectralDensity, cfg: FieldConfiguration) -> float:
-    """(1/V) sum_k c(|k|) |phi~_k|^2: the negative log-density up to a constant.
-
-    Coincides with hamiltonian_classical/kT for the classical equilibrium
-    ensemble and with hamiltonian_quantum/hbar for the quantum vacuum.
-    """
     power = np.abs(cfg.modes()) ** 2
-    coeff = spectral_coefficient(density, cfg.lattice.mode_magnitudes())
-    return float(np.sum(coeff * power) / cfg.lattice.volume)
+    omega_sq = cfg.lattice.mode_magnitudes() ** 2 + constants.mass * constants.mass
+    return float(np.sum(0.5 * omega_sq * power) / cfg.lattice.volume)
 
 
 # --- file formats ----------------------------------------------------------

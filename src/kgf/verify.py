@@ -147,8 +147,9 @@ def _random_hermitian_table(rng: np.random.Generator,
 def check_algebra_equivalence(seed: int = DEFAULT_SEED) -> CheckResult:
     """Contraction-kernel VEVs against the rewriting engine on random ip tables.
 
-    ``wick_vev`` and ``vacuum_expectation`` both run on the contraction
-    kernel; the identity coefficient of ``normal_order`` is the referee.
+    ``contract`` over phi letters (the call ``kgf expect`` makes) and
+    ``vacuum_expectation`` both run on the contraction kernel; the identity
+    coefficient of ``normal_order`` is the referee.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -166,7 +167,7 @@ def check_algebra_equivalence(seed: int = DEFAULT_SEED) -> CheckResult:
             for idx in indices:
                 expr = expr * opalgebra.field_operator(registry, idx)
             via_rewrite = opalgebra.normal_order(expr, ip).terms.get((), 0j)
-            fast = (opalgebra.wick_vev(indices, ip),
+            fast = (opalgebra.contract([("phi", i) for i in indices], ip),
                     opalgebra.vacuum_expectation(expr, ip))
             if n % 2:
                 odd_ok = odd_ok and via_rewrite == 0 and fast == (0, 0)
@@ -290,9 +291,10 @@ def check_sampler_moments(seed: int = DEFAULT_SEED) -> CheckResult:
     lattice = sampler.LatticeSpec(dim=1, sites_per_axis=64, spacing=1.0)
     lines = []
     passed = True
-    for ensemble, density in _verification_densities().items():
+    for i, (ensemble, density) in enumerate(_verification_densities().items()):
         t0 = time.perf_counter()
-        estimate = _sampled_spectrum(density, lattice, seed, N_SAMPLES)
+        # one stream per ensemble, clear of the seed + 1 and seed + 2 checks
+        estimate = _sampled_spectrum(density, lattice, (seed + 3 + i) % 2**64, N_SAMPLES)
         expected = sampler.expected_power(density, lattice)
         frac, worst_z = _moment_pass_fraction(estimate, expected)
         dt = time.perf_counter() - t0

@@ -1,6 +1,7 @@
 """Command-line interface: precedence, artifacts, exit codes."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from kgf.cli import main
 from kgf.errors import InvalidInputError
 from kgf.kernels import KernelSpec, PhysicalConstants, WavePacket
 from kgf.sampler import read_samples_binary, read_samples_csv
-from kgf.spectra import Ensemble, SpectralDensity
+from kgf.spectra import Ensemble, SpectralDensity, lambda_of_xi, spectral_coefficient
 
 BASE_CONFIG = {
     "constants": {"mass": 1.0, "xi": 0.5},
@@ -648,6 +649,29 @@ class TestSpectra:
         assert values.shape == (3, 2) and np.all(np.isfinite(values))
         assert values[-1, 1] == pytest.approx(1e200, rel=1e-15)
 
+    def test_grid_count_above_max_exits_2_before_allocating(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid allocated past MAX_K_GRID_COUNT")
+
+        monkeypatch.setattr(cli, "spectral_coefficient", refuse)
+        monkeypatch.setattr(cli.np, "arange", refuse)
+        count = cli.MAX_K_GRID_COUNT + 1
+        cfg = write_config(tmp_path, {"ensemble": "vacuum", "k_grid": {"count": count}})
+        for args in (["--ensemble", "vacuum", "--kcount", str(count)],
+                     ["--config", cfg], ["--config", cfg, "--kcount", str(10**30)]):
+            assert main(["spectra", *args]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "MAX_K_GRID_COUNT = 1048576" in captured.err
+
+    def test_grid_count_at_max_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_K_GRID_COUNT", 5)
+        assert main(["spectra", "--ensemble", "vacuum", "--kcount", "5"]) == 0
+        assert len(capsys.readouterr().out.split("\n")) == 7
+        assert main(["spectra", "--ensemble", "vacuum", "--kcount", "6"]) == 2
+        assert "MAX_K_GRID_COUNT = 5" in capsys.readouterr().err
+
     def test_overflowing_coefficient_exits_2_without_a_warning(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -657,6 +681,46 @@ class TestSpectra:
         assert captured.out == ""
         assert "overflows at |k| = 5e+307" in captured.err
         assert "Warning" not in captured.err
+
+
+class TestSpectraGolden:
+    """sha256 of ``kgf spectra`` stdout on a 1001-point grid, pinned so that
+    any change to the grid, the coefficients or the text is deliberate."""
+
+    ARGS = ["--hbar", "0.7", "--kT", "1.3", "--mass", "0.8", "--xi", "0.5",
+            "--kmax", "37.3", "--kcount", "1001"]
+
+    @pytest.mark.parametrize("ensemble,digest", [
+        ("classical_equilibrium",
+         "be170691ee78d9b47525cfd7af27562aeb11ea90009c35bcd7ebef5c888562dd"),
+        ("quantum_vacuum",
+         "312c59f2cb152df5ecb3b5fef195c50d5670abbbffc16a8746ee7167badfdca9"),
+        ("quantum_thermal",
+         "88e9da4dbf7bd04905a9cba6c6b512eac8300705013f95fbb48a648c0ae1efdb"),
+        ("xi_vacuum",
+         "544380fcf4331da13b158930d7e2d6a838e5097d836d3f2e59ad236ba0c1c7ca"),
+        ("xi_lambda",
+         "67bc42132588ea8596f0961ec54457b3ec9a89fc52731bec269920b5d4f34bf0"),
+    ])
+    def test_digest(self, ensemble, digest, capsys):
+        assert main(["spectra", "--ensemble", ensemble, *self.ARGS]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("ensemble", list(Ensemble))
+    def test_rows_match_one_scalar_call_per_row(self, ensemble, capsys):
+        # the per-row loop the vectorised grid replaced, as the reference
+        constants = PhysicalConstants(hbar=0.7, kT=1.3, mass=0.8, xi=0.5)
+        density = SpectralDensity(ensemble, constants, lam=lambda_of_xi(0.5)
+                                  if ensemble is Ensemble.XI_LAMBDA else None)
+        kmin, kmax, count = 0.3, 41.7, 257
+        step = (kmax - kmin) / (count - 1)
+        rows = [f"{k:.17g},{spectral_coefficient(density, k):.17g}"
+                for k in (kmin + step * i for i in range(count))]
+        assert main(["spectra", "--ensemble", ensemble.value, "--hbar", "0.7",
+                     "--kT", "1.3", "--mass", "0.8", "--xi", "0.5", "--kmin", "0.3",
+                     "--kmax", "41.7", "--kcount", "257"]) == 0
+        assert capsys.readouterr().out == "\n".join(["k,c", *rows]) + "\n"
 
 
 class TestSample:
@@ -734,6 +798,12 @@ class TestSample:
         assert "worker count must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_workers_above_max_exit_2_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert main([*self.COMMON, "--workers", "65", "--out", str(out)]) == 2
+        assert "MAX_WORKERS = 64" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degenerate_mode_exits_2_and_names_mode(self, tmp_path, capsys):
         assert main(["sample", "--ensemble", "classical", "--mass", "0",
                      "--lattice-n", "16", "--samples", "2", "--seed", "1",
@@ -776,6 +846,11 @@ class TestVerify:
         verify.check_equipartition(seed=seed)
         verify.check_fock_oracle(seed=seed)
         assert drawn == [(seed + 1) % 2**64, (seed + 2) % 2**64]
+        drawn.clear()
+        verify.check_sampler_moments(seed=seed)
+        # one stream per ensemble, then the same seed twice for the
+        # worker-count comparison
+        assert drawn == [(seed + 3 + i) % 2**64 for i in range(5)] + [seed, seed]
 
     @pytest.mark.parametrize("suite", ["sampler", "fock"])
     def test_top_seed_runs_every_check(self, suite):

@@ -7,35 +7,18 @@ import numpy as np
 import pytest
 
 from kgf import fockoracle
-from kgf.errors import AccuracyError, DomainError, InvalidInputError, SizeLimitError
+from kgf.errors import AccuracyError, InvalidInputError, SizeLimitError
 from kgf.fockoracle import (
     MIN_CUTOFF,
     TAIL_TOL,
     VACUUM_GIBBS_X,
     ModeSpec,
-    bose_occupancy,
     mode_variance_closed,
     mode_variance_numeric,
     verify_density_variance,
 )
 from kgf.kernels import PhysicalConstants
 from kgf.spectra import Ensemble, SpectralDensity, lambda_of_xi
-
-
-class TestBoseOccupancy:
-    def test_frozen_reference(self):
-        assert bose_occupancy(1.0) == pytest.approx(0.5819767068693265, rel=1e-15)
-
-    def test_log_two_gives_unity(self):
-        assert bose_occupancy(math.log(2.0)) == pytest.approx(1.0, rel=1e-15)
-
-    def test_cold_limit_empties(self):
-        assert bose_occupancy(50.0) < 1e-21
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, float("nan"), float("inf")])
-    def test_domain_errors(self, x):
-        with pytest.raises(DomainError):
-            bose_occupancy(x)
 
 
 class TestModeSpec:
@@ -93,9 +76,9 @@ class TestModeVariance:
         )
 
     def test_occupancy_identity(self):
-        # (1/2) coth(x/2) = n(x) + 1/2, so <q^2> relates to bose_occupancy
+        # (1/2) coth(x/2) = n(x) + 1/2 with Bose occupancy n(x) = 1/(e^x - 1)
         mode = ModeSpec(omega=0.7, hbar_eff=1.3, gibbs_x=0.9)
-        expect = (1.3 / (2.0 * 0.7)) * (2.0 * bose_occupancy(0.9) + 1.0)
+        expect = (1.3 / (2.0 * 0.7)) * (2.0 / math.expm1(0.9) + 1.0)
         assert mode_variance_numeric(mode) == pytest.approx(expect, rel=1e-11)
 
     def test_ground_state_limit(self):

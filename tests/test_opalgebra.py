@@ -25,7 +25,6 @@ from kgf.opalgebra import (
     canonical_word,
     contract,
     enumerate_pairings,
-    excited_state_norm,
     field_operator,
     normal_order,
     parse_expression,
@@ -472,36 +471,43 @@ class TestContract:
 
 
 class TestExcitedStateNorm:
+    """<0| a[f_n]..a[f_1] adag[f_1]..adag[f_n] |0> by :func:`contract`: the
+    permanent of M[p][q] = ip(f_p, f_q)."""
+
     def test_single_mode_bose_factor(self):
         # n identical quanta: norm = n! * (f,f)^n
         table = InnerProductTable({(1, 1): 3.0})
-        assert excited_state_norm([1], table) == 3.0
-        assert excited_state_norm([1, 1], table) == 18.0
-        assert excited_state_norm([1, 1, 1], table) == pytest.approx(
+        assert contract([("a", 1), ("adag", 1)], table) == 3.0
+        assert contract([("a", 1), ("a", 1), ("adag", 1), ("adag", 1)], table) == 18.0
+        assert contract([("a", 1)] * 3 + [("adag", 1)] * 3, table) == pytest.approx(
             math.factorial(3) * 27.0
         )
 
     def test_matches_permanent_oracle(self):
-        rng = np.random.default_rng(4242)
-        table = random_table(rng, 3)
-        for indices in ([1, 2], [1, 2, 3], [1, 1, 2], [2, 3, 3, 1]):
-            matrix = [
-                [table[(p, q)] for q in indices] for p in indices
-            ]
-            expect = permanent(matrix)
-            got = excited_state_norm(indices, table)
-            assert got == pytest.approx(expect, rel=1e-12, abs=1e-14)
+        table = random_table(np.random.default_rng(4242), 3)
+        for word in (
+            [("a", 2), ("a", 1), ("adag", 1), ("adag", 2)],
+            [("a", 3), ("a", 2), ("a", 1), ("adag", 1), ("adag", 2), ("adag", 3)],
+            [("a", 2), ("a", 1), ("a", 1), ("adag", 1), ("adag", 1), ("adag", 2)],
+            [("a", 1), ("a", 3), ("a", 3), ("a", 2),
+             ("adag", 2), ("adag", 3), ("adag", 3), ("adag", 1)],
+        ):
+            indices = [index for kind, index in word if kind == "adag"]
+            matrix = [[table[(p, q)] for q in indices] for p in indices]
+            got = contract(word, table)
+            assert got == pytest.approx(permanent(matrix), rel=1e-12, abs=1e-14)
 
     def test_nine_quanta_past_pairing_limit_is_exact(self):
         # 18 letters, beyond MAX_PAIRING_SIZE: norm = 9! * (f,f)^9 exactly
         table = InnerProductTable({(1, 1): 3.0})
-        assert excited_state_norm([1] * 9, table) == math.factorial(9) * 3**9
+        word = [("a", 1)] * 9 + [("adag", 1)] * 9
+        assert contract(word, table) == math.factorial(9) * 3**9
 
     def test_orthogonal_modes_factorize(self):
         table = InnerProductTable({
             (1, 1): 2.0, (2, 2): 5.0, (1, 2): 0.0, (2, 1): 0.0,
         })
-        assert excited_state_norm([1, 2], table) == 10.0
+        assert contract([("a", 2), ("a", 1), ("adag", 1), ("adag", 2)], table) == 10.0
 
 
 class TestParser:

@@ -17,10 +17,8 @@ from kgf.sampler import (
     FieldConfiguration,
     LatticeSpec,
     SpectrumAccumulator,
-    density_exponent,
     expected_power,
     hamiltonian_classical,
-    hamiltonian_quantum,
     power_spectrum,
     read_samples_binary,
     read_samples_csv,
@@ -268,6 +266,12 @@ class TestDeterminism:
         with pytest.raises(InvalidInputError):
             sample_array(VACUUM, self.LAT, seed=1, n=1, workers=0)
 
+    def test_worker_count_above_max_refused(self):
+        with pytest.raises(InvalidInputError, match="MAX_WORKERS = 64"):
+            sample_chunks(VACUUM, self.LAT, seed=1, n=1, workers=sampler.MAX_WORKERS + 1)
+        # accepted, and not iterated, so no thread is started
+        sample_chunks(VACUUM, self.LAT, seed=1, n=1, workers=sampler.MAX_WORKERS)
+
     @pytest.mark.parametrize("bad", [-1, 2**64])
     def test_seed_outside_64_bits_refused(self, bad):
         with pytest.raises(InvalidInputError, match=str(bad)):
@@ -421,11 +425,9 @@ class TestEnergyFunctionals:
     def test_zero_field_has_zero_energy(self):
         cfg = FieldConfiguration(self.LAT, np.zeros(16))
         assert hamiltonian_classical(cfg, NATURAL) == 0.0
-        assert hamiltonian_quantum(cfg, NATURAL) == 0.0
-        assert density_exponent(VACUUM, cfg) == 0.0
 
     def test_single_mode_energies(self):
-        # phi = A cos(k_j x): H_C = A^2 V omega^2 / 4, H_Q = A^2 V omega / 2
+        # phi = A cos(k_j x): H_C = A^2 V omega^2 / 4
         j, amp = 2, 0.8
         lat = self.LAT
         cfg = cosine_config(lat, j, amp)
@@ -434,32 +436,6 @@ class TestEnergyFunctionals:
         v = lat.volume
         assert hamiltonian_classical(cfg, NATURAL) == pytest.approx(
             amp**2 * v * omega**2 / 4.0, rel=1e-12
-        )
-        assert hamiltonian_quantum(cfg, NATURAL) == pytest.approx(
-            amp**2 * v * omega / 2.0, rel=1e-12
-        )
-
-    def test_quantum_to_classical_ratio_is_two_over_omega(self):
-        cfg = cosine_config(self.LAT, 3, 1.0)
-        kj = 2.0 * math.pi * 3 / (16 * self.LAT.spacing)
-        omega = math.hypot(kj, NATURAL.mass)
-        ratio = hamiltonian_quantum(cfg, NATURAL) / hamiltonian_classical(cfg, NATURAL)
-        assert ratio == pytest.approx(2.0 / omega, rel=1e-12)
-
-    def test_density_exponent_identities(self):
-        constants = PhysicalConstants(hbar=0.7, kT=1.9, mass=1.1, xi=0.5)
-        classical = SpectralDensity(Ensemble.CLASSICAL_EQUILIBRIUM, constants)
-        vacuum = SpectralDensity(Ensemble.QUANTUM_VACUUM, constants)
-        xivac = SpectralDensity(Ensemble.XI_VACUUM, constants)
-        cfg = FieldConfiguration(self.LAT, sample_array(vacuum, self.LAT, seed=8, n=1)[0])
-        assert density_exponent(classical, cfg) == pytest.approx(
-            hamiltonian_classical(cfg, constants) / constants.kT, rel=1e-12
-        )
-        assert density_exponent(vacuum, cfg) == pytest.approx(
-            hamiltonian_quantum(cfg, constants) / constants.hbar, rel=1e-12
-        )
-        assert density_exponent(xivac, cfg) == pytest.approx(
-            density_exponent(vacuum, cfg) / 0.5, rel=1e-12
         )
 
 
