@@ -14,13 +14,14 @@ moment contract
 
     E[|phi~_k|^2] = V / (2 c(|k|))        (all modes, zero and Nyquist too),
 
-which follows by Gaussian integration: a +/-k pair shares one complex
-coefficient u+iv whose exponent is -(2 c/V)(u^2+v^2), so Var u = Var v =
-V/(4c); a self-conjugate mode (j in {0, N/2} on every axis) is real with
-exponent -(c/V)u^2, so Var u = V/(2c).  The generator draws exactly these
-Gaussians on the half mode grid that ``irfftn`` reads (last axis j in
-0..N/2; inside the planes j_last = 0 and N/2 the conjugate partners are
-set explicitly) and inverse-transforms.
+which the generator meets by filtering real white noise (Bertschinger,
+ApJS 137:1, 2001): the ``rfftn`` W of N^D independent standard normals
+has E|W_k|^2 = N^D on every mode, with Re W_k and Im W_k independent
+N(0, N^D/2) off the self-conjugate modes (j in {0, N/2} on every axis),
+W_k a real N(0, N^D) on them, and W_k independent of W_k' unless
+k' = +/-k.  So S_k = W_k sqrt(V / (2 c N^D)) has exactly the Gaussian of
+the density, Hermitian symmetry and the zero and Nyquist modes included;
+the field is ``irfftn(S) / a^D`` and |phi~_k|^2 = |S_k|^2.
 
 Randomness is counter-based and comes in blocks: sample ``i`` of seed
 ``s`` is row ``i % BLOCK_SIZE`` of block ``i // BLOCK_SIZE``, and each
@@ -83,8 +84,8 @@ BLOCK_SIZE = 256
 #: Resident memory scales with it; the stream bytes do not depend on it.
 _CHUNK_BYTES = 2**20
 
-#: Rows per ``%`` template in the CSV writers, which bounds each template's
-#: size; the bytes written do not depend on it.
+#: Rows per ``%`` template in the CSV writers and ``kgf spectra``, which bounds
+#: each template's size; the bytes written do not depend on it.
 _CSV_SLAB_ROWS = 4096
 
 #: Largest ratio of two nonzero mode scales in one draw.  Below it every
@@ -193,28 +194,18 @@ class FieldConfiguration:
 
 
 class _HalfGrid:
-    """The half mode grid of ``rfftn`` (last axis j in 0..N/2), flattened.
+    """The half mode grid of ``rfftn`` (last axis j in 0..N/2).
 
-    A mode with 0 < j_last < N/2 stands for its -k partner as well.  In
-    the planes j_last = 0 and N/2 both partners are stored: ``mirrored``
-    modes are the conjugates of their ``partner`` entries, and the
-    ``self_conjugate`` modes are real.
+    A mode with 0 < j_last < N/2 stands for its -k partner as well, so its
+    ``multiplicity`` is 2; in the planes j_last = 0 and N/2 it is 1.
     """
 
     def __init__(self, lattice: LatticeSpec):
         n = lattice.sites_per_axis
         self.shape = lattice.shape[:-1] + (n // 2 + 1,)
         self.axes = tuple(range(1, lattice.dim + 1))
-        index = np.indices(self.shape).reshape(lattice.dim, -1)
-        conj = (n - index) % n
-        in_planes = conj[-1] <= n // 2
-        partner = np.ravel_multi_index(tuple(np.where(in_planes, conj, 0)),
-                                       self.shape)
-        flat = np.arange(index.shape[1])
-        self.self_conjugate = flat[in_planes & (partner == flat)]
-        mirrored = in_planes & (partner < flat)
-        self.mirrored, self.partner = flat[mirrored], partner[mirrored]
-        self.multiplicity = np.where(in_planes, 1.0, 2.0).reshape(self.shape)
+        self.multiplicity = np.full(self.shape, 2.0)
+        self.multiplicity[..., [0, n // 2]] = 1.0
         full = np.indices(lattice.shape)
         source = np.where(full[-1] > n // 2, (n - full) % n, full)
         self.full_from_half = np.ravel_multi_index(tuple(source), self.shape)
@@ -225,20 +216,12 @@ def _half_grid(lattice: LatticeSpec) -> _HalfGrid:
     return _HalfGrid(lattice)
 
 
-def _power(lattice: LatticeSpec, values: np.ndarray) -> np.ndarray:
-    """|phi~_k|^2 on the half mode grid for a batch of configurations."""
-    modes = np.fft.rfftn(values, axes=_half_grid(lattice).axes)
-    power = modes.real**2 + modes.imag**2
-    power *= lattice.spacing ** (2 * lattice.dim)
-    return power
-
-
 @dataclass(frozen=True)
 class SampleChunk:
     """Samples ``start`` .. ``start + len(values) - 1`` of one stream.
 
     ``power`` holds |phi~_k|^2 of each sample on the half mode grid (last
-    axis j in 0..N/2), from a forward transform of ``values``.
+    axis j in 0..N/2), read off the spectrum that ``values`` was drawn from.
     """
 
     lattice: LatticeSpec
@@ -287,25 +270,19 @@ class _SpectrumPlan:
 
         self.grid = _half_grid(lattice)
         half = np.s_[..., : self.grid.shape[-1]]
-        safe = np.where(coeff > 0.0, coeff, 1.0)[half].reshape(-1)
-        held = ~pinned[half].reshape(-1)
-        selfs = self.grid.self_conjugate
-        self.scale = np.sqrt(lattice.volume / (4.0 * safe)) * held
-        self.scale_self = np.sqrt(lattice.volume / (2.0 * safe[selfs])) * held[selfs]
+        safe = np.where(coeff > 0.0, coeff, 1.0)[half]
+        self.scale = np.sqrt(
+            lattice.volume / (2.0 * lattice.total_sites * safe)) * ~pinned[half]
 
-    def _draw(self, rng: np.random.Generator, rows: int) -> np.ndarray:
-        """The next ``rows`` configurations from one block's generator."""
-        grid = self.grid
-        z = rng.standard_normal((rows, self.scale.size, 2))
-        real_modes = z[:, grid.self_conjugate, 0] * self.scale_self
-        spectrum = z.view(np.complex128)[..., 0]
+    def _draw(self, rng: np.random.Generator, rows: int):
+        """The next ``rows`` configurations from one block's generator, and
+        their |phi~_k|^2 on the half mode grid."""
+        axes, shape = self.grid.axes, self.lattice.shape
+        spectrum = np.fft.rfftn(rng.standard_normal((rows,) + shape), axes=axes)
         spectrum *= self.scale
-        spectrum[:, grid.self_conjugate] = real_modes
-        spectrum[:, grid.mirrored] = np.conj(spectrum[:, grid.partner])
-        values = np.fft.irfftn(spectrum.reshape((rows,) + grid.shape),
-                               s=self.lattice.shape, axes=grid.axes)
+        values = np.fft.irfftn(spectrum, s=shape, axes=axes)
         values /= self.lattice.spacing**self.lattice.dim
-        return values
+        return values, spectrum.real**2 + spectrum.imag**2
 
     def block_chunks(self, seed: int, block: int, rows: int):
         """The first ``rows`` samples of one block, as chunks in order."""
@@ -315,9 +292,8 @@ class _SpectrumPlan:
         step = max(1, min(BLOCK_SIZE,
                           _CHUNK_BYTES // (8 * self.lattice.total_sites)))
         for offset in range(0, rows, step):
-            values = self._draw(rng, min(step, rows - offset))
-            yield SampleChunk(self.lattice, block * BLOCK_SIZE + offset,
-                              values, _power(self.lattice, values))
+            values, power = self._draw(rng, min(step, rows - offset))
+            yield SampleChunk(self.lattice, block * BLOCK_SIZE + offset, values, power)
 
     def draw(self, seed: int, sample_index: int) -> np.ndarray:
         """One configuration's values, read off its block's stream."""
@@ -376,8 +352,7 @@ def sample_chunks(density: SpectralDensity, lattice: LatticeSpec, seed: int,
         raise InvalidInputError(
             f"worker count {workers} exceeds MAX_WORKERS = {MAX_WORKERS}")
     plan = _SpectrumPlan(density, lattice, pin_zero_mode)
-    scales = np.concatenate((plan.scale, plan.scale_self))
-    scales = scales[scales > 0.0]
+    scales = plan.scale[plan.scale > 0.0]
     if scales.max() > MAX_MODE_SCALE_RATIO * scales.min():
         raise InvalidInputError(
             f"spacing {lattice.spacing!r} and mass {density.constants.mass!r} give mode "
@@ -434,12 +409,14 @@ class SpectrumAccumulator:
             raise InvalidInputError("mixed lattice specs in one spectrum estimate")
 
     def _fold(self, power: np.ndarray):
-        part = SpectrumAccumulator(self.lattice)
-        part.count = len(power)
-        part._mean = power.mean(axis=0)
-        part._m2 = np.sum((power - part._mean) ** 2, axis=0)
-        merged = self.merge(part)
-        self.count, self._mean, self._m2 = merged.count, merged._mean, merged._m2
+        """:meth:`merge` with the batch ``power``, in place, term for term."""
+        count, total = len(power), self.count + len(power)
+        mean = power.mean(axis=0)
+        delta = mean - self._mean
+        self._m2 = (self._m2 + np.sum((power - mean) ** 2, axis=0)
+                    + delta * delta * (self.count * count / total))
+        self._mean = self._mean + delta * (count / total)
+        self.count = total
 
     def add(self, chunk: SampleChunk):
         """Fold in every sample of a chunk."""
@@ -449,7 +426,8 @@ class SpectrumAccumulator:
     def update(self, cfg: FieldConfiguration):
         """Fold in one configuration."""
         self._check(cfg.lattice)
-        self._fold(_power(self.lattice, cfg.values[None]))
+        modes = np.fft.rfftn(cfg.values) * self.lattice.spacing**self.lattice.dim
+        self._fold((modes.real**2 + modes.imag**2)[None])
 
     def merge(self, other: "SpectrumAccumulator") -> "SpectrumAccumulator":
         """Chan-Golub-LeVeque combination of two disjoint sample sets."""

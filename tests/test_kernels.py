@@ -460,3 +460,79 @@ class TestTensorGridReferee:
         scale = math.sqrt(norm_f.real * norm_g.real)
         assert scale > 0
         assert abs(inner_product(spec, f, g) - expected) <= 1e-10 * scale
+
+
+#: The boosted referee's 512-node Gauss-Legendre rule on [-1, 1].
+LINE_RULE = np.polynomial.legendre.leggauss(512)
+
+
+def boosted(f, g, eta, mass, weight):
+    """(f_L, g_L) = int dk/(2 pi) weight(k0, (L^-1 k)^0) conj(f~(L^-1 k))
+    g~(L^-1 k) on the D=1 mass shell k0 = omega(k), for the boost L of
+    rapidity ``eta``.
+
+    The boosted packet f_L(x) = f(L^-1 x) has f_L~(k) = f~(L^-1 k), so no
+    boosted packet is built.  The referee is a plain Gauss-Legendre rule
+    on +/- cutoff e^|eta|, which covers the boosted support; it shares
+    nothing with the radial pass but ``fourier_transform``.
+    """
+    cutoff = max(f.suggested_cutoff, g.suggested_cutoff) * math.exp(abs(eta))
+    x, w = LINE_RULE
+    k = cutoff * x
+    k0 = np.sqrt(k * k + mass**2)
+    ch, sh = math.cosh(eta), math.sinh(eta)
+    rest0, rest1 = ch * k0 - sh * k, ch * k - sh * k0
+    ft = fourier_transform(f, rest0, rest1[:, None])
+    gt = fourier_transform(g, rest0, rest1[:, None])
+    return complex(np.sum(cutoff * w * weight(k0, rest0) * np.conj(ft) * gt)) / TWO_PI
+
+
+class TestLorentzCovariance:
+    """The paper's title claim in D=1, on 20 random packet pairs and boosts
+    with |eta| <= 0.7: the quantum and xi kernels are Lorentz invariant.
+    The classical thermal kernel kT/omega^2 is not: it is the rest frame's
+    form of the covariant weight 2kT/(u.k) per invariant measure
+    dk/(2 pi 2 omega), with the bath's 4-velocity u = (cosh eta, sinh eta)
+    once boosted, and u.k = (L^-1 k)^0."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        """(constants, f, g, eta, {variant: ((f, g), Cauchy-Schwarz scale)})."""
+        from kgf.verify import _random_packet
+
+        rng = np.random.default_rng(2004)
+        rows = []
+        for _ in range(20):
+            c = PhysicalConstants(hbar=0.7, kT=1.3, mass=float(rng.uniform(0.6, 2.0)),
+                                  xi=float(rng.uniform(0.1, 0.9)))
+            f, g = _random_packet(rng), _random_packet(rng)
+            kernel = {}
+            for variant in KernelVariant:
+                spec = KernelSpec(variant, c, dim=1)
+                kernel[variant] = (inner_product(spec, f, g), math.sqrt(
+                    positivity_check(spec, f) * positivity_check(spec, g)))
+            rows.append((c, f, g, float(rng.uniform(-0.7, 0.7)), kernel))
+        return rows
+
+    def test_quantum_and_xi_kernels_are_invariant(self, cases):
+        for c, f, g, eta, kernel in cases:
+            for variant, factor in ((KernelVariant.QUANTUM, 1.0),
+                                    (KernelVariant.XI_SCALED, c.xi)):
+                value, scale = kernel[variant]
+                got = boosted(f, g, eta, c.mass,
+                              lambda k0, _: factor * c.hbar / (2.0 * k0))
+                assert abs(got - value) <= 1e-10 * scale
+
+    def test_classical_kernel_moves_under_a_boost(self, cases):
+        moved = []
+        for c, f, g, eta, kernel in cases:
+            value, scale = kernel[KernelVariant.CLASSICAL]
+            got = boosted(f, g, eta, c.mass, lambda k0, _: c.kT / k0**2)
+            moved.append(abs(got - value) / scale)
+        assert min(moved) > 1e-4 and max(moved) > 0.1
+
+    def test_classical_kernel_is_covariant_with_the_moving_frame_weight(self, cases):
+        for c, f, g, eta, kernel in cases:
+            value, scale = kernel[KernelVariant.CLASSICAL]
+            got = boosted(f, g, eta, c.mass, lambda k0, rest0: c.kT / (k0 * rest0))
+            assert abs(got - value) <= 1e-10 * scale

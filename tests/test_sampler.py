@@ -285,9 +285,9 @@ class TestGoldenStreams:
     N_SAMPLES = BLOCK_SIZE + 3
 
     @pytest.mark.parametrize("dim,sites,digest", [
-        (1, 16, "c675b1bf5cfb22f2cb24edfcd0ea8c0c9861099f8d6a8781056fe93958c1512b"),
-        (2, 8, "3ef195685b831dffca14d2196b011a8f6a3b832d21dfa10d07502b11d7a1b6de"),
-        (3, 8, "0c6df1aebb598965a9b5c9308960967c21b474cd3bbf3872eb423e9047cdd297"),
+        (1, 16, "76e83c458b325988503f4f10e3a804b88042ab13fa9dd35fd18c48d3582bfbb0"),
+        (2, 8, "eb19bbe11279fa49d88757105518f5f7d407fc6b0ebeb30054c49c9fed5b8bcf"),
+        (3, 8, "2a1776679809a24b3212473109995222d9fd93e3a2b1a17a42611b6deaed10e0"),
     ])
     def test_digest(self, dim, sites, digest):
         lat = LatticeSpec(dim=dim, sites_per_axis=sites, spacing=0.5)
@@ -298,19 +298,19 @@ class TestGoldenStreams:
 
     @pytest.mark.parametrize("density,dim,sites,pin,samples_digest,spectrum_digest", [
         (THERMAL, 1, 16, False,
-         "a000c1decadb45600fbeee6a55dc5ba13ed19a2fc2ac468233efc77aa63282bb",
-         "156c62172d3dfb90d616f1b42ece5b31154d95bc67a3d9c16b9707305809a05e"),
+         "4a041887d38e9e9cb69378a679ce34e1732625346acc39fb96b6bc64f8593740",
+         "0cbd3ec6e7188c08e48bd2af8a12fd1e5a4ca1bac9df7abbe48898325458a64b"),
         (THERMAL, 2, 8, False,
-         "6df93ed3716c896c06dc3ef7bd0763af2d45dcf77888c3381a55155be36c23f1",
-         "5be8f988dce812b8ed3a1a1f91a25ce1f157d13d88040b2a41af82b3ec72b5ee"),
+         "bc438448f356e9cdf411c52f9b7ffed4aad5b0a6deb6227fe2c9001850f358df",
+         "de56e62fd8fe6be22700880939b23270e27bccf14280aec08708643ef17de191"),
         (THERMAL, 3, 8, False,
-         "e34f1d950b2f29bec8e6ad6e2c1376f5002234778b327ec865db047cc46d4527",
-         "dc6f7acdfafbaeae85d1ba30922c03f3922b6112aa8a27bcbe760d5d488cc4e4"),
+         "3d9be849cfbb2310e14afd3c5b1cb3724c1e7097f9700d9c231aae55953d2dd4",
+         "2fc2fc1fa0f804d93e40e568ef452f6537efa55b68b79557e24c737ebf1c0b3d"),
         # massless classical: the pinned zero mode's expected column holds 0
         (SpectralDensity(Ensemble.CLASSICAL_EQUILIBRIUM, PhysicalConstants(mass=0.0)),
          2, 8, True,
-         "7519a53d30305fb9aaa5d7040686d95b5b03c8f40e1affeac2795388ea2803f0",
-         "65caf72309db0dda6a1b9e969f02d4b1010237488824c96a3f9ba88ab7f3a61a"),
+         "b430f5871073b2766304ebc6cb266c104ed2e183aa85e6645d9827cbf975f950",
+         "b7c7caf545bebfc42e0aad56dec376b2cda94466f120f7aec329349a9c6a2710"),
     ], ids=["thermal_d1", "thermal_d2", "thermal_d3", "massless_pinned_d2"])
     def test_csv_digests(self, density, dim, sites, pin, samples_digest,
                          spectrum_digest):
@@ -352,9 +352,9 @@ class TestDegenerateModes:
 
 class TestModeScaleRatio:
     @pytest.mark.parametrize("ensemble, dim, n, spacing, mass, pin", [
-        (Ensemble.QUANTUM_VACUUM, 3, 8, 1e-20, 1.0, False),         # 3.3e10
-        (Ensemble.CLASSICAL_EQUILIBRIUM, 1, 64, 1.0, 1e-9, False),  # 4.4e9
-        (Ensemble.CLASSICAL_EQUILIBRIUM, 3, 64, 1.0, 0.01, False),  # 770
+        (Ensemble.QUANTUM_VACUUM, 3, 8, 1e-20, 1.0, False),         # 2.3e10
+        (Ensemble.CLASSICAL_EQUILIBRIUM, 1, 64, 1.0, 1e-9, False),  # 3.1e9
+        (Ensemble.CLASSICAL_EQUILIBRIUM, 3, 64, 1.0, 0.01, False),  # 540
         (Ensemble.CLASSICAL_EQUILIBRIUM, 1, 256, 1.0, 0.0, True),   # 128
     ])
     def test_spread_within_the_bound_is_sampled(self, ensemble, dim, n, spacing,
@@ -364,7 +364,7 @@ class TestModeScaleRatio:
         sampler.sample_chunks(density, lat, seed=1, n=1, pin_zero_mode=pin)
 
     def test_spread_past_the_bound_refused_before_drawing(self, monkeypatch):
-        # spacing 2e-51 at mass 1: the zero mode's scale is 7.4e25 times
+        # spacing 2e-51 at mass 1: the zero mode's scale is 5.2e25 times
         # the others', which would all round away in the site sums
         def no_draw(*args, **kwargs):
             raise AssertionError("a chunk was drawn")
@@ -372,7 +372,7 @@ class TestModeScaleRatio:
         monkeypatch.setattr(sampler._SpectrumPlan, "block_chunks", no_draw)
         lat = LatticeSpec(dim=3, sites_per_axis=8, spacing=2e-51)
         with pytest.raises(InvalidInputError,
-                           match="spacing 2e-51 and mass 1.0 .*7.4e\\+25.*"
+                           match="spacing 2e-51 and mass 1.0 .*5.2e\\+25.*"
                                  "MAX_MODE_SCALE_RATIO"):
             sampler.sample_chunks(VACUUM, lat, seed=1, n=1)
 
