@@ -153,11 +153,10 @@ class LatticeSpec:
         return self.sites_per_axis**self.dim
 
     def axis_wavenumbers(self) -> np.ndarray:
-        """Signed k_j = 2 pi j/(N a) in FFT layout, Nyquist mapped to +pi/a."""
+        """Signed k_j = 2 pi j/(N a) over :meth:`axis_mode_indices`, so the
+        Nyquist mode is +pi/a."""
         n, a = self.sites_per_axis, self.spacing
-        k = 2.0 * math.pi * np.fft.fftfreq(n, d=a)
-        k[n // 2] = abs(k[n // 2])
-        return k
+        return 2.0 * math.pi * (np.array(self.axis_mode_indices()) * (1.0 / (n * a)))
 
     def mode_magnitudes(self) -> np.ndarray:
         """|k| on the full mode grid, FFT layout, shape ``self.shape``."""
@@ -239,40 +238,32 @@ class SampleChunk:
 
 
 class _SpectrumPlan:
-    """Precomputed per-mode scales on the half mode grid.
-
-    Read-only after construction, so one plan can serve many blocks and
-    many threads.
+    """The moment contract ``expected`` = V/(2 c) on the full mode grid and
+    the draw's ``scale`` = sqrt(V / (2 c N^D)) on the half grid, both 0 at a
+    pinned zero mode.  Read-only after construction, so one plan can serve
+    many blocks and many threads.
     """
 
     def __init__(self, density: SpectralDensity, lattice: LatticeSpec,
                  pin_zero_mode: bool):
         self.lattice = lattice
-        shape = lattice.shape
-        n = lattice.sites_per_axis
         coeff = spectral_coefficient(density, lattice.mode_magnitudes())
-        coeff = np.atleast_1d(np.asarray(coeff)).reshape(shape)
-
-        pinned = np.zeros(shape, dtype=bool)
+        zero = (0,) * lattice.dim
         bad = coeff <= 0.0
-        if pin_zero_mode:
-            zero = (0,) * lattice.dim
-            if bad[zero]:
-                pinned[zero] = True
-                bad[zero] = False
+        pinned = pin_zero_mode and bool(bad[zero])
+        bad[zero] &= not pinned
         if np.any(bad):
-            flat = int(np.argmax(bad))
-            mode = np.unravel_index(flat, shape)
-            signed = tuple(int(j) if j <= n // 2 else int(j - n) for j in mode)
-            raise DegenerateModeError(signed, float(coeff[mode]))
-        self.coefficients = coeff
-        self.pinned = pinned
-
+            mode = np.unravel_index(int(np.argmax(bad)), lattice.shape)
+            labels = lattice.axis_mode_indices()
+            raise DegenerateModeError(tuple(labels[j] for j in mode),
+                                      float(coeff[mode]))
+        safe = np.where(coeff > 0.0, coeff, 1.0)
+        self.expected = lattice.volume / (2.0 * safe)
         self.grid = _half_grid(lattice)
-        half = np.s_[..., : self.grid.shape[-1]]
-        safe = np.where(coeff > 0.0, coeff, 1.0)[half]
-        self.scale = np.sqrt(
-            lattice.volume / (2.0 * lattice.total_sites * safe)) * ~pinned[half]
+        self.scale = np.sqrt(lattice.volume / (2.0 * lattice.total_sites
+                                               * safe[..., : self.grid.shape[-1]]))
+        if pinned:
+            self.expected[zero] = self.scale[zero] = 0.0
 
     def _draw(self, rng: np.random.Generator, rows: int):
         """The next ``rows`` configurations from one block's generator, and
@@ -392,10 +383,8 @@ class SpectrumEstimate:
 class SpectrumAccumulator:
     """Streaming per-mode moments of |phi~_k|^2.
 
-    Accepts partitioned inputs: accumulators over disjoint sample sets
-    merge associatively, so partial sums from parallel workers combine to
-    the same estimate.  The moments live on the half mode grid; a real
-    field has |phi~_-k|^2 = |phi~_k|^2.
+    The moments live on the half mode grid; a real field has
+    |phi~_-k|^2 = |phi~_k|^2.
     """
 
     def __init__(self, lattice: LatticeSpec):
@@ -409,7 +398,8 @@ class SpectrumAccumulator:
             raise InvalidInputError("mixed lattice specs in one spectrum estimate")
 
     def _fold(self, power: np.ndarray):
-        """:meth:`merge` with the batch ``power``, in place, term for term."""
+        """Fold the rows of ``power`` (|phi~_k|^2 per sample) into the moments
+        in place, by the Chan-Golub-LeVeque update of two disjoint sets."""
         count, total = len(power), self.count + len(power)
         mean = power.mean(axis=0)
         delta = mean - self._mean
@@ -428,21 +418,6 @@ class SpectrumAccumulator:
         self._check(cfg.lattice)
         modes = np.fft.rfftn(cfg.values) * self.lattice.spacing**self.lattice.dim
         self._fold((modes.real**2 + modes.imag**2)[None])
-
-    def merge(self, other: "SpectrumAccumulator") -> "SpectrumAccumulator":
-        """Chan-Golub-LeVeque combination of two disjoint sample sets."""
-        self._check(other.lattice)
-        merged = SpectrumAccumulator(self.lattice)
-        total = self.count + other.count
-        if total == 0:
-            return merged
-        delta = other._mean - self._mean
-        merged.count = total
-        merged._mean = self._mean + delta * (other.count / total)
-        merged._m2 = (
-            self._m2 + other._m2 + delta * delta * (self.count * other.count / total)
-        )
-        return merged
 
     def finalize(self) -> SpectrumEstimate:
         if self.count < 2:
@@ -472,12 +447,9 @@ def power_spectrum(samples) -> SpectrumEstimate:
 
 def expected_power(density: SpectralDensity, lattice: LatticeSpec,
                    pin_zero_mode: bool = False) -> np.ndarray:
-    """The moment contract V/(2 c(k)) per mode (0 at a pinned zero mode)."""
-    plan = _SpectrumPlan(density, lattice, pin_zero_mode)
-    safe = np.where(plan.pinned, 1.0, plan.coefficients)
-    out = lattice.volume / (2.0 * safe)
-    out[plan.pinned] = 0.0
-    return out
+    """The moment contract V/(2 c(k)) per mode (0 at a pinned zero mode),
+    as the draw's plan holds it."""
+    return _SpectrumPlan(density, lattice, pin_zero_mode).expected
 
 
 def smear(cfg: FieldConfiguration, test_values: np.ndarray) -> float:

@@ -1,7 +1,9 @@
 """Self-contained verification suite wiring the modules against each other.
 
-Each check returns a :class:`CheckResult` and never raises on a numerical
-failure, so the suite always reports every check it ran.  The checks are
+Each check returns a :class:`CheckResult` and never raises: the
+:func:`_check` wrapper times it, builds its result and turns a
+:class:`~kgf.errors.KGFError` raised inside it into that check's FAIL, so
+the suite always reports every check it ran.  The checks are
 deliberately cross-module: quadrature kernels against algebraic axioms,
 the contraction kernel against the rewriting engine, sampled lattice moments
 against closed-form coefficients and against the independent Fock-space
@@ -15,6 +17,7 @@ nearly orthogonal packet pairs.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -72,9 +75,23 @@ class CheckResult:
     elapsed: float
 
 
-def _result(name: str, start: float, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=bool(passed), detail=detail,
-                       elapsed=time.perf_counter() - start)
+def _check(name: str):
+    """Decorate a check body that returns ``(passed, detail)``: the check
+    times the body and returns its :class:`CheckResult`, a FAIL whose
+    detail is ``"<ExceptionType>: <message>"`` if the body raises a
+    :class:`KGFError`."""
+    def wrap(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            start = time.perf_counter()
+            try:
+                passed, detail = body(*args, **kwargs)
+            except KGFError as exc:
+                passed, detail = False, f"{type(exc).__name__}: {exc}"
+            return CheckResult(name=name, passed=bool(passed), detail=detail,
+                               elapsed=time.perf_counter() - start)
+        return check
+    return wrap
 
 
 def _random_packet(rng: np.random.Generator) -> WavePacket:
@@ -96,9 +113,9 @@ def _random_packet(rng: np.random.Generator) -> WavePacket:
     )
 
 
-def check_kernel_axioms(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check("kernel_axioms")
+def check_kernel_axioms(seed: int = DEFAULT_SEED):
     """Hermiticity, positivity and xi-scaling on randomized packet pairs."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst_herm = worst_scale = 0.0
     min_norm = math.inf
@@ -111,14 +128,11 @@ def check_kernel_axioms(seed: int = DEFAULT_SEED) -> CheckResult:
         quantum = KernelSpec(KernelVariant.QUANTUM, constants, dim=1)
         scaled = KernelSpec(KernelVariant.XI_SCALED, constants, dim=1)
         f, g = _random_packet(rng), _random_packet(rng)
-        try:
-            norm_f = positivity_check(quantum, f)
-            norm_g = positivity_check(quantum, g)
-            fg = inner_product(quantum, f, g)
-            gf = inner_product(quantum, g, f)
-            xi_fg = inner_product(scaled, f, g, check=False)
-        except KGFError as exc:
-            return _result("kernel_axioms", start, False, f"kernel error: {exc}")
+        norm_f = positivity_check(quantum, f)
+        norm_g = positivity_check(quantum, g)
+        fg = inner_product(quantum, f, g)
+        gf = inner_product(quantum, g, f)
+        xi_fg = inner_product(scaled, f, g, check=False)
         scale = math.sqrt(norm_f * norm_g)
         min_norm = min(min_norm, norm_f, norm_g)
         worst_herm = max(worst_herm, abs(fg - gf.conjugate()) / scale)
@@ -126,8 +140,8 @@ def check_kernel_axioms(seed: int = DEFAULT_SEED) -> CheckResult:
             worst_scale, abs(xi_fg - constants.xi * fg) / (constants.xi * scale)
         )
     passed = worst_herm <= 1e-8 and worst_scale <= 1e-12 and min_norm > 0.0
-    return _result(
-        "kernel_axioms", start, passed,
+    return (
+        passed,
         f"{KERNEL_AXIOM_PAIRS} pairs: hermiticity dev {worst_herm:.2e} (tol 1e-08), "
         f"xi-scaling dev {worst_scale:.2e} (tol 1e-12), min norm {min_norm:.3e}",
     )
@@ -144,14 +158,14 @@ def _random_hermitian_table(rng: np.random.Generator,
     return opalgebra.InnerProductTable(entries)
 
 
-def check_algebra_equivalence(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check("algebra_equivalence")
+def check_algebra_equivalence(seed: int = DEFAULT_SEED):
     """Contraction-kernel VEVs against the rewriting engine on random ip tables.
 
     ``contract`` over phi letters (the call ``kgf expect`` makes) and
     ``vacuum_expectation`` both run on the contraction kernel; the identity
     coefficient of ``normal_order`` is the referee.
     """
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     size = 8
     registry = opalgebra.FunctionRegistry()
@@ -175,16 +189,16 @@ def check_algebra_equivalence(seed: int = DEFAULT_SEED) -> CheckResult:
                 denom = max(abs(via_rewrite), 1e-6)
                 worst = max(worst, *(abs(v - via_rewrite) / denom for v in fast))
     passed = worst <= 1e-10 and odd_ok
-    return _result(
-        "algebra_equivalence", start, passed,
+    return (
+        passed,
         f"{ALGEBRA_TABLES} tables, n in 2/4/6/8: worst rel dev {worst:.2e} (tol 1e-10), "
         f"odd products exactly zero: {odd_ok}",
     )
 
 
-def check_two_point(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check("two_point_orientation")
+def check_two_point(seed: int = DEFAULT_SEED):
     """<0| phi[f1] phi[f2] |0> = (f2, f1) under the quantum kernel."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(TWO_POINT_PAIRS):
@@ -193,30 +207,26 @@ def check_two_point(seed: int = DEFAULT_SEED) -> CheckResult:
         registry = opalgebra.FunctionRegistry()
         registry.register("f1", _random_packet(rng))
         registry.register("f2", _random_packet(rng))
-        try:
-            table = opalgebra.InnerProductTable.from_kernel(spec, registry)
-            expr = (opalgebra.field_operator(registry, 1)
-                    * opalgebra.field_operator(registry, 2))
-            vev = opalgebra.vacuum_expectation(expr, table)
-            direct = inner_product(spec, registry.packet(2), registry.packet(1))
-            scale = math.sqrt(
-                positivity_check(spec, registry.packet(1), check=False)
-                * positivity_check(spec, registry.packet(2), check=False)
-            )
-        except KGFError as exc:
-            return _result("two_point_orientation", start, False,
-                           f"kernel error: {exc}")
+        table = opalgebra.InnerProductTable.from_kernel(spec, registry)
+        expr = (opalgebra.field_operator(registry, 1)
+                * opalgebra.field_operator(registry, 2))
+        vev = opalgebra.vacuum_expectation(expr, table)
+        direct = inner_product(spec, registry.packet(2), registry.packet(1))
+        scale = math.sqrt(
+            positivity_check(spec, registry.packet(1), check=False)
+            * positivity_check(spec, registry.packet(2), check=False)
+        )
         worst = max(worst, abs(vev - direct) / scale)
     passed = worst <= 1e-8
-    return _result(
-        "two_point_orientation", start, passed,
+    return (
+        passed,
         f"{TWO_POINT_PAIRS} pairs: worst rel dev {worst:.2e} (tol 1e-08)",
     )
 
 
-def check_lambda_closure() -> CheckResult:
+@_check("lambda_closure")
+def check_lambda_closure():
     """c_XiLambda at lambda(xi) collapses onto c_QuantumVacuum for all k."""
-    start = time.perf_counter()
     k_grid = np.linspace(0.0, 10.0, 256)
     worst = 0.0
     for xi in np.arange(1, 10) / 10.0:
@@ -227,19 +237,19 @@ def check_lambda_closure() -> CheckResult:
         c_q = spectral_coefficient(vacuum, k_grid)
         worst = max(worst, float(np.max(np.abs(c_lam - c_q) / c_q)))
     passed = worst <= 1e-12
-    return _result(
-        "lambda_closure", start, passed,
+    return (
+        passed,
         f"256-point grid, xi in 0.1..0.9: worst rel dev {worst:.2e} (tol 1e-12)",
     )
 
 
-def check_crossover() -> CheckResult:
+@_check("crossover")
+def check_crossover():
     """c_T tracks c_E below hbar*omega/2kT = 0.1 and c_Q above 3, within 1%.
 
     Quantitative only in the near-massless regime, so the check runs at
     m = 0.01 kT/hbar.
     """
-    start = time.perf_counter()
     constants = PhysicalConstants(hbar=1.0, kT=1.0, mass=0.01)
     k_grid = np.concatenate(([0.0], np.geomspace(1e-3, 20.0, 160)))
     rows = spectra.crossover_report(constants, k_grid)
@@ -256,8 +266,8 @@ def check_crossover() -> CheckResult:
             worst_high = max(worst_high, row.rel_dev_Q)
     passed = (n_low > 0 and n_high > 0
               and worst_low < 0.01 and worst_high < 0.01)
-    return _result(
-        "crossover", start, passed,
+    return (
+        passed,
         f"{n_low} low modes: dev from c_E {worst_low:.2e}; "
         f"{n_high} high modes: dev from c_Q {worst_high:.2e} (tol 1e-02)",
     )
@@ -270,38 +280,34 @@ def _verification_densities() -> dict:
             for ens in Ensemble}
 
 
-def _moment_pass_fraction(estimate: sampler.SpectrumEstimate,
-                          expected: np.ndarray) -> tuple:
+def _moment_agreement(density: SpectralDensity, lattice: sampler.LatticeSpec,
+                      seed: int, expected: np.ndarray) -> tuple:
+    """Whether |phi~_k|^2 of ``N_SAMPLES`` draws meets ``expected`` on enough
+    modes, and the text ``"<fraction> in <sigma>se (worst z <z>"``, its
+    parenthesis left open for the caller to close."""
+    acc = sampler.SpectrumAccumulator(lattice)
+    for chunk in sampler.sample_chunks(density, lattice, seed, N_SAMPLES):
+        acc.add(chunk)
+    estimate = acc.finalize()
     z = np.abs(estimate.mean - expected) / estimate.stderr
     frac = float(np.mean(z <= MODE_SIGMA))
-    return frac, float(np.max(z))
+    return (frac >= MODE_PASS_FRACTION,
+            f"{frac:.1%} in {MODE_SIGMA}se (worst z {float(np.max(z)):.2f}")
 
 
-def _sampled_spectrum(density: SpectralDensity, lattice: sampler.LatticeSpec,
-                      seed: int, n: int) -> sampler.SpectrumEstimate:
-    acc = sampler.SpectrumAccumulator(lattice)
-    for chunk in sampler.sample_chunks(density, lattice, seed, n):
-        acc.add(chunk)
-    return acc.finalize()
-
-
-def check_sampler_moments(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check("sampler_moments")
+def check_sampler_moments(seed: int = DEFAULT_SEED):
     """Per-mode E[|phi~_k|^2] = V/(2c) on all five ensembles, plus determinism."""
-    start = time.perf_counter()
     lattice = sampler.LatticeSpec(dim=1, sites_per_axis=64, spacing=1.0)
     lines = []
     passed = True
     for i, (ensemble, density) in enumerate(_verification_densities().items()):
-        t0 = time.perf_counter()
-        # one stream per ensemble, clear of the seed + 1 and seed + 2 checks
-        estimate = _sampled_spectrum(density, lattice, (seed + 3 + i) % 2**64, N_SAMPLES)
         expected = sampler.expected_power(density, lattice)
-        frac, worst_z = _moment_pass_fraction(estimate, expected)
-        dt = time.perf_counter() - t0
-        ok = frac >= MODE_PASS_FRACTION
-        passed = passed and ok
-        lines.append(f"{ensemble.value}: {frac:.1%} in {MODE_SIGMA}se "
-                     f"(worst z {worst_z:.2f}, {dt:.1f}s)")
+        # one stream per ensemble, clear of the seed + 1 and seed + 2 checks
+        leg = _check(ensemble.value)(_moment_agreement)(
+            density, lattice, (seed + 3 + i) % 2**64, expected)
+        passed = passed and leg.passed
+        lines.append(f"{leg.name}: {leg.detail}, {leg.elapsed:.1f}s)")
     density = _verification_densities()[Ensemble.QUANTUM_VACUUM]
     serial, threaded = (
         b"".join(chunk.values.tobytes() for chunk in sampler.sample_chunks(
@@ -310,12 +316,12 @@ def check_sampler_moments(seed: int = DEFAULT_SEED) -> CheckResult:
     deterministic = serial == threaded
     passed = passed and deterministic
     lines.append(f"byte-identical across worker counts: {deterministic}")
-    return _result("sampler_moments", start, passed, "; ".join(lines))
+    return passed, "; ".join(lines)
 
 
-def check_equipartition(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check("equipartition")
+def check_equipartition(seed: int = DEFAULT_SEED):
     """Classical ensemble: E[H_C] = (mode count) kT/2 within 5 standard errors."""
-    start = time.perf_counter()
     constants = PhysicalConstants(hbar=1.0, kT=1.0, mass=1.0, xi=0.5)
     density = SpectralDensity(Ensemble.CLASSICAL_EQUILIBRIUM, constants)
     lattice = sampler.LatticeSpec(dim=1, sites_per_axis=64, spacing=1.0)
@@ -327,16 +333,16 @@ def check_equipartition(seed: int = DEFAULT_SEED) -> CheckResult:
     stderr = float(np.std(values, ddof=1) / math.sqrt(N_SAMPLES))
     z = abs(mean - target) / stderr
     passed = z <= MODE_SIGMA
-    return _result(
-        "equipartition", start, passed,
+    return (
+        passed,
         f"E[H_C] = {mean:.4f} vs {target:.1f}, z = {z:.2f} (tol {MODE_SIGMA})",
     )
 
 
-def check_fock_oracle(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check("fock_oracle")
+def check_fock_oracle(seed: int = DEFAULT_SEED):
     """Truncated-basis oracle vs coth closed form, spectral coefficients,
     and the sampled lattice."""
-    start = time.perf_counter()
     worst_coth = 0.0
     for x in np.geomspace(0.2, 10.0, 20):
         mode = fockoracle.ModeSpec(omega=1.3, hbar_eff=0.7, gibbs_x=float(x))
@@ -358,23 +364,15 @@ def check_fock_oracle(seed: int = DEFAULT_SEED) -> CheckResult:
         worst_density = max(worst_density, chk.rel_err)
 
     lattice = sampler.LatticeSpec(dim=1, sites_per_axis=64, spacing=1.0)
-    estimate = _sampled_spectrum(thermal, lattice, (seed + 2) % 2**64, N_SAMPLES)
-    kmags = lattice.mode_magnitudes()
-    oracle = np.array([
-        fockoracle.mode_variance_numeric(fockoracle.ModeSpec(
-            omega=math.hypot(k, constants.mass), hbar_eff=constants.hbar,
-            gibbs_x=constants.hbar * math.hypot(k, constants.mass) / constants.kT,
-        ))
-        for k in kmags
-    ])
-    frac, worst_z = _moment_pass_fraction(estimate, oracle * lattice.volume)
-    passed = (worst_coth <= 1e-10 and worst_density <= 1e-10
-              and frac >= MODE_PASS_FRACTION)
-    return _result(
-        "fock_oracle", start, passed,
+    oracle = np.array([fockoracle.verify_density_variance(thermal, float(k)).numeric
+                       for k in lattice.mode_magnitudes()])
+    agrees, agreement = _moment_agreement(thermal, lattice, (seed + 2) % 2**64,
+                                          oracle * lattice.volume)
+    passed = worst_coth <= 1e-10 and worst_density <= 1e-10 and agrees
+    return (
+        passed,
         f"coth dev {worst_coth:.2e} (tol 1e-10); density dev {worst_density:.2e} "
-        f"(tol 1e-10); lattice agreement {frac:.1%} in {MODE_SIGMA}se "
-        f"(worst z {worst_z:.2f})",
+        f"(tol 1e-10); lattice agreement {agreement})",
     )
 
 

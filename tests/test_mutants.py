@@ -7,9 +7,11 @@ This is mutation analysis of the gate itself (DeMillo, Lipton & Sayward,
 no check kills points to a missing check.
 """
 
+import numpy as np
 import pytest
 
-from kgf import kernels, sampler, spectra, verify
+from kgf import cli, fockoracle, kernels, opalgebra, sampler, spectra, verify
+from kgf.kernels import KernelVariant
 from kgf.spectra import Ensemble
 
 
@@ -50,6 +52,39 @@ def flip_kernel_weight(monkeypatch):
                         lambda spec, omega: -weight(spec, omega))
 
 
+def apply_xi_twice(monkeypatch):
+    """The xi-scaled weight multiplied by xi a second time."""
+    weight = kernels._variant_weight
+
+    def twice(spec, omega):
+        w = weight(spec, omega)
+        return w * spec.constants.xi if spec.variant is KernelVariant.XI_SCALED else w
+    monkeypatch.setattr(kernels, "_variant_weight", twice)
+
+
+class _Transposed:
+    """An inner-product table read with each pair's indices swapped."""
+
+    def __init__(self, ip):
+        self.ip = ip
+
+    def __getitem__(self, pair):
+        return self.ip[pair[::-1]]
+
+
+def swap_contract_pair_order(monkeypatch):
+    """``contract`` reads ip[(i, j)] where it reads ip[(j, i)]."""
+    contract = opalgebra.contract
+    monkeypatch.setattr(opalgebra, "contract",
+                        lambda letters, ip: contract(letters, _Transposed(ip)))
+
+
+def halve_fock_cutoff(monkeypatch):
+    """The Fock oracle sums over half its derived number of states."""
+    cutoff = fockoracle._auto_cutoff
+    monkeypatch.setattr(fockoracle, "_auto_cutoff", lambda x: cutoff(x) // 2)
+
+
 MUTANTS = [
     ("draw_scale_x1.03", scale_draw(1.03),
      {"sampler": {"sampler_moments", "equipartition"}}),
@@ -61,6 +96,12 @@ MUTANTS = [
      {"spectra": {"crossover"}, "sampler": {"equipartition"}}),
     ("kernel_weight_sign_flipped", flip_kernel_weight,
      {"kernels": {"kernel_axioms"}}),
+    ("xi_applied_twice", apply_xi_twice,
+     {"kernels": {"kernel_axioms"}}),
+    ("contract_pair_order_swapped", swap_contract_pair_order,
+     {"algebra": {"algebra_equivalence", "two_point_orientation"}}),
+    ("fock_cutoff_halved", halve_fock_cutoff,
+     {"fock": {"fock_oracle"}}),
 ]
 
 
@@ -72,3 +113,18 @@ def test_gate_kills_the_mutant(monkeypatch, apply, killers):
         results = {r.name: r for r in verify.run_suite(suite)}
         for name in names:
             assert not results[name].passed, f"{name} passed: {results[name].detail}"
+
+
+def test_verify_reports_every_check_when_one_raises(monkeypatch, capsys):
+    """A check whose computation raises is a FAIL line carrying the error;
+    the checks before and after it still run, and the command exits 1."""
+    monkeypatch.setattr(sampler, "spectral_coefficient",  # c(k) = 0 on every mode
+                        lambda density, kmag: np.zeros(np.shape(kmag)))
+    assert cli.main(["verify", "--suite", "all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9
+    failed = {line.split()[1] for line in lines[:8] if line.startswith("[FAIL]")}
+    assert failed == {"sampler_moments", "equipartition", "fock_oracle"}
+    assert all("DegenerateModeError: " in line
+               for line in lines[:8] if line.startswith("[FAIL]"))
+    assert lines[8].startswith("8 checks, 5 passed, 3 failed")

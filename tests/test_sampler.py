@@ -288,7 +288,7 @@ class TestGoldenStreams:
         (1, 16, "76e83c458b325988503f4f10e3a804b88042ab13fa9dd35fd18c48d3582bfbb0"),
         (2, 8, "eb19bbe11279fa49d88757105518f5f7d407fc6b0ebeb30054c49c9fed5b8bcf"),
         (3, 8, "2a1776679809a24b3212473109995222d9fd93e3a2b1a17a42611b6deaed10e0"),
-    ])
+    ], ids=["d1", "d2", "d3"])
     def test_digest(self, dim, sites, digest):
         lat = LatticeSpec(dim=dim, sites_per_axis=sites, spacing=0.5)
         buf = io.BytesIO()
@@ -348,6 +348,28 @@ class TestDegenerateModes:
         scale = np.abs(fields).max()
         assert np.all(np.abs(fields.sum(axis=1)) < 1e-12 * scale)
         assert expected_power(massless, lat, pin_zero_mode=True)[0] == 0.0
+
+    @pytest.mark.parametrize("dim, index, mode", [
+        (1, (5,), (-3,)),
+        (1, (4,), (4,)),
+        (2, (6, 4), (-2, 4)),
+        (3, (0, 7, 3), (0, -1, 3)),
+    ], ids=["d1_fft5", "d1_nyquist", "d2_fft6_4", "d3_fft0_7_3"])
+    def test_error_names_the_signed_mode(self, monkeypatch, dim, index, mode):
+        """A non-positive coefficient at FFT index ``index`` of an N = 8
+        lattice is reported at its signed mode, Nyquist as +N/2."""
+        coefficient = sampler.spectral_coefficient
+
+        def negative_at_index(density, kmag):
+            c = coefficient(density, kmag)
+            c[index] = -1.0
+            return c
+        monkeypatch.setattr(sampler, "spectral_coefficient", negative_at_index)
+        lat = LatticeSpec(dim=dim, sites_per_axis=8)
+        with pytest.raises(DegenerateModeError) as err:
+            sample_chunks(THERMAL, lat, seed=3, n=1)
+        assert err.value.mode == mode
+        assert err.value.coefficient == -1.0
 
 
 class TestModeScaleRatio:
@@ -446,23 +468,6 @@ class TestAccumulator:
         return [FieldConfiguration(self.LAT, v)
                 for v in sample_array(VACUUM, self.LAT, seed=seed, n=n)]
 
-    def test_merge_equals_sequential(self):
-        cfgs = self.configs(55, 10)
-        whole = SpectrumAccumulator(self.LAT)
-        for c in cfgs:
-            whole.update(c)
-        left = SpectrumAccumulator(self.LAT)
-        right = SpectrumAccumulator(self.LAT)
-        for c in cfgs[:4]:
-            left.update(c)
-        for c in cfgs[4:]:
-            right.update(c)
-        merged = left.merge(right)
-        a, b = whole.finalize(), merged.finalize()
-        assert a.count == b.count == 10
-        assert np.allclose(a.mean, b.mean, rtol=1e-12)
-        assert np.allclose(a.stderr, b.stderr, rtol=1e-12)
-
     def test_chunk_accumulation_matches_per_configuration_updates(self):
         n = BLOCK_SIZE + 9
         per_cfg = power_spectrum(FieldConfiguration(self.LAT, v)
@@ -494,14 +499,6 @@ class TestAccumulator:
                 for v in chunk.values]
         assert np.allclose(got, want, rtol=1e-12, atol=0)
 
-    def test_merge_with_empty_is_identity(self):
-        cfgs = self.configs(56, 4)
-        acc = SpectrumAccumulator(self.LAT)
-        for c in cfgs:
-            acc.update(c)
-        merged = acc.merge(SpectrumAccumulator(self.LAT))
-        assert np.allclose(merged.finalize().mean, acc.finalize().mean, rtol=1e-15)
-
     def test_needs_two_samples(self):
         acc = SpectrumAccumulator(self.LAT)
         with pytest.raises(InvalidInputError):
@@ -520,7 +517,7 @@ class TestAccumulator:
         with pytest.raises(InvalidInputError):
             acc.update(FieldConfiguration(other, sample_array(VACUUM, other, seed=1, n=1)[0]))
         with pytest.raises(InvalidInputError):
-            acc.merge(SpectrumAccumulator(other))
+            acc.add(next(sample_chunks(VACUUM, other, seed=1, n=1)))
 
 
 def naive_samples_csv(lattice, samples):
