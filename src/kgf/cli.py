@@ -12,8 +12,11 @@ Configuration precedence: command-line flag, then --config JSON document,
 then default, read from the dataclass that owns the value where one does.
 Each subcommand takes only the flags it reads.  Every floating-point value is printed with
 17 significant digits so artifacts round-trip exactly.  Exit codes: 0 on
-success, 2 on validation errors, 3 on accuracy errors.  The sampling
-worker count comes from --workers alone.
+success, 1 when ``verify`` finds a failing check, 2 on validation errors,
+3 on accuracy errors, and 141 (128 + SIGPIPE, as a shell reports a
+program killed by a broken pipe), with no traceback, when the reader of
+stdout goes away before the output is written, as in ``kgf spectra ... |
+head -1``.  The sampling worker count comes from --workers alone.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -45,6 +49,9 @@ __all__ = ["main", "build_parser", "CONFIG_SCHEMA", "load_config"]
 #: ``sorted(verify.SUITES)``, spelled out so that building the parser does
 #: not import the verification suite.
 _VERIFY_SUITES = ("algebra", "all", "fock", "kernels", "sampler", "spectra")
+
+#: Exit code when stdout's reader has gone: 128 + SIGPIPE.
+_EXIT_BROKEN_PIPE = 141
 
 #: Most rows ``kgf spectra`` writes: about 40 MB of text, streamed in slabs;
 #: the k and c columns and their evaluation peak at about 42 MiB.
@@ -533,7 +540,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # drop what is still buffered, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_BROKEN_PIPE
     except AccuracyError as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)
         return 3

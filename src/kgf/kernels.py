@@ -400,7 +400,14 @@ def positivity_check(spec: KernelSpec, f: WavePacket, check: bool = True) -> flo
     check.  The result is nonnegative for every valid packet because the
     on-shell integrand is |f~|^2 times a positive weight.
     """
-    value = inner_product(spec, f, f, check=check)
+    return _diagnosed_norm(spec, f, check)[0]
+
+
+def _diagnosed_norm(spec: KernelSpec, f: WavePacket, check: bool = True) -> tuple:
+    """:func:`positivity_check`'s (f, f), and the real part of its refined
+    pass (None without ``check``): one of the ``norms`` that
+    :func:`_diagnosed_inner_product` takes."""
+    value, diag = inner_product_with_diagnostics(spec, f, f, check=check)
     tol = 1e-10 * max(abs(value.real), 1e-300)
     if abs(value.imag) > tol:
         raise NumericConsistencyError(
@@ -408,4 +415,4 @@ def positivity_check(spec: KernelSpec, f: WavePacket, check: bool = True) -> flo
             coarse=value,
             refined=value.real,
         )
-    return value.real
+    return value.real, None if diag is None else diag.refined.real

@@ -1,0 +1,120 @@
+"""``tools/bench_ab.py`` on canned ``perfbench/run.py`` output: the runs it
+records, the statistics it derives and the BENCH document it writes."""
+
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_ab.py"
+_spec = importlib.util.spec_from_file_location("bench_ab", TOOL)
+bench_ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_ab)
+
+BETTER = {"wall_s": "lower", "success_ratio": "higher"}
+
+
+def run_output(source, wall, success=1.0):
+    """What ``run.py --trace 0`` prints: environment, tally, result."""
+    environment = {"workload": "verify_all", "seed": 31, "commit": None,
+                   "source_sha256": source, "nproc": 2, "python": "3.11.7",
+                   "numpy": "2.4.6", "cpu_model": "test cpu"}
+    result = {"correct": True, "attempted": 9, "failed": 0,
+              "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                          "success_ratio": {"value": success, "unit": "ratio"}}}
+    return "\n".join([bench_ab.ENVIRONMENT_PREFIX + json.dumps(environment),
+                      "# 8 passes, 9 invocations, 0 failed", json.dumps(result)]) + "\n"
+
+
+@pytest.fixture
+def runs():
+    walls = {"base": [1.2, 1.0, 1.4, 1.1], "head": [0.8, 0.9, 1.5, 0.7]}
+    out = []
+    for pair in range(4):
+        order = ("base", "head") if pair % 2 == 0 else ("head", "base")
+        for position, side in enumerate(order):
+            run, env = bench_ab.record("verify_all", 31 + pair, pair, side, position,
+                                       0.07, run_output(side, walls[side][pair]))
+            assert env["source_sha256"] == side
+            out.append(run)
+    return out
+
+
+def test_record_keeps_the_run_and_its_metric_values(runs):
+    assert runs[0] == {
+        "workload": "verify_all", "seed": 31, "pair": 0, "side": "base", "order": 0,
+        "calibration_s": 0.07, "correct": True, "attempted": 9, "failed": 0,
+        "metrics": {"wall_s": 1.2, "success_ratio": 1.0},
+    }
+    assert [(r["side"], r["order"]) for r in runs[2:4]] == [("head", 0), ("base", 1)]
+
+
+def test_summary_medians_quartiles_and_pairs_won(runs):
+    entry = bench_ab.summarize(runs, BETTER)["verify_all"]
+    assert entry["pairs"] == 4
+    wall = entry["metrics"]["wall_s"]
+    # statistics.quantiles(n=4) of 1.0, 1.1, 1.2, 1.4 and of 0.7, 0.8, 0.9, 1.5
+    assert wall["base"]["median"] == pytest.approx(1.15)
+    assert (wall["base"]["q1"], wall["base"]["q3"]) == pytest.approx((1.025, 1.35))
+    assert wall["head"]["median"] == pytest.approx(0.85)
+    assert wall["head"]["iqr"] == pytest.approx(1.35 - 0.725)
+    assert wall["change"] == pytest.approx(0.85 / 1.15 - 1)
+    assert wall["head_better_pairs"] == 3  # lower is better; pair 2 lost
+    assert entry["metrics"]["success_ratio"]["head_better_pairs"] == 0
+
+
+def test_bench_document_round_trips_through_json(runs, tmp_path):
+    sides = {"base": {"rev": "HEAD", "commit": "abc", "source_sha256": "base"},
+             "head": {"rev": "WORKTREE", "commit": "WORKTREE", "source_sha256": "head"}}
+    environment = {"python": "3.11.7", "numpy": "2.4.6", "blas": {"name": "openblas"},
+                   "cpu_model": "test cpu"}
+    document = bench_ab.bench_document("test", sides, runs, environment, BETTER, 6.0)
+    path = tmp_path / "BENCH_test.json"
+    path.write_text(json.dumps(document))
+    loaded = json.loads(path.read_text())
+    assert loaded["label"] == "test" and loaded["sides"] == sides
+    assert (loaded["python"], loaded["numpy"], loaded["blas"]) == (
+        "3.11.7", "2.4.6", {"name": "openblas"})
+    assert isinstance(loaded["cpu_count"], int) and loaded["seconds"] == 6.0
+    assert loaded["runs"] == runs
+    assert loaded["summary"]["verify_all"]["pairs"] == 4
+    report = bench_ab.report(loaded["summary"])
+    assert report.splitlines()[0] == "verify_all (4 pairs)"
+    assert "-26.1%" in report and "3/4" in report
+
+
+def test_main_takes_run_length_from_the_benchmark(monkeypatch, tmp_path):
+    """Every run lasts BENCHMARK.json's ``run_seconds``; the claimed workload
+    gets ``CLAIMED_PAIRS`` pairs from ``BASE_SEED`` on, the others
+    ``OTHER_PAIRS``, and the side that goes first alternates."""
+    benchmark = (bench_ab.ROOT / "BENCHMARK.json").read_text()
+    (tmp_path / "BENCHMARK.json").write_text(benchmark)
+    monkeypatch.setattr(bench_ab, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_ab, "extract", lambda rev, dest: dest.mkdir(parents=True) or rev)
+    monkeypatch.setattr(bench_ab, "timed_pass", lambda: 0.07)
+    monkeypatch.setattr(bench_ab, "blas_info", lambda: None)
+    calls = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        value = {flag: cmd[cmd.index(flag) + 1] for flag in ("--workload", "--seed", "--seconds")}
+        calls.append((Path(cwd).name, value))
+        return subprocess.CompletedProcess(cmd, 0, stdout=run_output(Path(cwd).name, 1.0))
+
+    monkeypatch.setattr(bench_ab.subprocess, "run", fake_run)
+    assert bench_ab.main(["--label", "t", "--claimed", "verify_all",
+                          "--workdir", str(tmp_path)]) == 0
+    seconds = json.loads(benchmark)["run_seconds"]
+    assert {value["--seconds"] for _, value in calls} == {str(seconds)}
+    verify = [(side, int(value["--seed"])) for side, value in calls
+              if value["--workload"] == "verify_all"]
+    assert len(verify) == 2 * bench_ab.CLAIMED_PAIRS
+    assert verify[:4] == [("base", bench_ab.BASE_SEED), ("head", bench_ab.BASE_SEED),
+                          ("head", bench_ab.BASE_SEED + 1), ("base", bench_ab.BASE_SEED + 1)]
+    for workload in ("expect_d1", "kernels_d23", "sample_stream"):
+        assert sum(value["--workload"] == workload for _, value in calls) == 2 * bench_ab.OTHER_PAIRS
+    document = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert document["seconds"] == seconds
+    assert document["summary"]["verify_all"]["pairs"] == bench_ab.CLAIMED_PAIRS
+    assert list(tmp_path.glob("bench_ab_*")) == []

@@ -857,6 +857,34 @@ class TestVerify:
         assert main(["verify", "--suite", suite, "--seed", str(2**64 - 1)]) == 0
 
 
+class TestBrokenPipe:
+    """A reader that closes stdout early ends the command with exit 141 and
+    no traceback, as ``kgf ... | head -1`` does."""
+
+    @staticmethod
+    def read_then_close(args, lines):
+        proc = subprocess.Popen([sys.executable, "-m", "kgf", *args],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        read = [proc.stdout.readline() for _ in range(lines)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return read, proc.wait(timeout=300), err
+
+    def test_spectra_after_one_line(self):
+        # 200 000 rows are megabytes: far more than a pipe holds
+        read, code, err = self.read_then_close(
+            ["spectra", "--ensemble", "vacuum", "--kcount", "200000"], 1)
+        assert read == [b"k,c\n"]
+        assert (code, err) == (141, b"")
+
+    def test_verify_before_its_report(self):
+        # verify writes its report at the end, in one piece: a reader that
+        # stays for one line would read all of it, so this one leaves first
+        read, code, err = self.read_then_close(["verify", "--suite", "spectra"], 0)
+        assert (code, err) == (141, b"")
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 # Longest shebang line, "#!" and newline included, that the kernel reads whole.
