@@ -32,8 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import opalgebra
-from .errors import AccuracyError, InvalidInputError, KGFError
+from .errors import AccuracyError, FunctionLookupError, InvalidInputError, KGFError
 from .kernels import (
     KernelSpec,
     KernelVariant,
@@ -42,7 +41,6 @@ from .kernels import (
     WavePacket,
     inner_product_with_diagnostics,
 )
-from .spectra import Ensemble, SpectralDensity, lambda_of_xi, spectral_coefficient
 
 __all__ = ["main", "build_parser", "CONFIG_SCHEMA", "load_config"]
 
@@ -57,9 +55,12 @@ _EXIT_BROKEN_PIPE = 141
 #: the k and c columns and their evaluation peak at about 42 MiB.
 MAX_K_GRID_COUNT = 2**20
 
-#: Each ensemble by its full name and by its short alias.
-ENSEMBLE_ALIASES = {ensemble.value: ensemble for ensemble in Ensemble} | dict(
-    zip(("classical", "vacuum", "thermal", "xivacuum", "xilambda"), Ensemble))
+#: Each ensemble's short alias and the ``spectra.Ensemble`` value it stands
+#: for, spelled out so that building the parser does not import kgf.spectra.
+ENSEMBLE_ALIASES = {"classical": "classical_equilibrium", "vacuum": "quantum_vacuum",
+                    "thermal": "quantum_thermal", "xivacuum": "xi_vacuum",
+                    "xilambda": "xi_lambda"}
+_ENSEMBLE_NAMES = sorted([*ENSEMBLE_ALIASES, *ENSEMBLE_ALIASES.values()])
 
 _NUMBER = {"type": "number"}
 _VECTOR = {"type": "array", "items": _NUMBER, "minItems": 1, "maxItems": 3}
@@ -108,7 +109,7 @@ CONFIG_SCHEMA = {
                 "spacing": {"type": "number", "exclusiveMinimum": 0},
             },
         },
-        "ensemble": {"type": "string", "enum": sorted(ENSEMBLE_ALIASES)},
+        "ensemble": {"type": "string", "enum": _ENSEMBLE_NAMES},
         "lambda": {"type": "number", "exclusiveMinimum": 0},
         "samples": {"type": "integer", "minimum": 1},
         "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
@@ -265,17 +266,21 @@ def _packet(dim: int | None, fields: dict) -> WavePacket:
     )
 
 
-def _registry(args, config: dict, names) -> opalgebra.FunctionRegistry:
-    """The configured packets among ``names``, in config order.
+def _packets(args, config: dict, names) -> dict:
+    """The configured packets among ``names``, by name, in config order.
 
     Packets the command does not name are neither built nor integrated.
     """
     dim = _pick(config, "dim", int, args.dim)
-    registry = opalgebra.FunctionRegistry()
-    for name, fields in config.get("packets", {}).items():
-        if name in names:
-            registry.register(name, _packet(dim, fields))
-    return registry
+    return {name: _packet(dim, fields)
+            for name, fields in config.get("packets", {}).items() if name in names}
+
+
+def _named(packets: dict, name: str) -> WavePacket:
+    try:
+        return packets[name]
+    except KeyError:
+        raise FunctionLookupError(f"unknown function name {name!r}") from None
 
 
 def _kernel_spec(args, config: dict) -> KernelSpec:
@@ -300,15 +305,17 @@ def _lattice(args, config: dict) -> sampler.LatticeSpec:
     )
 
 
-def _density(args, config: dict) -> SpectralDensity:
+def _density(args, config: dict) -> spectra.SpectralDensity:
+    from .spectra import Ensemble, SpectralDensity, lambda_of_xi
+
     name = _pick(config, "ensemble", str, args.ensemble)
     if name is None:
         raise InvalidInputError("no ensemble given (flag --ensemble or config)")
     try:
-        ensemble = ENSEMBLE_ALIASES[name]
-    except KeyError:
+        ensemble = Ensemble(ENSEMBLE_ALIASES.get(name, name))
+    except ValueError:
         raise InvalidInputError(
-            f"unknown ensemble {name!r}; choose from {sorted(ENSEMBLE_ALIASES)}"
+            f"unknown ensemble {name!r}; choose from {_ENSEMBLE_NAMES}"
         ) from None
     constants = _constants(args, config)
     if ensemble is not Ensemble.XI_LAMBDA:
@@ -343,9 +350,8 @@ def _out_dir(args) -> Path:
 def cmd_innerprod(args) -> int:
     config = load_config(args.config)
     spec = _kernel_spec(args, config)
-    registry = _registry(args, config, {args.f, args.g})
-    f = registry.packet(registry.index_of(args.f))
-    g = registry.packet(registry.index_of(args.g))
+    packets = _packets(args, config, {args.f, args.g})
+    f, g = _named(packets, args.f), _named(packets, args.g)
     value, diag = inner_product_with_diagnostics(spec, f, g)
     print(f"({args.f}, {args.g})_{spec.variant.value} = {_fmt_complex(value)}")
     print(
@@ -368,6 +374,8 @@ def _show_pairings(term, word, pairings, table):
 
 
 def cmd_expect(args) -> int:
+    from . import opalgebra
+
     config = load_config(args.config)
     spec = _kernel_spec(args, config)
     terms = opalgebra.parse_terms(args.expression)
@@ -378,8 +386,10 @@ def cmd_expect(args) -> int:
                 "--show-pairings needs a single product of phi factors"
             )
         pairings = opalgebra.enumerate_pairings(len(terms[0].factors))
-    registry = _registry(args, config,
-                         {ident for term in terms for _, ident in term.factors})
+    registry = opalgebra.FunctionRegistry()
+    for name, packet in _packets(args, config, {ident for term in terms
+                                                for _, ident in term.factors}).items():
+        registry.register(name, packet)
     words = [[(keyword, registry.index_of(ident))
               for keyword, ident in term.factors] for term in terms]
     table = opalgebra.InnerProductTable.from_kernel(spec, registry)
@@ -403,10 +413,11 @@ def cmd_spectra(args) -> int:
             f"bad k grid: min {kmin}, max {kmax}, count {count} "
             f"(count at most MAX_K_GRID_COUNT = {MAX_K_GRID_COUNT})"
         )
+    from . import spectra
     from .sampler import _CSV_SLAB_ROWS
 
     k = kmin + (kmax - kmin) / (count - 1) * np.arange(count)
-    c = spectral_coefficient(density, k)
+    c = spectra.spectral_coefficient(density, k)
     path = _out_dir(args) / "coefficients.csv" if args.out else None
     with (open(path, "w", encoding="utf-8") if path
           else contextlib.nullcontext(sys.stdout)) as fh:
@@ -481,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
                         dataclasses.fields(PhysicalConstants)),
                       type=float, metavar="F")
     kernel = group("--kernel", choices=sorted(v.value for v in KernelVariant))
-    ensemble = group("--ensemble", choices=sorted(ENSEMBLE_ALIASES))
+    ensemble = group("--ensemble", choices=_ENSEMBLE_NAMES)
     ensemble.add_argument("--lambda", dest="lam", type=float,
                           help="Gibbs scale of the xi_lambda ensemble, refused "
                                "with any other (default: the closure value)")

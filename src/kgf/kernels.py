@@ -21,13 +21,19 @@ the three kernel variants reduce to
 For Gaussian packets f~* g~ depends on the direction of k only through
 exp(b.k), so each reduced form is one Gauss-Legendre integral in |k| times
 a mean over the direction cosine u: u = +-1 in D=1, the periodic trapezoid
-in the angle in D=2 and Gauss-Legendre in u in D=3.
+in the angle in D=2 and Gauss-Legendre in u in D=3.  The Gauss-Legendre
+rule comes from Newton's method on the Legendre recurrence, started from
+Tricomi's asymptotic nodes, in O(n) vectorised steps per iteration.  The
+passes of one inner product, or of one table, run as one batch: in D >= 2
+on one thread per usable CPU, with the same bits on any number of them.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -56,7 +62,9 @@ CONVERGENCE_RTOL = 1e-8
 CUTOFF_SIGMAS = 12.0
 
 #: Largest ``QuadratureSpec.nodes``.  The doubled check of a D>=2 integral
-#: evaluates (2 * nodes)^2 points per packet pair.
+#: evaluates (2 * nodes)^2 points per packet pair, on one grid per pass; a
+#: pass runs on each usable CPU, so one (2 * nodes)^2 grid stays resident
+#: per thread: 64 MiB complex, or 32 MiB real for an (f, f) pass, at 1024.
 MAX_QUADRATURE_NODES = 1024
 
 
@@ -176,10 +184,12 @@ class QuadratureSpec:
     """How to evaluate the reduced wave-vector integral.
 
     The rule is radial: ``nodes`` Gauss-Legendre radii on [0, cutoff] and,
-    in D >= 2, as many direction points per radius.  The cutoff is derived,
-    never set: each inner product takes |kbar| + 12/sigma of whichever of
-    its two packets reaches further.  ``nodes`` lies in
-    [16, MAX_QUADRATURE_NODES].
+    in D >= 2, as many direction points per radius.  The Gauss-Legendre
+    nodes and weights come from Newton's method on the three-term Legendre
+    recurrence (:func:`_gauss_legendre`), not from an eigenvalue solve.
+    The cutoff is derived, never set: each inner product takes
+    |kbar| + 12/sigma of whichever of its two packets reaches further.
+    ``nodes`` lies in [16, MAX_QUADRATURE_NODES].
     """
 
     nodes: int = 256
@@ -245,11 +255,45 @@ def fourier_transform(packet: WavePacket, k0, kvec) -> complex | np.ndarray:
     return result
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple:
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+def _gauss_legendre(n: int) -> tuple:
+    """Ascending nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on the recurrence, started from Tricomi's asymptotic
+    nodes, for the n // 2 positive nodes (and 0 for odd n); the weights
+    are 2 / ((1 - x^2) P_n'(x)^2).  It takes O(n) vectorised steps per
+    iteration, and three or four iterations, where numpy's ``leggauss``
+    solves an n x n eigenproblem.  See Hale and Townsend, SIAM J. Sci.
+    Comput. 35(2), A652 (2013).
+    """
+    half = n // 2
+    theta = math.pi * (4 * np.arange(1, half + 1) - 1) / (4 * n + 2)
+    x = np.cos(theta) * (1 - (n - 1) / (8 * n**3)
+                         - (39 - 28 / np.sin(theta) ** 2) / (384 * n**4))
+    x = np.append(x, [0.0] * (n % 2))
+    for _ in range(10):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= np.finfo(float).eps:
+            break
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return (np.concatenate((-x, x[half - 1::-1])),
+            np.concatenate((w, w[half - 1::-1])))
+
+
 @lru_cache(maxsize=32)
 def _radial_rule(dim: int, nodes: int):
     """Radii on [0, 1] with weights for the measure |S^(D-1)| r^(D-1), and
     direction cosines with weights that take the mean over directions."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _gauss_legendre(nodes)
     r = 0.5 * (x + 1.0)
     radial = w * math.pi ** (dim / 2) / math.gamma(dim / 2) * r ** (dim - 1)
     if dim == 1:
@@ -271,14 +315,67 @@ def _variant_weight(spec: KernelSpec, omega: np.ndarray) -> np.ndarray:
     return base * c.xi
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _passes(spec: KernelSpec, jobs: list) -> list:
+    """:func:`_reduced_integral` of each ``(f, g, nodes, cutoff)`` in ``jobs``.
+
+    In D >= 2 the passes run on one thread per usable CPU, which live only
+    for this batch: numpy's ``exp`` releases the GIL, and a pass computes
+    the same bits on any thread.  D = 1 passes, of 2 * nodes points each,
+    run inline.
+    """
+    for nodes in {job[2] for job in jobs}:
+        _radial_rule(spec.dim, nodes)  # built once, before any thread reads it
+    workers = min(_usable_cpus(), len(jobs)) if spec.dim > 1 else 1
+    if workers < 2:
+        return [_reduced_integral(spec, *job) for job in jobs]
+    values, failures = [None] * len(jobs), []
+    queue = iter(enumerate(jobs))  # one next() at a time, under the GIL
+
+    def work():
+        try:
+            for index, job in queue:
+                values[index] = _reduced_integral(spec, *job)
+        except BaseException as exc:
+            failures.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
+    return values
+
+
+def _direction_means(c0, s, r: np.ndarray, u: np.ndarray, mean: np.ndarray,
+                     alpha: float) -> np.ndarray:
+    """The mean over directions of exp(c0 - alpha r^2 + r s u) at each radius.
+
+    One grid, float64 when ``c0`` and ``s`` are real and complex otherwise,
+    filled by outer products and exponentiated in place.  The mean is an
+    ``einsum``, not a BLAS call: a threaded OpenBLAS entered from two
+    threads at once grows the resident set, and on a shared 2-vCPU host its
+    own threads took 8 ms for a 512^2 complex mean that one does in 0.2 ms.
+    """
+    grid = np.empty((len(r), len(u)), dtype=np.result_type(c0, s, r))
+    np.multiply.outer(s * r, u, out=grid)
+    grid += (c0 - alpha * r * r)[:, None]
+    return np.einsum("ij,j->i", np.exp(grid, out=grid), mean)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _reduced_integral(spec: KernelSpec, f: WavePacket, g: WavePacket,
                       nodes: int, cutoff: float) -> complex:
     """One radial pass.  conj(f~) g~ = conj(A_f T_f) A_g T_g (2 pi sigma_f
     sigma_g)^D exp(c0 - alpha r^2 + b.k); each direction term is the one
-    exponent exp(c0 - alpha r^2 + r s u), s = sqrt(b.b), of modulus <= 1.
-    Overflowing scales give inf or nan without a warning: the caller
-    refuses a non-finite result."""
+    exponent exp(c0 - alpha r^2 + r s u), s = sqrt(b.b), of modulus <= 1,
+    and real for every (f, f).  Overflowing scales give inf or nan without
+    a warning: the caller refuses a non-finite result."""
     r, radial, u, mean = _radial_rule(spec.dim, nodes)
     r = cutoff * r
     omega = np.sqrt(r * r + _pow(spec.constants.mass, 2))
@@ -287,8 +384,10 @@ def _reduced_integral(spec: KernelSpec, f: WavePacket, g: WavePacket,
     xf, xg = np.asarray(f.center_x), np.asarray(g.center_x)
     b = sf2 * kf + sg2 * kg + 1j * (xf - xg)
     c0 = -0.5 * (sf2 * (kf @ kf) + sg2 * (kg @ kg)) - 1j * (kf @ xf - kg @ xg)
-    exponent = (c0 - 0.5 * (sf2 + sg2) * r * r)[:, None]
-    directions = np.exp(exponent + np.sqrt(complex(b @ b)) * r[:, None] * u) @ mean
+    s = np.sqrt(complex(b @ b))
+    if c0.imag == 0.0 and s.imag == 0.0:
+        c0, s = c0.real, s.real
+    directions = _direction_means(c0, s, r, u, mean, 0.5 * (sf2 + sg2))
     du_f, du_g = omega - f.carrier_freq, omega - g.carrier_freq
     time = np.exp(-0.5 * ((f.width_t * du_f) ** 2 + (g.width_t * du_g) ** 2)
                   - 1j * (du_f * f.center_t - du_g * g.center_t))
@@ -330,25 +429,44 @@ def _diagnosed_inner_product(spec: KernelSpec, f: WavePacket, g: WavePacket,
     """:func:`inner_product_with_diagnostics`; ``norms``, when given, are the
     refined (f, f) and (g, g) that scale the check, so a caller holding them
     saves two passes."""
+    jobs = _inner_product_jobs(spec, f, g, check, norms is None)
+    return _diagnosis(jobs, _passes(spec, jobs), norms)
+
+
+def _inner_product_jobs(spec: KernelSpec, f: WavePacket, g: WavePacket,
+                        check: bool, with_norms: bool) -> list:
+    """The :func:`_passes` jobs of one inner product: the base pass and, with
+    ``check``, the doubled pass and, ``with_norms``, the doubled (f, f) and
+    (g, g) that scale it."""
     if not (f.dim == g.dim == spec.dim):
         raise InvalidInputError(
             f"dimension mismatch: kernel D={spec.dim}, f D={f.dim}, g D={g.dim}"
         )
     nodes = spec.quadrature.nodes
     cutoff = max(f.suggested_cutoff, g.suggested_cutoff)
-    value = _reduced_integral(spec, f, g, nodes, cutoff)
-    if not check:
-        return value, None
+    jobs = [(f, g, nodes, cutoff)]
+    if check:
+        jobs.append((f, g, 2 * nodes, 2.0 * cutoff))
+        # (f, f) refined is the Cauchy-Schwarz scale itself: one pass, not three
+        if with_norms and not (f is g or f == g):
+            jobs += [(f, f, 2 * nodes, 2.0 * cutoff), (g, g, 2 * nodes, 2.0 * cutoff)]
+    return jobs
 
-    refined = _reduced_integral(spec, f, g, 2 * nodes, 2.0 * cutoff)
+
+def _diagnosis(jobs: list, values: list, norms: tuple | None = None):
+    """``(value, diagnostics)`` from the ``values`` of
+    :func:`_inner_product_jobs`' ``jobs``; raises if the check fails."""
+    value = values[0]
+    if len(values) == 1:
+        return value, None
+    f, g, nodes, cutoff = jobs[0]
+    refined = values[1]
     if norms is not None:
         norm_f, norm_g = norms
-    elif f is g or f == g:
-        # (f, f) refined is the Cauchy-Schwarz scale itself: one pass, not three
+    elif len(values) == 2:
         norm_f = norm_g = refined.real
     else:
-        norm_f = _reduced_integral(spec, f, f, 2 * nodes, 2.0 * cutoff).real
-        norm_g = _reduced_integral(spec, g, g, 2 * nodes, 2.0 * cutoff).real
+        norm_f, norm_g = values[2].real, values[3].real
     if not np.all(np.isfinite([value, refined, norm_f, norm_g])):
         raise AccuracyError(
             f"quadrature gave a non-finite estimate: base {value} vs doubled "

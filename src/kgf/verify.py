@@ -41,7 +41,6 @@ import numpy as np
 # numpy loads these on first use: loaded here, before any check forks,
 # they are not loaded again in every child
 import numpy.fft
-import numpy.polynomial
 import numpy.random
 
 from . import fockoracle, opalgebra, sampler, spectra

@@ -14,6 +14,8 @@ bench_ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_ab)
 
 BETTER = {"wall_s": "lower", "success_ratio": "higher"}
+#: The probe before each canned pair: a second CPU free in pairs 0 and 2.
+PROBES = [{"one_s": 0.2, "two_s": two, "ratio": two / 0.2} for two in (0.21, 0.4, 0.22, 0.38)]
 
 
 def run_output(source, wall, success=1.0):
@@ -36,7 +38,8 @@ def runs():
         order = ("base", "head") if pair % 2 == 0 else ("head", "base")
         for position, side in enumerate(order):
             run, env = bench_ab.record("verify_all", 31 + pair, pair, side, position,
-                                       0.07, run_output(side, walls[side][pair]))
+                                       0.07, PROBES[pair],
+                                       run_output(side, walls[side][pair]))
             assert env["source_sha256"] == side
             out.append(run)
     return out
@@ -45,7 +48,8 @@ def runs():
 def test_record_keeps_the_run_and_its_metric_values(runs):
     assert runs[0] == {
         "workload": "verify_all", "seed": 31, "pair": 0, "side": "base", "order": 0,
-        "calibration_s": 0.07, "correct": True, "attempted": 9, "failed": 0,
+        "calibration_s": 0.07, "probe": PROBES[0],
+        "correct": True, "attempted": 9, "failed": 0,
         "metrics": {"wall_s": 1.2, "success_ratio": 1.0},
     }
     assert [(r["side"], r["order"]) for r in runs[2:4]] == [("head", 0), ("base", 1)]
@@ -63,6 +67,10 @@ def test_summary_medians_quartiles_and_pairs_won(runs):
     assert wall["change"] == pytest.approx(0.85 / 1.15 - 1)
     assert wall["head_better_pairs"] == 3  # lower is better; pair 2 lost
     assert entry["metrics"]["success_ratio"]["head_better_pairs"] == 0
+    # one probe per pair: ratios 1.05, 2.0, 1.1, 1.9
+    probe = entry["probe_ratio"]
+    assert probe["median"] == pytest.approx(1.5)
+    assert (probe["q1"], probe["q3"]) == pytest.approx((1.0625, 1.975))
 
 
 def test_bench_document_round_trips_through_json(runs, tmp_path):
@@ -81,7 +89,7 @@ def test_bench_document_round_trips_through_json(runs, tmp_path):
     assert loaded["runs"] == runs
     assert loaded["summary"]["verify_all"]["pairs"] == 4
     report = bench_ab.report(loaded["summary"])
-    assert report.splitlines()[0] == "verify_all (4 pairs)"
+    assert report.splitlines()[0] == "verify_all (4 pairs; two loops / one loop 1.50 [0.91])"
     assert "-26.1%" in report and "3/4" in report
 
 
@@ -95,6 +103,9 @@ def test_main_takes_run_length_from_the_benchmark(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_ab, "extract", lambda rev, dest: dest.mkdir(parents=True) or rev)
     monkeypatch.setattr(bench_ab, "timed_pass", lambda: 0.07)
     monkeypatch.setattr(bench_ab, "blas_info", lambda: None)
+    probes = iter(range(100))
+    monkeypatch.setattr(bench_ab, "parallel_probe",
+                        lambda: {"one_s": 1.0, "two_s": 1.0, "ratio": next(probes)})
     calls = []
 
     def fake_run(cmd, cwd, **kwargs):
@@ -115,6 +126,24 @@ def test_main_takes_run_length_from_the_benchmark(monkeypatch, tmp_path):
     for workload in ("expect_d1", "kernels_d23", "sample_stream"):
         assert sum(value["--workload"] == workload for _, value in calls) == 2 * bench_ab.OTHER_PAIRS
     document = json.loads((tmp_path / "BENCH_t.json").read_text())
+    # one probe before each pair, shared by both of its runs
+    probes = [(run["workload"], run["pair"], run["probe"]["ratio"]) for run in document["runs"]]
+    assert probes[:4] == [("expect_d1", 0, 0), ("expect_d1", 0, 0),
+                          ("expect_d1", 1, 1), ("expect_d1", 1, 1)]
+    assert sorted({ratio for *_, ratio in probes}) == list(range(len(probes) // 2))
     assert document["seconds"] == seconds
     assert document["summary"]["verify_all"]["pairs"] == bench_ab.CLAIMED_PAIRS
     assert list(tmp_path.glob("bench_ab_*")) == []
+
+
+def test_parallel_probe_times_one_loop_then_two(monkeypatch):
+    monkeypatch.setattr(bench_ab, "PROBE_LOOP", "pass")
+    probe = bench_ab.parallel_probe()
+    assert set(probe) == {"one_s", "two_s", "ratio"}
+    assert probe["one_s"] > 0 and probe["ratio"] == probe["two_s"] / probe["one_s"]
+
+
+def test_a_failing_probe_raises(monkeypatch):
+    monkeypatch.setattr(bench_ab, "PROBE_LOOP", "raise SystemExit(3)")
+    with pytest.raises(RuntimeError, match="probe failed"):
+        bench_ab.parallel_probe()

@@ -19,7 +19,7 @@ except ModuleNotFoundError:  # Python 3.10, where pytest depends on tomli
     import tomli as tomllib
 
 import kgf
-from kgf import cli, opalgebra, sampler, verify
+from kgf import cli, opalgebra, sampler, spectra, verify
 from kgf.__main__ import _BLAS_THREAD_VARIABLES
 from kgf.cli import main
 from kgf.errors import InvalidInputError
@@ -191,8 +191,7 @@ class TestOptionSurface:
         parsers = subcommand_parsers()
         args = parsers["innerprod"].parse_args(["-f", "f", "-g", "f"])
         assert cli._kernel_spec(args, {}) == KernelSpec()
-        registry = cli._registry(args, {"packets": {"f": {}}}, {"f"})
-        assert registry.packet(registry.index_of("f")) == WavePacket()
+        assert cli._packets(args, {"packets": {"f": {}}}, {"f"}) == {"f": WavePacket()}
         args = parsers["sample"].parse_args([])
         assert cli._constants(args, {}) == PhysicalConstants()
         assert cli._lattice(args, {}) == sampler.LatticeSpec()
@@ -654,7 +653,7 @@ class TestSpectra:
         def refuse(*args, **kwargs):
             raise AssertionError("grid allocated past MAX_K_GRID_COUNT")
 
-        monkeypatch.setattr(cli, "spectral_coefficient", refuse)
+        monkeypatch.setattr(spectra, "spectral_coefficient", refuse)
         monkeypatch.setattr(cli.np, "arange", refuse)
         count = cli.MAX_K_GRID_COUNT + 1
         cfg = write_config(tmp_path, {"ensemble": "vacuum", "k_grid": {"count": count}})
@@ -981,10 +980,29 @@ class TestEntryPoints:
     def test_innerprod_loads_no_sampler_or_verification_suite(self, tmp_path):
         loaded = set(run_spy(tmp_path, {})["modules"])
         assert {"kgf.cli", "kgf.kernels"} <= loaded
-        assert loaded.isdisjoint({"kgf.sampler", "kgf.verify", "kgf.fockoracle"})
+        assert loaded.isdisjoint({"kgf.sampler", "kgf.verify", "kgf.fockoracle",
+                                  "kgf.opalgebra", "kgf.spectra", "numpy.polynomial"})
+
+    def test_importing_the_cli_loads_only_the_kernels(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, kgf.cli; print(*sorted(sys.modules))"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(Path(kgf.__file__).resolve().parents[1])),
+        )
+        loaded = set(proc.stdout.split())
+        assert {"kgf.cli", "kgf.kernels", "kgf.errors"} <= loaded
+        assert loaded.isdisjoint({"kgf.opalgebra", "kgf.spectra", "kgf.sampler",
+                                  "kgf.verify", "kgf.fockoracle", "numpy.polynomial",
+                                  "concurrent.futures"})
 
     def test_suite_choices_are_the_verify_suites(self):
         assert cli._VERIFY_SUITES == tuple(sorted(verify.SUITES))
+
+    def test_ensemble_names_are_the_ensembles_and_their_aliases(self):
+        aliases = ("classical", "vacuum", "thermal", "xivacuum", "xilambda")
+        assert set(cli._ENSEMBLE_NAMES) == {e.value for e in Ensemble} | set(aliases)
+        assert cli._ENSEMBLE_NAMES == sorted(cli._ENSEMBLE_NAMES)
+        assert [Ensemble(cli.ENSEMBLE_ALIASES[a]) for a in aliases] == list(Ensemble)
 
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -1002,3 +1020,57 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert "innerprod" in proc.stdout
         assert "verify" in proc.stdout
+
+
+#: Runs ``kgf`` on the CPUs given as the first argument and reports on
+#: stderr how many threads it started.
+ON_CPUS = """
+import os, sys, threading
+os.sched_setaffinity(0, {int(c) for c in sys.argv[1].split(",")})
+started = []
+start = threading.Thread.start
+threading.Thread.start = lambda self: started.append(self) or start(self)
+from kgf.__main__ import main
+code = main(sys.argv[2:])
+print(f"threads {len(started)}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+class TestUsableCpus:
+    """D=2 passes run on one thread per usable CPU and print the same bytes
+    on one CPU as on two."""
+
+    CONFIG = {
+        "dim": 2,
+        "constants": {"mass": 0.8, "kT": 1.3},
+        "packets": {
+            "f1": {"width_x": 1.1, "carrier_freq": 0.5, "center_x": [0.3, -0.2]},
+            "f2": {"center_x": [-0.4, 0.1], "carrier_wavevector": [0.8, -0.3],
+                   "amplitude": [1.0, -0.5]},
+            "f3": {"width_x": 0.9, "center_t": 0.7, "carrier_wavevector": [-0.2, 0.5]},
+        },
+    }
+
+    def run_on(self, cpus, args):
+        proc = subprocess.run(
+            [sys.executable, "-c", ON_CPUS, ",".join(map(str, cpus)), *args],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(Path(kgf.__file__).resolve().parents[1])),
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout, proc.stderr.split()[-1]
+
+    @pytest.mark.parametrize("command", [
+        ["innerprod", "--kernel", "classical", "-f", "f1", "-g", "f2"],
+        ["expect", "phi[f1] phi[f2] phi[f3] phi[f1]"],
+    ])
+    def test_output_does_not_depend_on_the_cpu_count(self, command, tmp_path):
+        cfg = write_config(tmp_path, self.CONFIG)
+        cpus = sorted(os.sched_getaffinity(0))[:2]
+        one, started_one = self.run_on(cpus[:1], [command[0], "--config", cfg, *command[1:]])
+        two, started_two = self.run_on(cpus, [command[0], "--config", cfg, *command[1:]])
+        assert one == two and one.count("\n") >= 1
+        assert (started_one, started_two) == ("0", "2")

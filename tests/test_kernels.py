@@ -2,11 +2,15 @@
 
 import itertools
 import math
+import threading
+import tracemalloc
+import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import kgf.kernels as K
 from kgf.errors import (
     AccuracyError,
     InvalidInputError,
@@ -389,6 +393,173 @@ class TestHigherDimensions:
             quantum(dim=2, nodes=96), f, f)
         assert diag.relative_shift < 1e-8
         assert value.real > 0
+
+
+class TestGaussLegendreRule:
+    """The Newton rule against numpy's eigenvalue-based ``leggauss`` for the
+    nodes, and against exact integrals for the weights."""
+
+    SIZES = [16, 17, 31, 64, 127, 256, 257, 512, 1000, 1023, 1024]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_nodes_match_leggauss(self, n):
+        x, w = K._gauss_legendre(n)
+        assert np.max(np.abs(x - np.polynomial.legendre.leggauss(n)[0])) <= 1e-15
+        assert np.all(np.diff(x) > 0)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_weights_integrate_every_even_monomial_it_should(self, n):
+        # sum w x^(2k) = 2 / (2k + 1) for 2k <= 2n - 1
+        x, w = K._gauss_legendre(n)
+        power = np.ones_like(x)
+        for k in range(n):
+            assert abs(np.sum(w * power) - 2.0 / (2 * k + 1)) <= 4e-15
+            power = power * x * x
+
+    @pytest.mark.parametrize("n, exp_rtol, runge_rtol", [
+        (64, 5e-14, 1e-10), (256, 1e-14, 4e-15), (512, 1e-14, 4e-15),
+        (1024, 1e-14, 4e-15),
+    ])
+    def test_exact_integrals(self, n, exp_rtol, runge_rtol):
+        """int exp(50x) dx = 2 sinh(50)/50, where leggauss(512) is off by
+        3e-13; int dx/(1 + 25x^2) = 2 atan(5)/5, whose poles at +-i/5 hold
+        the error near 1.22^(-2n) until it reaches rounding."""
+        x, w = K._gauss_legendre(n)
+        exact = 2.0 * math.sinh(50.0) / 50.0
+        assert abs(np.sum(w * np.exp(50.0 * x)) - exact) <= exp_rtol * exact
+        exact = 0.4 * math.atan(5.0)
+        assert abs(np.sum(w / (1.0 + 25.0 * x * x)) - exact) <= runge_rtol * exact
+
+
+def random_packets(rng, dim, count):
+    return [WavePacket(
+        dim=dim,
+        center_t=rng.uniform(-2, 2),
+        center_x=tuple(rng.uniform(-2, 2, dim)),
+        width_t=rng.uniform(0.8, 1.8),
+        width_x=rng.uniform(0.8, 1.8),
+        carrier_freq=rng.uniform(-2, 2),
+        carrier_wavevector=tuple(rng.uniform(-2, 2, dim)),
+        amplitude=complex(rng.uniform(0.3, 1.5), rng.uniform(-1, 1)),
+    ) for _ in range(count)]
+
+
+class TestPasses:
+    """One radial pass on one grid, real where the exponent is; a batch of
+    passes on one thread per usable CPU."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("variant", list(KernelVariant))
+    def test_real_pass_equals_complex_pass(self, dim, variant, monkeypatch):
+        spec = KernelSpec(variant, PhysicalConstants(mass=0.8, kT=1.3, xi=0.5), dim=dim)
+        real_means = K._direction_means
+        for f in random_packets(np.random.default_rng(10 + dim), dim, 5):
+            cutoff = f.suggested_cutoff
+            real = K._reduced_integral(spec, f, f, 256, cutoff)
+            monkeypatch.setattr(K, "_direction_means", lambda c0, s, *rest: real_means(
+                complex(c0), complex(s), *rest))
+            forced = K._reduced_integral(spec, f, f, 256, cutoff)
+            monkeypatch.setattr(K, "_direction_means", real_means)
+            assert abs(real - forced) <= 1e-15 * abs(forced)
+
+    def test_norm_grid_is_real_and_cross_grid_complex(self, monkeypatch):
+        dtypes = []
+        real_means = K._direction_means
+
+        def spy(*args):
+            out = real_means(*args)
+            dtypes.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(K, "_direction_means", spy)
+        f, g = random_packets(np.random.default_rng(3), 2, 2)
+        inner_product_with_diagnostics(quantum(dim=2, nodes=128), f, g)
+        # base and doubled (f, g) complex, doubled (f, f) and (g, g) real
+        assert sorted(map(str, dtypes)) == ["complex128"] * 2 + ["float64"] * 2
+
+    def test_one_grid_is_the_plain_expression_bit_for_bit(self):
+        r, _, u, mean = K._radial_rule(2, 128)
+        r = 6.5 * r
+        c0, s, alpha = np.complex128(-0.7 + 1.9j), np.sqrt(np.complex128(2.1 - 3.4j)), 0.9
+        plain = np.einsum("ij,j->i", np.exp((c0 - alpha * r * r)[:, None] + s * r[:, None] * u),
+                          mean)
+        assert np.array_equal(K._direction_means(c0, s, r, u, mean, alpha), plain)
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        """The OS threads each batch starts, with two usable CPUs."""
+        started = []
+
+        class Thread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(K, "threading", types.SimpleNamespace(Thread=Thread))
+        monkeypatch.setattr(K, "_usable_cpus", lambda: 2)
+        return started
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_threaded_batch_gives_the_serial_bits(self, dim, threads, monkeypatch):
+        packets = random_packets(np.random.default_rng(20 + dim), dim, 3)
+        spec = quantum(dim=dim, nodes=64)
+        jobs = [job for f, g in itertools.combinations(packets, 2)
+                for job in K._inner_product_jobs(spec, f, g, True, True)]
+        threaded = K._passes(spec, jobs)
+        assert len(threads) == 2 and not any(t.is_alive() for t in threads)
+        monkeypatch.setattr(K, "_usable_cpus", lambda: 1)
+        assert K._passes(spec, jobs) == threaded
+        assert len(threads) == 2
+        assert threaded == [K._reduced_integral(spec, *job) for job in jobs]
+
+    def test_d1_batch_runs_inline(self, threads):
+        f, g = random_packets(np.random.default_rng(4), 1, 2)
+        inner_product_with_diagnostics(quantum(), f, g)
+        assert threads == []
+
+    def test_a_failing_pass_raises_after_every_thread_ends(self, threads, monkeypatch):
+        def broken(spec, f, g, nodes, cutoff):
+            if nodes > 16:
+                raise MemoryError("grid")
+            return 1.0 + 0.0j
+
+        monkeypatch.setattr(K, "_reduced_integral", broken)
+        f, g = random_packets(np.random.default_rng(5), 2, 2)
+        with pytest.raises(MemoryError, match="grid"):
+            inner_product_with_diagnostics(quantum(dim=2, nodes=16), f, g)
+        assert len(threads) == 2 and not any(t.is_alive() for t in threads)
+
+    def test_table_checks_fail_in_table_order(self):
+        """The table runs its passes first and its checks after, diagonal
+        first: an overflowing first packet fails its own check before a
+        second packet of the wrong dimension is refused, as pair by pair."""
+        from kgf.opalgebra import FunctionRegistry, InnerProductTable
+
+        for first, error, match in ((packet(amplitude=1e200), AccuracyError, "non-finite"),
+                                    (packet(), InvalidInputError, "dimension mismatch")):
+            reg = FunctionRegistry()
+            reg.register("f1", first)
+            reg.register("f2", packet(dim=2))
+            with pytest.raises(error, match=match):
+                InnerProductTable.from_kernel(quantum(), reg)
+
+    def test_max_nodes_d2_inner_product_stays_within_two_grids(self, threads):
+        """A 1024-node D=2 checked inner product on two threads: the
+        tracemalloc peak stays within 128 MiB, what one pass built from
+        three full-size temporaries took alone."""
+        f, g = random_packets(np.random.default_rng(6), 2, 2)
+        spec = quantum(dim=2, nodes=MAX_QUADRATURE_NODES)
+        K._radial_rule(2, MAX_QUADRATURE_NODES)
+        K._radial_rule(2, 2 * MAX_QUADRATURE_NODES)
+        tracemalloc.start()
+        try:
+            inner_product_with_diagnostics(spec, f, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(threads) == 2
+        assert peak <= 128 * 2**20
 
 
 def tensor_grid(spec, f, g, nodes):

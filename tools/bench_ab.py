@@ -14,14 +14,19 @@ on both sides, one run at a time, alternating which side goes first, with
 T the ``run_seconds`` of ``BENCHMARK.json``: ``CLAIMED_PAIRS`` pairs on
 each ``--claimed`` workload and ``OTHER_PAIRS`` on every other.  Pair ``i``
 uses seed ``BASE_SEED + i`` on both sides.  Before each pair, one
-``python -c pass`` is timed, since a shared host drifts between pairs.
+``python -c pass`` is timed, since a shared host drifts between pairs, and
+so is a parallel-capacity probe: the wall time of two CPU-bound
+``python -c`` loops run at once against one run alone.  Its ratio is near
+1 when a second CPU was free and near 2 when none was, so a gain that
+rests on a second CPU can be audited.
 
 Writes ``BENCH_<label>.json``: every run's workload, seed, pair, side,
-order, metrics, ``correct`` and ``failed``; both revisions and their
+order, probe, metrics, ``correct`` and ``failed``; both revisions and their
 source digests; the CPU count; the Python, numpy and BLAS versions; and
-per workload and side the median and quartiles of each metric.  Prints the
-medians and IQRs, the change of the median, and in how many pairs the head
-was better.  Standard library only.
+per workload the quartiles of the probe's ratio and, per side, the median
+and quartiles of each metric.  Prints the medians and IQRs, the change of
+the median, and in how many pairs the head was better.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -46,6 +51,9 @@ WORKTREE = "WORKTREE"
 CLAIMED_PAIRS = 10
 OTHER_PAIRS = 3
 BASE_SEED = 101
+
+#: The CPU-bound loop of the parallel-capacity probe: about 0.2 s alone.
+PROBE_LOOP = "x = 0\nfor i in range(3_000_000):\n    x += i"
 
 BLAS_PROBE = ("import json, numpy; print(json.dumps(numpy.show_config(mode='dicts')"
               "['Build Dependencies']['blas']))")
@@ -84,12 +92,12 @@ def parse_run(stdout: str) -> tuple:
 
 
 def record(workload: str, seed: int, pair: int, side: str, order: int,
-           calibration_s: float, stdout: str) -> tuple:
+           calibration_s: float, probe: dict, stdout: str) -> tuple:
     """One run as BENCH stores it, and the environment record it printed."""
     environment, result = parse_run(stdout)
     return {
         "workload": workload, "seed": seed, "pair": pair, "side": side,
-        "order": order, "calibration_s": calibration_s,
+        "order": order, "calibration_s": calibration_s, "probe": probe,
         "correct": result["correct"], "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
@@ -113,7 +121,9 @@ def summarize(runs: list, better: dict) -> dict:
         for run in mine:
             by_pair.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
         pairs = [p for p in by_pair.values() if len(p) == 2]
-        summary = {"pairs": len(pairs), "metrics": {}}
+        ratios = {run["pair"]: run["probe"]["ratio"] for run in mine}
+        summary = {"pairs": len(pairs), "probe_ratio": quartiles(list(ratios.values())),
+                   "metrics": {}}
         for name in mine[0]["metrics"]:
             sides = {side: quartiles([run["metrics"][name] for run in mine
                                       if run["side"] == side])
@@ -132,7 +142,9 @@ def summarize(runs: list, better: dict) -> dict:
 def report(summary: dict) -> str:
     lines = []
     for workload, entry in summary.items():
-        lines.append(f"{workload} ({entry['pairs']} pairs)")
+        probe = entry["probe_ratio"]
+        lines.append(f"{workload} ({entry['pairs']} pairs; two loops / one loop "
+                     f"{probe['median']:.2f} [{probe['iqr']:.2f}])")
         lines.append(f"  {'metric':<16}{'base median [IQR]':>24}{'head median [IQR]':>24}"
                      f"{'change':>9}{'head better':>13}")
         for name, m in entry["metrics"].items():
@@ -171,6 +183,22 @@ def timed_pass() -> float:
     return time.perf_counter() - start
 
 
+def parallel_probe() -> dict:
+    """Wall seconds of one :data:`PROBE_LOOP` interpreter, then of two at
+    once, and their ratio."""
+    def wall(count: int) -> float:
+        start = time.perf_counter()
+        procs = [subprocess.Popen([sys.executable, "-c", PROBE_LOOP])
+                 for _ in range(count)]
+        if any(proc.wait() for proc in procs):
+            raise RuntimeError("the parallel-capacity probe failed")
+        return time.perf_counter() - start
+
+    one = wall(1)
+    two = wall(2)
+    return {"one_s": one, "two_s": two, "ratio": two / one}
+
+
 def blas_info():
     proc = subprocess.run([sys.executable, "-c", BLAS_PROBE],
                           capture_output=True, text=True)
@@ -202,6 +230,7 @@ def main(argv=None) -> int:
             for pair in range(count):
                 seed = BASE_SEED + pair
                 calibration = timed_pass()
+                probe = parallel_probe()
                 order = ("base", "head") if pair % 2 == 0 else ("head", "base")
                 for position, side in enumerate(order):
                     proc = subprocess.run(
@@ -210,13 +239,14 @@ def main(argv=None) -> int:
                          "--trace", "0"],
                         cwd=dirs[side], capture_output=True, text=True, check=True)
                     run, env = record(workload, seed, pair, side, position,
-                                      calibration, proc.stdout)
+                                      calibration, probe, proc.stdout)
                     runs.append(run)
                     sides[side]["source_sha256"] = env.get("source_sha256")
                     environment.update({k: env.get(k) for k in
                                         ("python", "numpy", "cpu_model")})
                     print(f"# {workload} pair {pair} {side}: wall_s "
-                          f"{run['metrics']['wall_s']:.3f}", flush=True)
+                          f"{run['metrics']['wall_s']:.3f}, probe ratio "
+                          f"{probe['ratio']:.2f}", flush=True)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     document = bench_document(args.label, sides, runs, environment, better,
