@@ -408,6 +408,9 @@ def cmd_spectra(args) -> int:
     kmin = _pick(grid_cfg, "min", float, args.kmin, 0.0)
     kmax = _pick(grid_cfg, "max", float, args.kmax, 10.0)
     count = _pick(grid_cfg, "count", int, args.kcount, 256)
+    for bound, value in (("min", kmin), ("max", kmax)):
+        if not math.isfinite(value):
+            raise InvalidInputError(f"bad k grid: {bound} must be finite, got {value}")
     if not (kmax > kmin >= 0.0 and 2 <= count <= MAX_K_GRID_COUNT):
         raise InvalidInputError(
             f"bad k grid: min {kmin}, max {kmax}, count {count} "

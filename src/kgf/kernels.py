@@ -23,9 +23,10 @@ exp(b.k), so each reduced form is one Gauss-Legendre integral in |k| times
 a mean over the direction cosine u: u = +-1 in D=1, the periodic trapezoid
 in the angle in D=2 and Gauss-Legendre in u in D=3.  The Gauss-Legendre
 rule comes from Newton's method on the Legendre recurrence, started from
-Tricomi's asymptotic nodes, in O(n) vectorised steps per iteration.  The
-passes of one inner product, or of one table, run as one batch: in D >= 2
-on one thread per usable CPU, with the same bits on any number of them.
+Tricomi's asymptotic nodes, in O(n) vectorised steps per iteration.
+Every checked inner product goes through :func:`inner_products`, which
+runs each distinct pass of its pairs once, in one batch: in D >= 2 on one
+thread per usable CPU, with the same bits on any number of them.
 """
 
 from __future__ import annotations
@@ -52,7 +53,9 @@ __all__ = [
     "fourier_transform",
     "inner_product",
     "inner_product_with_diagnostics",
+    "inner_products",
     "positivity_check",
+    "real_norm",
 ]
 
 #: Relative tolerance for the cutoff-doubling convergence check.
@@ -415,58 +418,55 @@ def inner_product_with_diagnostics(spec: KernelSpec, f: WavePacket, g: WavePacke
     The check doubles both the cutoff and the node count, so it certifies
     the radius and the direction rule together, and requires the two
     estimates to agree to ``CONVERGENCE_RTOL`` relative to the
-    Cauchy-Schwarz scale sqrt((f,f)(g,g)).  That scale dominates |(f,g)|
-    and is invariant under rescaling either packet, so pairs whose inner
-    product is small through cancellation do not fail spuriously.  A
-    non-finite estimate, or a vanishing scale for packets of nonzero
-    amplitude, is an accuracy failure too: neither can be checked.
+    Cauchy-Schwarz scale sqrt((f,f)(g,g)), each norm the packet's refined
+    (h, h) at its own doubled cutoff.  That scale dominates |(f,g)| and is
+    invariant under rescaling either packet, so pairs whose inner product
+    is small through cancellation do not fail spuriously.  A non-finite
+    estimate, or a vanishing scale for packets of nonzero amplitude, is an
+    accuracy failure too: neither can be checked.
     """
-    return _diagnosed_inner_product(spec, f, g, check)
+    return inner_products(spec, [(f, g)], check)[0]
 
 
-def _diagnosed_inner_product(spec: KernelSpec, f: WavePacket, g: WavePacket,
-                             check: bool, norms: tuple | None = None):
-    """:func:`inner_product_with_diagnostics`; ``norms``, when given, are the
-    refined (f, f) and (g, g) that scale the check, so a caller holding them
-    saves two passes."""
-    jobs = _inner_product_jobs(spec, f, g, check, norms is None)
-    return _diagnosis(jobs, _passes(spec, jobs), norms)
+def inner_products(spec: KernelSpec, pairs, check: bool = True) -> list:
+    """:func:`inner_product_with_diagnostics` of each ``(f, g)`` in ``pairs``.
+
+    With ``check`` each pair takes its base pass, its doubled pass and, for
+    each packet h, the doubled (h, h) at h's own doubled cutoff: for (f, f)
+    that norm pass is the doubled pass itself.  Equal passes run once, all
+    in one :func:`_passes` batch.  The checks follow in the order of
+    ``pairs``, so a pair of the wrong dimension is refused after the checks
+    of the pairs before it.
+    """
+    nodes, plans, mismatch = spec.quadrature.nodes, [], None
+    for f, g in pairs:
+        if not (f.dim == g.dim == spec.dim):
+            mismatch = InvalidInputError(
+                f"dimension mismatch: kernel D={spec.dim}, f D={f.dim}, g D={g.dim}"
+            )
+            break
+        cutoff = max(f.suggested_cutoff, g.suggested_cutoff)
+        plan = [(f, g, nodes, cutoff)]
+        if check:
+            plan += [(f, g, 2 * nodes, 2.0 * cutoff)]
+            plan += [(h, h, 2 * nodes, 2.0 * h.suggested_cutoff) for h in (f, g)]
+        plans.append(plan)
+    jobs = list(dict.fromkeys(job for plan in plans for job in plan))
+    values = dict(zip(jobs, _passes(spec, jobs)))
+    results = [_diagnosis(plan, [values[job] for job in plan]) for plan in plans]
+    if mismatch is not None:
+        raise mismatch
+    return results
 
 
-def _inner_product_jobs(spec: KernelSpec, f: WavePacket, g: WavePacket,
-                        check: bool, with_norms: bool) -> list:
-    """The :func:`_passes` jobs of one inner product: the base pass and, with
-    ``check``, the doubled pass and, ``with_norms``, the doubled (f, f) and
-    (g, g) that scale it."""
-    if not (f.dim == g.dim == spec.dim):
-        raise InvalidInputError(
-            f"dimension mismatch: kernel D={spec.dim}, f D={f.dim}, g D={g.dim}"
-        )
-    nodes = spec.quadrature.nodes
-    cutoff = max(f.suggested_cutoff, g.suggested_cutoff)
-    jobs = [(f, g, nodes, cutoff)]
-    if check:
-        jobs.append((f, g, 2 * nodes, 2.0 * cutoff))
-        # (f, f) refined is the Cauchy-Schwarz scale itself: one pass, not three
-        if with_norms and not (f is g or f == g):
-            jobs += [(f, f, 2 * nodes, 2.0 * cutoff), (g, g, 2 * nodes, 2.0 * cutoff)]
-    return jobs
-
-
-def _diagnosis(jobs: list, values: list, norms: tuple | None = None):
-    """``(value, diagnostics)`` from the ``values`` of
-    :func:`_inner_product_jobs`' ``jobs``; raises if the check fails."""
+def _diagnosis(plan: list, values: list):
+    """``(value, diagnostics)`` from the ``values`` of one pair's ``plan``
+    in :func:`inner_products`; raises if the check fails."""
     value = values[0]
     if len(values) == 1:
         return value, None
-    f, g, nodes, cutoff = jobs[0]
-    refined = values[1]
-    if norms is not None:
-        norm_f, norm_g = norms
-    elif len(values) == 2:
-        norm_f = norm_g = refined.real
-    else:
-        norm_f, norm_g = values[2].real, values[3].real
+    f, g, nodes, cutoff = plan[0]
+    refined, norm_f, norm_g = values[1], values[2].real, values[3].real
     if not np.all(np.isfinite([value, refined, norm_f, norm_g])):
         raise AccuracyError(
             f"quadrature gave a non-finite estimate: base {value} vs doubled "
@@ -512,20 +512,18 @@ def inner_product(spec: KernelSpec, f: WavePacket, g: WavePacket,
 
 
 def positivity_check(spec: KernelSpec, f: WavePacket, check: bool = True) -> float:
-    """(f, f) as a real number.
+    """(f, f) as a real number, by :func:`real_norm`.
 
-    The imaginary part must vanish to tolerance; it is discarded after the
-    check.  The result is nonnegative for every valid packet because the
-    on-shell integrand is |f~|^2 times a positive weight.
+    The result is nonnegative for every valid packet because the on-shell
+    integrand is |f~|^2 times a positive weight.
     """
-    return _diagnosed_norm(spec, f, check)[0]
+    value, _ = inner_product_with_diagnostics(spec, f, f, check=check)
+    return real_norm(value)
 
 
-def _diagnosed_norm(spec: KernelSpec, f: WavePacket, check: bool = True) -> tuple:
-    """:func:`positivity_check`'s (f, f), and the real part of its refined
-    pass (None without ``check``): one of the ``norms`` that
-    :func:`_diagnosed_inner_product` takes."""
-    value, diag = inner_product_with_diagnostics(spec, f, f, check=check)
+def real_norm(value: complex) -> float:
+    """An (f, f) as a real number: its imaginary part must vanish to 1e-10
+    of its real part, and is discarded after the check."""
     tol = 1e-10 * max(abs(value.real), 1e-300)
     if abs(value.imag) > tol:
         raise NumericConsistencyError(
@@ -533,4 +531,4 @@ def _diagnosed_norm(spec: KernelSpec, f: WavePacket, check: bool = True) -> tupl
             coarse=value,
             refined=value.real,
         )
-    return value.real, None if diag is None else diag.refined.real
+    return value.real

@@ -47,8 +47,8 @@ from .errors import (
     MissingInnerProductError,
     SizeLimitError,
 )
-from .kernels import (KernelSpec, WavePacket, _diagnosis, _inner_product_jobs,
-                      _passes)
+from . import kernels
+from .kernels import KernelSpec, WavePacket
 
 __all__ = [
     "FunctionRegistry",
@@ -169,39 +169,22 @@ class InnerProductTable:
                     check: bool = True) -> "InnerProductTable":
         """All pairwise inner products of the registered packets by quadrature.
 
-        Each value is :func:`~kgf.kernels.inner_product`'s, bit for bit.  All
-        quadrature passes run as one batch; the checks follow, diagonal
-        first, so an input fails as it would pair by pair.  With ``check``
-        each off-diagonal pair takes its Cauchy-Schwarz scale from the two
-        packets' refined (f, f) passes: two quadrature passes per pair
-        instead of four.  Those norms are taken at each packet's own doubled
-        cutoff, not at the pair's larger one, which moves the scale only at
-        rounding level.
+        One :func:`~kgf.kernels.inner_products` batch over the diagonal
+        pairs, then the upper ones, so an input fails as it would pair by
+        pair.  Each value is :func:`~kgf.kernels.inner_product`'s, bit for
+        bit.  With ``check`` each diagonal pair's refined pass is also that
+        packet's norm in every check: two quadrature passes per entry.
         """
         packets = [registry.packet(i) for i in range(1, len(registry) + 1)]
         pairs = [(i, i) for i in range(len(packets))]
         pairs += itertools.combinations(range(len(packets)), 2)
-        plans, mismatch = [], None
-        for i, j in pairs:
-            try:
-                plans.append(_inner_product_jobs(spec, packets[i], packets[j],
-                                                 check, with_norms=False))
-            except InvalidInputError as exc:  # raised after the checks before it
-                mismatch = exc
-                break
-        values = iter(_passes(spec, [job for jobs in plans for job in jobs]))
-        entries, norms = {}, []
-        for (i, j), jobs in zip(pairs, plans):
-            found = [next(values) for _ in jobs]
-            if i == j:
-                entries[(i + 1, i + 1)], diag = _diagnosis(jobs, found)
-                norms.append(None if diag is None else diag.refined.real)
-            else:
-                value, _ = _diagnosis(jobs, found, (norms[i], norms[j]))
-                entries[(i + 1, j + 1)] = value
-                entries[(j + 1, i + 1)] = value.conjugate()
-        if mismatch is not None:
-            raise mismatch
+        found = kernels.inner_products(
+            spec, [(packets[i], packets[j]) for i, j in pairs], check)
+        entries = {}
+        for (i, j), (value, _) in zip(pairs, found):
+            # conjugate first: a diagonal entry keeps the value itself
+            entries[(j + 1, i + 1)] = value.conjugate()
+            entries[(i + 1, j + 1)] = value
         return cls(entries)
 
 

@@ -100,6 +100,9 @@ _PHILOX_TAG = 0x4B474631  # "KGF1"
 
 BINARY_MAGIC = b"KGF1"
 
+#: A binary samples file's header: the magic, D, N and the spacing.
+_BINARY_HEADER = struct.Struct("<4sqqd")
+
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -546,8 +549,8 @@ def samples_writer(stream, lattice: LatticeSpec, fmt: str):
     values as ``%.17g`` (the same text as ``f"{v:.17g}"``).
     """
     if fmt == "binary":
-        stream.write(BINARY_MAGIC + struct.pack(
-            "<qqd", lattice.dim, lattice.sites_per_axis, lattice.spacing))
+        stream.write(_BINARY_HEADER.pack(
+            BINARY_MAGIC, lattice.dim, lattice.sites_per_axis, lattice.spacing))
 
         def write_binary(start, values):
             stream.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
@@ -631,19 +634,20 @@ def write_samples_binary(stream, lattice: LatticeSpec, samples: np.ndarray):
 
 def read_samples_binary(stream):
     """Inverse of :func:`write_samples_binary`; returns (lattice, samples)."""
-    magic = stream.read(4)
-    if magic != BINARY_MAGIC:
-        raise InvalidInputError(f"bad magic {magic!r}, expected {BINARY_MAGIC!r}")
-    dim = struct.unpack("<q", stream.read(8))[0]
-    n = struct.unpack("<q", stream.read(8))[0]
-    spacing = struct.unpack("<d", stream.read(8))[0]
+    header = stream.read(_BINARY_HEADER.size)
+    if header[:4] != BINARY_MAGIC:
+        raise InvalidInputError(f"bad magic {header[:4]!r}, expected {BINARY_MAGIC!r}")
+    if len(header) < _BINARY_HEADER.size:
+        raise InvalidInputError(f"binary header truncated: {len(header)} of "
+                                f"{_BINARY_HEADER.size} bytes")
+    _, dim, n, spacing = _BINARY_HEADER.unpack(header)
     lattice = LatticeSpec(dim=dim, sites_per_axis=n, spacing=spacing)
-    raw = np.frombuffer(stream.read(), dtype="<f8")
-    per_sample = lattice.total_sites
-    if raw.size % per_sample:
+    payload = stream.read()
+    if not payload:
+        raise InvalidInputError("binary samples file has no samples")
+    if len(payload) % (8 * lattice.total_sites):
         raise InvalidInputError("binary payload is not a whole number of samples")
-    samples = raw.reshape((-1,) + lattice.shape)
-    return lattice, samples
+    return lattice, np.frombuffer(payload, dtype="<f8").reshape((-1,) + lattice.shape)
 
 
 def write_spectrum_csv(stream, estimate: SpectrumEstimate, expected: np.ndarray):

@@ -43,15 +43,13 @@ import numpy as np
 import numpy.fft
 import numpy.random
 
-from . import fockoracle, opalgebra, sampler, spectra
+from . import fockoracle, kernels, opalgebra, sampler, spectra
 from .errors import InvalidInputError, KGFError
 from .kernels import (
     KernelSpec,
     KernelVariant,
     PhysicalConstants,
     WavePacket,
-    _diagnosed_inner_product,
-    _diagnosed_norm,
     inner_product,
     positivity_check,
 )
@@ -150,11 +148,10 @@ def check_kernel_axioms(seed: int = DEFAULT_SEED):
         quantum = KernelSpec(KernelVariant.QUANTUM, constants, dim=1)
         scaled = KernelSpec(KernelVariant.XI_SCALED, constants, dim=1)
         f, g = _random_packet(rng), _random_packet(rng)
-        # the refined (f, f) and (g, g) scale both pairs' convergence checks
-        norm_f, refined_f = _diagnosed_norm(quantum, f)
-        norm_g, refined_g = _diagnosed_norm(quantum, g)
-        fg, _ = _diagnosed_inner_product(quantum, f, g, True, (refined_f, refined_g))
-        gf, _ = _diagnosed_inner_product(quantum, g, f, True, (refined_g, refined_f))
+        # one batch: the refined (f, f) and (g, g) scale every pair's check
+        (ff, _), (gg, _), (fg, _), (gf, _) = kernels.inner_products(
+            quantum, [(f, f), (g, g), (f, g), (g, f)])
+        norm_f, norm_g = kernels.real_norm(ff), kernels.real_norm(gg)
         xi_fg = inner_product(scaled, f, g, check=False)
         scale = math.sqrt(norm_f * norm_g)
         min_norm = min(min_norm, norm_f, norm_g)

@@ -681,6 +681,24 @@ class TestSpectra:
         assert "overflows at |k| = 5e+307" in captured.err
         assert "Warning" not in captured.err
 
+    @pytest.mark.parametrize("bound, value, source", [
+        ("max", "inf", "flag"), ("min", "-inf", "flag"), ("max", "nan", "flag"),
+        ("max", math.inf, "config"), ("min", math.nan, "config")])
+    def test_non_finite_grid_bound_exits_2_without_a_warning(self, bound, value, source,
+                                                             tmp_path, capsys):
+        if source == "flag":
+            args = ["--ensemble", "classical", f"--k{bound}={value}", "--kcount", "3"]
+        else:
+            args = ["--config", write_config(tmp_path, {
+                "ensemble": "classical", "k_grid": {bound: value, "count": 3}})]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectra", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bad k grid: {bound} must be finite, got {float(value)}" in captured.err
+        assert "Warning" not in captured.err
+
 
 class TestSpectraGolden:
     """sha256 of ``kgf spectra`` stdout on a 1001-point grid, pinned so that

@@ -350,6 +350,34 @@ class TestDiagonalPasses:
         assert (value, diag.refined) == (base, refined)
         assert diag.relative_shift == abs(refined - base) / math.sqrt(norm * norm)
 
+    def test_distinct_pair_makes_four_passes(self, passes):
+        calls, real = passes
+        spec = quantum()
+        f = packet(center_x=(0.3,), carrier_freq=0.7, amplitude=1 - 0.5j)
+        g = packet(carrier_wavevector=(0.8,), width_x=1.3)
+        value, diag = inner_product_with_diagnostics(spec, f, g)
+        # each norm is the packet's own refined (h, h), at its own cutoff
+        own = [(h, h, 512, 2.0 * h.suggested_cutoff) for h in (f, g)]
+        assert calls == [(f, g, 256, diag.cutoff), (f, g, 512, 2.0 * diag.cutoff), *own]
+        norm_f, norm_g = (real(spec, *job).real for job in own)
+        assert diag.relative_shift == abs(diag.refined - value) / math.sqrt(norm_f * norm_g)
+
+    def test_batch_runs_each_distinct_pass_once(self, passes):
+        calls, _ = passes
+        spec = quantum()
+        f, g = packet(), packet(center_x=(0.4,), carrier_wavevector=(0.8,))
+        found = K.inner_products(spec, [(f, f), (g, g), (f, g), (g, f), (f, g)])
+        assert len(calls) == len(set(calls)) == 8
+        assert found[2] == found[4] == inner_product_with_diagnostics(spec, f, g)
+
+    def test_kernel_axioms_make_nine_passes_per_pair(self, passes, monkeypatch):
+        from kgf import verify
+
+        calls, _ = passes
+        monkeypatch.setattr(verify, "KERNEL_AXIOM_PAIRS", 3)
+        assert verify.check_kernel_axioms(seed=7).passed
+        assert len(calls) == 27
+
     def test_three_packet_table_makes_twelve_passes(self, passes):
         from kgf.opalgebra import FunctionRegistry, InnerProductTable
 
@@ -504,14 +532,17 @@ class TestPasses:
     def test_threaded_batch_gives_the_serial_bits(self, dim, threads, monkeypatch):
         packets = random_packets(np.random.default_rng(20 + dim), dim, 3)
         spec = quantum(dim=dim, nodes=64)
-        jobs = [job for f, g in itertools.combinations(packets, 2)
-                for job in K._inner_product_jobs(spec, f, g, True, True)]
-        threaded = K._passes(spec, jobs)
+        pairs = list(itertools.combinations(packets, 2))
+        threaded = K.inner_products(spec, pairs)
         assert len(threads) == 2 and not any(t.is_alive() for t in threads)
         monkeypatch.setattr(K, "_usable_cpus", lambda: 1)
-        assert K._passes(spec, jobs) == threaded
+        assert K.inner_products(spec, pairs) == threaded
         assert len(threads) == 2
-        assert threaded == [K._reduced_integral(spec, *job) for job in jobs]
+        for (f, g), (value, diag) in zip(pairs, threaded):
+            cutoff = max(f.suggested_cutoff, g.suggested_cutoff)
+            assert (value, diag.refined) == (
+                K._reduced_integral(spec, f, g, 64, cutoff),
+                K._reduced_integral(spec, f, g, 128, 2.0 * cutoff))
 
     def test_d1_batch_runs_inline(self, threads):
         f, g = random_packets(np.random.default_rng(4), 1, 2)

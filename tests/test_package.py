@@ -1,5 +1,6 @@
 """Package surface: every exported name resolves, and only on first use."""
 
+import ast
 import importlib
 import inspect
 import subprocess
@@ -124,3 +125,41 @@ def test_perfbench_reads_these_attributes():
         getattr(lattice, attr)
     density = spectra.SpectralDensity(spectra.Ensemble.QUANTUM_VACUUM)
     assert sampler._SpectrumPlan(density, lattice, False).lattice is lattice
+
+
+def _kernel_privates(tree: ast.AST) -> list:
+    """The underscore names of ``kgf.kernels`` that a module imports or reads."""
+    modules, found = {"kgf.kernels"}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = "." * node.level + (node.module or "")
+            for alias in node.names:
+                if source in (".kernels", "kgf.kernels") and alias.name.startswith("_"):
+                    found.append(alias.name)
+                if source in (".", "kgf") and alias.name == "kernels":
+                    modules.add(alias.asname or "kernels")
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.name == "kgf.kernels" and alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and ast.unparse(node.value) in modules):
+            found.append(node.attr)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in (Path(__file__).resolve().parents[1] / "src" / "kgf").glob("*.py")
+    if p.name != "kernels.py"), ids=lambda p: p.name)
+def test_no_module_but_kernels_touches_a_kernels_private(path):
+    assert _kernel_privates(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_kernel_private_check_sees_imports_and_reads():
+    source = ("from .kernels import KernelSpec, _passes\n"
+              "from . import kernels as K\n"
+              "import kgf.kernels\n"
+              "K._diagnosis(); kgf.kernels._radial_rule; K.inner_products; K.__name__\n")
+    assert sorted(_kernel_privates(ast.parse(source))) == [
+        "_diagnosis", "_passes", "_radial_rule"]

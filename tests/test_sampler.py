@@ -734,6 +734,21 @@ class TestFileFormats:
         with pytest.raises(InvalidInputError):
             read_samples_binary(io.BytesIO(raw))
 
+    @pytest.mark.parametrize("keep", [0, 4, 12, 27])
+    def test_binary_truncated_header_rejected(self, keep):
+        buf = io.BytesIO()
+        write_samples_binary(buf, LatticeSpec(dim=1, sites_per_axis=8), np.zeros((1, 8)))
+        match = "bad magic" if keep < 4 else f"header truncated: {keep} of 28 bytes"
+        with pytest.raises(InvalidInputError, match=match):
+            read_samples_binary(io.BytesIO(buf.getvalue()[:keep]))
+
+    @pytest.mark.parametrize("cut, match", [(28, "no samples"), (29, "whole number")])
+    def test_binary_header_without_whole_samples_rejected(self, cut, match):
+        buf = io.BytesIO()
+        write_samples_binary(buf, LatticeSpec(dim=1, sites_per_axis=8), np.zeros((1, 8)))
+        with pytest.raises(InvalidInputError, match=match):
+            read_samples_binary(io.BytesIO(buf.getvalue()[:cut]))
+
     def test_spectrum_csv_layout(self):
         lat = LatticeSpec(dim=1, sites_per_axis=8)
         est = power_spectrum(FieldConfiguration(lat, v)
