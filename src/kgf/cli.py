@@ -417,7 +417,7 @@ def cmd_spectra(args) -> int:
             f"(count at most MAX_K_GRID_COUNT = {MAX_K_GRID_COUNT})"
         )
     from . import spectra
-    from .sampler import _CSV_SLAB_ROWS
+    from .sampler import _CSV_SLAB_ROWS, _fill, _format_17g
 
     k = kmin + (kmax - kmin) / (count - 1) * np.arange(count)
     c = spectra.spectral_coefficient(density, k)
@@ -428,7 +428,7 @@ def cmd_spectra(args) -> int:
         for first in range(0, count, _CSV_SLAB_ROWS):
             slab = np.stack((k[first:first + _CSV_SLAB_ROWS],
                              c[first:first + _CSV_SLAB_ROWS]), axis=1)
-            fh.write("%.17g,%.17g\n" * len(slab) % tuple(slab.ravel().tolist()))
+            _fill(fh, b"%s,%s\n" * len(slab), _format_17g(slab))
     if path:
         print(f"wrote {path}")
     return 0

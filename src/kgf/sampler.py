@@ -88,6 +88,13 @@ _CHUNK_BYTES = 2**20
 #: each template's size; the bytes written do not depend on it.
 _CSV_SLAB_ROWS = 4096
 
+#: Values per pass of :func:`_format_17g`, which bounds its temporaries; the
+#: fastest size measured (64 k was up to 30% slower).
+_FORMAT_SLAB = 2**14
+
+#: Lines of sample CSV that :func:`read_samples_csv` parses at once.
+_CSV_READ_ROWS = 2**13
+
 #: Largest ratio of two nonzero mode scales in one draw.  Below it every
 #: mode keeps at least 12 fraction bits in the site sums of the inverse FFT.
 MAX_MODE_SCALE_RATIO = 2**40
@@ -494,9 +501,126 @@ def hamiltonian_classical(cfg: FieldConfiguration,
 # --- file formats ----------------------------------------------------------
 
 
+def _veltkamp_split(a):
+    """``a`` as high + low, each of at most 26 significant bits, so that a
+    product of two halves is exact (Veltkamp's split)."""
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+@functools.cache
+def _format_tables():
+    """The constant tables of :func:`_fixed_notation`, built on first use:
+
+    - 10**k for k = 0..20 (exact: 5**20 < 2**53) and its Veltkamp halves;
+    - the ASCII text of each 4-digit group 0000..9999 as a little-endian
+      uint64, and its number of trailing zeros;
+    - per uint64 lane of a 24-byte text and per byte position p, the mask
+      of the bytes before p and the byte '.' at p.
+    """
+    pow10 = np.array([float(10**k) for k in range(21)])
+    group = np.arange(10**4)
+    digits4 = sum((48 + group // 10**(3 - j) % 10).astype(np.uint64) << np.uint64(8 * j)
+                  for j in range(4))
+    zeros4 = sum((group % 10**j == 0).astype(np.int64) for j in range(1, 5))
+    lane_bytes = [[p - 8 * lane for p in range(25)] for lane in range(3)]
+    below = np.array([[(1 << 8 * min(max(b, 0), 8)) - 1 for b in bytes_]
+                      for bytes_ in lane_bytes], dtype=np.uint64)
+    dot = np.array([[ord(".") << 8 * b if 0 <= b < 8 else 0 for b in bytes_]
+                    for bytes_ in lane_bytes], dtype=np.uint64)
+    tables = (pow10, *_veltkamp_split(pow10), digits4, zeros4, below, dot)
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return tables
+
+
+def _fixed_notation(x, lanes):
+    """Write ``%.17g`` of each value of ``x`` that prints in fixed notation
+    (1e-4 <= |v| < 1e17) into its row of ``lanes``, the 24 bytes of its
+    text as three little-endian uint64; return the mask of those values.
+
+    With E the decimal exponent, |v| 10**(16-E) is formed exactly as
+    high + low by Dekker's product (Numer. Math. 18, 224, 1971).  It lies
+    in [1e16, 1e17), where ``high`` is an even integer, so rounding ``low``
+    half-even rounds the sum: that gives the 17 digits ``%.17g`` prints.
+    """
+    pow10, pow10_high, pow10_low, digits4, zeros4, below, dot = _format_tables()
+    ax = np.abs(x)
+    done = (ax >= 1e-4) & (ax < 1e17)
+    ax = np.where(done, ax, 1.0)
+    # log10 can put E one off near a power of ten; the range checks below
+    # send such a value to the caller's fallback
+    e = np.clip(np.floor(np.log10(ax)).astype(np.int64), -4, 16)
+    k = 16 - e
+    ah, al = _veltkamp_split(ax)
+    ph, pl = pow10_high[k], pow10_low[k]
+    high = ax * pow10[k]
+    low = ((ah * ph - high) + ah * pl + al * ph) + al * pl
+    done &= (high > 1e16) | ((high == 1e16) & (low >= 0))
+    digits = high.astype(np.int64) + np.rint(low).astype(np.int64)
+    done &= digits < 10**17
+    digits[~done] = 10**16
+
+    # the text t = "0000000" + the 17 digits, as three lanes
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
+    upper = rest // 10**8
+    lower = rest - upper * 10**8
+    g1, g3 = upper // 10**4, lower // 10**4
+    g2, g4 = upper - g1 * 10**4, lower - g3 * 10**4
+    t = (np.uint64(int.from_bytes(b"0000", "little")) | digits4[lead] << np.uint64(32),
+         digits4[g1] | digits4[g2] << np.uint64(32),
+         digits4[g3] | digits4[g4] << np.uint64(32),
+         np.uint64(0))
+    zeros = np.where(g4, zeros4[g4], 4 + np.where(g3, zeros4[g3], 4 + np.where(
+        g2, zeros4[g2], 4 + zeros4[g1])))
+
+    # byte j of the text is byte j + skip of t before the point, and byte
+    # j + skip - 1 after it; a negative value's byte 0 is a '0' of t
+    negative = x < 0
+    point = negative + np.maximum(e, 0) + 1
+    fraction = np.maximum(16 - e - zeros, 0)
+    length = point + np.where(fraction > 0, fraction + 1, 0)
+    skip = (8 * (7 + np.minimum(e, 0) - negative)).astype(np.uint64)
+    for lane in range(3):
+        before = t[lane] >> skip | t[lane + 1] << (64 - skip)
+        after = t[lane] >> (skip - 8) | t[lane + 1] << (72 - skip)
+        lanes[:, lane] = ((before & below[lane][point])
+                          | (after & ~below[lane][point + 1])
+                          | dot[lane][point]) & below[lane][length]
+    lanes[:, 0] -= negative * np.uint64(ord("0") - ord("-"))
+    return done
+
+
+def _format_17g(values) -> np.ndarray:
+    """``b"%.17g" % v`` for each float of ``values``, flattened, as a
+    NUL-padded ``S24`` array (``tolist()`` strips the padding).
+
+    Fixed notation is built in numpy by :func:`_fixed_notation`; the other
+    values (0, subnormals, inf, nan, exponent notation) and the rare value
+    whose exponent estimate is off take Python's own ``%``.
+    """
+    flat = np.ascontiguousarray(values, dtype=float).reshape(-1)
+    texts = np.zeros(flat.size, dtype="S24")
+    lanes = texts.view(np.uint64).reshape(-1, 3)
+    for first in range(0, flat.size, _FORMAT_SLAB):
+        x = flat[first:first + _FORMAT_SLAB]
+        done = _fixed_notation(x, lanes[first:first + _FORMAT_SLAB])
+        for i in np.flatnonzero(~done).tolist():
+            texts[first + i] = b"%.17g" % x[i]
+    return texts
+
+
+def _fill(stream, template: bytes, texts: np.ndarray):
+    """Write ``template`` with its ``%s`` slots filled, in order, from the
+    ``S24`` ``texts``."""
+    stream.write((template % tuple(texts.reshape(-1).tolist())).decode("ascii"))
+
+
 def _csv_templates(labels, dim: int, row: str):
-    """``%`` templates for a row-major table over ``dim`` axes that each
-    carry ``labels``.
+    """``%`` templates, as bytes, for a row-major table over ``dim`` axes
+    that each carry ``labels``.
 
     Returns ``templates(lead)``, which yields ``(template, rows)`` for
     consecutive slabs of at most ``_CSV_SLAB_ROWS`` rows (at least one);
@@ -515,22 +639,21 @@ def _csv_templates(labels, dim: int, row: str):
         heads = (lead + "".join(f"{label}," for label in index)
                  for index in itertools.product(labels, repeat=lead_axes))
         while batch := list(itertools.islice(heads, group)):
-            yield ("".join(h + (row + h).join(tail) + row for h in batch),
+            yield ("".join(h + (row + h).join(tail) + row for h in batch).encode(),
                    len(batch) * len(tail))
     return templates
 
 
 def _column_texts(column, rows: int):
-    """The ``%.17g`` texts of a float column's distinct bit patterns (so
-    0.0 apart from -0.0), each formatted once, as an object array, and
-    the index of each row's text in it."""
+    """The ``%.17g`` texts (``S24``) of a float column's distinct bit
+    patterns (so 0.0 apart from -0.0), each formatted once, and the index
+    of each row's text among them."""
     bits = np.ascontiguousarray(column, dtype=float).reshape(-1)
     if bits.size != rows:
         raise InvalidInputError(
             f"spectrum column has {bits.size} values for {rows} modes")
     distinct, inverse = np.unique(bits.view(np.int64), return_inverse=True)
-    texts = ["%.17g" % v for v in distinct.view(float).tolist()]
-    return np.array(texts, dtype=object), inverse
+    return _format_17g(distinct.view(float)), inverse
 
 
 def _csv_header(dim: int) -> str:
@@ -543,32 +666,55 @@ def samples_writer(stream, lattice: LatticeSpec, fmt: str):
 
     Returns ``write(start, values)``, which appends the samples
     ``start, start + 1, ...`` held in ``values`` (shape (rows,) + lattice
-    shape); call it with consecutive chunks in index order.  A CSV sample
-    is written a slab at a time: one ``%`` template, with the sample
-    number and site indices already spelled in it, takes the slab's
-    values as ``%.17g`` (the same text as ``f"{v:.17g}"``).
+    shape); call it with consecutive chunks in index order.  A chunk of
+    another shape, or one that does not start at the next sample, is
+    refused with :class:`InvalidInputError`.
+
+    A CSV chunk's values are formatted ``_FORMAT_SLAB`` at a time by
+    :func:`_format_17g` (the text of ``f"{v:.17g}"``), and written a slab
+    of rows at a time through one ``%`` template with the sample number
+    and site indices already spelled in it.  Besides the chunk, that
+    holds about 5 MB (tracemalloc peak), mostly the formatter's
+    temporaries, whatever the lattice.
     """
     if fmt == "binary":
         stream.write(_BINARY_HEADER.pack(
             BINARY_MAGIC, lattice.dim, lattice.sites_per_axis, lattice.spacing))
 
-        def write_binary(start, values):
+        def append(start, values):
             stream.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
-        return write_binary
-    if fmt != "csv":
-        raise InvalidInputError(f"unknown samples format {fmt!r}")
-    stream.write(_csv_header(lattice.dim))
-    templates = _csv_templates(range(lattice.sites_per_axis), lattice.dim,
-                               "%.17g\n")
+    elif fmt == "csv":
+        stream.write(_csv_header(lattice.dim))
+        templates = _csv_templates(range(lattice.sites_per_axis), lattice.dim,
+                                   "%s\n")
 
-    def write_csv(start, values):
-        rows = np.asarray(values, dtype=float).reshape(len(values), -1)
-        for s, row in enumerate(rows, start=start):
-            first = 0
-            for template, count in templates(f"{s},"):
-                stream.write(template % tuple(row[first:first + count].tolist()))
-                first += count
-    return write_csv
+        def append(start, values):
+            flat = values.reshape(-1)
+            texts, first, site = flat[:0], 0, 0  # texts of flat[first:]
+            for s in range(start, start + len(values)):
+                for template, count in templates(f"{s},"):
+                    if site + count > first + len(texts):
+                        first = site
+                        texts = _format_17g(flat[site:site + max(count, _FORMAT_SLAB)])
+                    _fill(stream, template, texts[site - first:site - first + count])
+                    site += count
+    else:
+        raise InvalidInputError(f"unknown samples format {fmt!r}")
+    written = 0
+
+    def write(start, values):
+        nonlocal written
+        values = np.asarray(values, dtype=float)
+        if values.shape[1:] != lattice.shape:
+            raise InvalidInputError(
+                f"chunk of shape {values.shape} does not hold samples of the "
+                f"{lattice.shape} lattice")
+        if start != written:
+            raise InvalidInputError(
+                f"chunk starts at sample {start}, not at the next sample {written}")
+        append(start, values)
+        written += len(values)
+    return write
 
 
 def write_samples_csv(stream, lattice: LatticeSpec, samples: np.ndarray):
@@ -579,51 +725,65 @@ def write_samples_csv(stream, lattice: LatticeSpec, samples: np.ndarray):
 def read_samples_csv(stream):
     """Inverse of :func:`write_samples_csv`; returns (dim, N, samples array).
 
-    numpy's line parser streams the rows into flat integer and float
-    buffers; a row that is not ``dim + 1`` integers and a float is refused.
-    N is one more than the largest site index in any column, and the rows
-    must be n * N^D, each index column equal to the writer's row-major
-    order; the check reduces strided views, so no index-sized array is
-    allocated.
+    ``stream`` must be seekable: a first pass counts its lines, which
+    bounds the rows, so the values go straight into their array.  numpy's
+    line parser then reads ``_CSV_READ_ROWS`` lines at a time; a row that
+    is not ``dim + 1`` integers and a float is refused.  Rows must follow
+    the writer's row-major order: row r holds the digits of r in base N,
+    where N is the first row whose last index is 0 again (or the row
+    count, if none is), and there must be n * N^D of them.  The
+    tracemalloc peak is the array plus about 2 MB for one slab of lines.
     """
     header = stream.readline().strip()
     dim = header.count(",") - 1
     if dim not in (1, 2, 3) or header + "\n" != _csv_header(dim):
         raise InvalidInputError(f"unexpected sample CSV header {header!r}")
+    start = stream.tell()
+    blocks = iter(functools.partial(stream.read, 2**18), "")
+    values = np.empty(sum(block.count("\n") for block in blocks) + 1)
+    stream.seek(start)
     row = np.dtype([("index", "<i8", (dim + 1,)), ("value", "<f8")])
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            rows = np.loadtxt(stream, dtype=row, delimiter=",", comments=None,
-                              ndmin=1)
-        except ValueError as exc:
-            raise InvalidInputError(f"malformed sample CSV: {exc}") from None
-    if rows.size == 0:
-        raise InvalidInputError("sample CSV has no data rows")
-    index = rows["index"]
-    sites_per_axis = max(int(index[:, 1:].max()) + 1, 1)
-    n_samples, extra = divmod(len(rows), sites_per_axis ** dim)
-    if extra:
-        raise InvalidInputError(
-            f"sample CSV has {len(rows)} rows, not a whole number of "
-            f"{sites_per_axis}^{dim}-site lattices"
-        )
-    shape = (n_samples,) + (sites_per_axis,) * dim
-    grid = index.reshape(shape + (dim + 1,))
-    for axis in range(dim + 1):
-        # every entry of the column equals its position along ``axis``
-        # exactly when its min and max over the other axes both do
-        others = tuple(a for a in range(dim + 1) if a != axis)
-        expected = np.arange(shape[axis])
-        column = grid[..., axis]
-        if not (np.array_equal(column.min(axis=others), expected)
-                and np.array_equal(column.max(axis=others), expected)):
+    count, sites = 0, None
+    slabs = iter(lambda: list(itertools.islice(stream, _CSV_READ_ROWS)), [])
+    for lines in slabs:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                rows = np.loadtxt(lines, dtype=row, delimiter=",",
+                                  comments=None, ndmin=1)
+            except ValueError as exc:
+                raise InvalidInputError(
+                    f"malformed sample CSV after data row {count}: {exc}") from None
+        index = rows["index"]
+        position = np.arange(count, count + len(rows))
+        if sites is None:
+            wraps = position[(index[:, -1] == 0) & (position > 0)]
+            sites = int(wraps[0]) if wraps.size else None
+        expected = np.zeros_like(index)
+        if sites is None:
+            expected[:, -1] = position
+        else:
+            for axis in range(dim, 0, -1):
+                position, expected[:, axis] = np.divmod(position, sites)
+            expected[:, 0] = position
+        wrong = (index != expected).any(axis=0)
+        if wrong.any():
+            axis = int(np.argmax(wrong))
             name = "sample" if axis == 0 else f"site_index_{axis - 1}"
             raise InvalidInputError(
-                f"sample CSV column {name} is not in writer order "
-                f"({n_samples} samples of a {sites_per_axis}^{dim} lattice)"
-            )
-    return dim, sites_per_axis, np.ascontiguousarray(rows["value"]).reshape(shape)
+                f"sample CSV column {name} is not in writer order at data row "
+                f"{count + int(np.argmax(index[:, axis] != expected[:, axis]))}")
+        values[count:count + len(rows)] = rows["value"]
+        count += len(rows)
+    if count == 0:
+        raise InvalidInputError("sample CSV has no data rows")
+    sites = sites or count
+    n_samples, extra = divmod(count, sites**dim)
+    if extra:
+        raise InvalidInputError(
+            f"sample CSV has {count} rows, not a whole number of "
+            f"{sites}^{dim}-site lattices")
+    return dim, sites, values[:count].reshape((n_samples,) + (sites,) * dim)
 
 
 def write_samples_binary(stream, lattice: LatticeSpec, samples: np.ndarray):
@@ -655,12 +815,13 @@ def write_spectrum_csv(stream, estimate: SpectrumEstimate, expected: np.ndarray)
     order, written a slab of rows at a time.
 
     Each column formats each of its distinct bit patterns once, as
-    ``%.17g``: ``mean`` and ``stderr`` hold the same bits at k and -k,
-    and ``expected`` depends on |k| only.  Memory: about 75 B per
-    distinct value (its text) and 8 B per mode and column (the index of
-    its text), held to the end, plus about 45 B per mode while one
-    column's distinct values are found.  For D=3, N=64 (270 k distinct
-    values among 786 k) the tracemalloc peak is 33 MiB.
+    ``%.17g`` by :func:`_format_17g`: ``mean`` and ``stderr`` hold the
+    same bits at k and -k, and ``expected`` depends on |k| only.
+    Memory: 24 B per distinct value (its text) and 8 B per mode and
+    column (the index of its text), held to the end, plus ``np.unique``'s
+    temporaries while one column's distinct values are found.  For D=3,
+    N=64 (270 k distinct values among 786 k) the tracemalloc peak is
+    21 MB, about 82 B per mode.
     """
     lattice = estimate.lattice
     dim = lattice.dim
@@ -672,9 +833,8 @@ def write_spectrum_csv(stream, estimate: SpectrumEstimate, expected: np.ndarray)
                                f"%s,%s,{estimate.count},%s\n")
     first = 0
     for template, rows in templates(""):
-        slab = np.stack([texts[index[first:first + rows]]
-                         for texts, index in columns], axis=1)
-        stream.write(template % tuple(slab.ravel().tolist()))
+        _fill(stream, template, np.stack([texts[index[first:first + rows]]
+                                          for texts, index in columns], axis=1))
         first += rows
 
 

@@ -739,6 +739,26 @@ class TestSpectraGolden:
                      "--kmax", "41.7", "--kcount", "257"]) == 0
         assert capsys.readouterr().out == "\n".join(["k,c", *rows]) + "\n"
 
+    @pytest.mark.parametrize("args,digest", [
+        (["--ensemble", "vacuum", "--kcount", "2"],
+         "ed9133a32847e28e53afd667ca29258e5026ced43ea371d4c995c4ab5184e198"),
+        # c = 0 at k = 0, then values below 1e-4 in exponent notation
+        (["--ensemble", "classical", "--mass", "0", "--kmin", "0", "--kmax", "3e-3",
+          "--kcount", "4097"],
+         "65106e037ab94a1e0937b9ff3737c8e04e032c30c3add0c1b6ee65f4b58c4a8d"),
+        # k spans fixed notation and both exponent notations, over three slabs
+        (["--ensemble", "thermal", "--kmin", "1e-7", "--kmax", "1e18", "--kcount", "9000"],
+         "90dbf867319bd3218e5c76e7c1131b6ddcfb248b9de58e739ca70c76b2b5c09e"),
+        (["--ensemble", "xilambda", "--xi", "0.5", "--kmax", "50", "--kcount", "12289"],
+         "75ab0ab7ea889d9f6d7833a067072de1f8189667a9d5c9bf59938c30fe8efa2d"),
+    ], ids=["two_rows", "massless_small_k", "wide_k", "four_slabs"])
+    def test_slabbed_output_digest(self, args, digest, capsys):
+        """The bytes of grids that fill more than one ``_CSV_SLAB_ROWS`` slab
+        and reach every notation ``%.17g`` prints."""
+        assert main(["spectra", *args]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestSample:
     COMMON = ["sample", "--ensemble", "vacuum", "--lattice-n", "16",

@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -763,3 +764,135 @@ class TestFileFormats:
         assert float(first[4]) == pytest.approx(4.0)  # V/(2 c(0)) = 8/2
         indices = [int(l.split(",")[0]) for l in lines[1:]]
         assert indices == [0, 1, 2, 3, 4, -3, -2, -1]
+
+
+class TestFormat17g:
+    """The numpy ``%.17g`` formatter of the CSV writers, refereed by Python's
+    own ``%`` on a corpus aimed at its edges."""
+
+    @staticmethod
+    def corpus():
+        rng = np.random.default_rng(25)
+        powers = 10.0 ** np.arange(-10, 20)
+        boundaries = np.array([1e-4, 1e17])
+        rounded = np.round(rng.standard_normal(20_000) * 10.0 ** rng.integers(-3, 12, 20_000),
+                           3)
+        parts = [
+            rng.integers(0, 2**64, 40_000, dtype=np.uint64).view(float),
+            np.array([0.0, 5e-324, np.inf, np.nan, 2.2250738585072014e-308]),
+            np.exp(rng.uniform(math.log(1e-8), math.log(1e18), 60_000)),
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+            np.floor(rng.uniform(1e15, 9e15, 10_000)) + rng.choice([0.25, 0.75], 10_000),
+            rounded / 10.0 ** rng.integers(0, 8, 20_000),
+            boundaries, np.nextafter(boundaries, 0.0), np.nextafter(boundaries, np.inf),
+        ]
+        values = np.concatenate(parts)
+        return np.concatenate([values, -values])
+
+    def test_matches_python_percent_format(self):
+        values = self.corpus()
+        texts = sampler._format_17g(values.reshape(2, -1))
+        assert texts.dtype == np.dtype("S24") and texts.shape == values.shape
+        assert texts.tolist() == [b"%.17g" % v for v in values.tolist()]
+
+    def test_fixed_notation_takes_the_numpy_path(self):
+        # the fallback alone would also match Python: check that the fast
+        # path writes the values that print in fixed notation
+        rng = np.random.default_rng(26)
+        x = np.exp(rng.uniform(math.log(1e-4), math.log(1e17), 5000)) * rng.choice([-1, 1], 5000)
+        lanes = np.zeros((x.size, 3), dtype=np.uint64)
+        done = sampler._fixed_notation(x, lanes)
+        assert done.mean() > 0.99
+        texts = lanes.view("S24").reshape(-1)[done].tolist()
+        assert texts == [b"%.17g" % v for v in x[done].tolist()]
+        assert not sampler._fixed_notation(np.array([0.0, 1e17, 9e-5, np.nan]),
+                                           np.zeros((4, 3), dtype=np.uint64)).any()
+
+    @pytest.mark.parametrize("shift", [-1.0, 1.0])
+    def test_exponent_estimate_one_off_falls_back(self, monkeypatch, shift):
+        # a log10 one off near a power of ten must not reach the digits
+        rng = np.random.default_rng(28)
+        x = np.exp(rng.uniform(math.log(1e-4), math.log(1e17), 5000)) * rng.choice([-1, 1], 5000)
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda v: log10(v) + shift)
+        assert sampler._format_17g(x).tolist() == [b"%.17g" % v for v in x.tolist()]
+
+
+class TestSamplesWriterChunks:
+    """``samples_writer`` refuses a chunk that is not the next samples of its
+    lattice, in both formats, and writes nothing for it."""
+
+    LAT = LatticeSpec(dim=1, sites_per_axis=8)
+
+    @staticmethod
+    def stream(fmt):
+        return io.StringIO() if fmt == "csv" else io.BytesIO()
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    @pytest.mark.parametrize("shape", [(1, 16), (1, 4), (8,), (), (1, 8, 1), (2, 2, 4)],
+                             ids=["too_wide", "too_narrow", "one_sample_unstacked",
+                                  "scalar", "extra_axis", "same_size_other_shape"])
+    def test_wrong_shape_refused(self, fmt, shape):
+        buf = self.stream(fmt)
+        write = sampler.samples_writer(buf, self.LAT, fmt)
+        header = buf.getvalue()
+        with pytest.raises(InvalidInputError, match="does not hold samples"):
+            write(0, np.zeros(shape))
+        assert buf.getvalue() == header
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_start_must_be_the_next_sample(self, fmt):
+        buf = self.stream(fmt)
+        write = sampler.samples_writer(buf, self.LAT, fmt)
+        with pytest.raises(InvalidInputError, match="next sample 0"):
+            write(1, np.zeros((1, 8)))
+        write(0, np.zeros((2, 8)))
+        written = buf.getvalue()
+        for start in (0, 1, 3):
+            with pytest.raises(InvalidInputError, match="next sample 2"):
+                write(start, np.ones((1, 8)))
+        assert buf.getvalue() == written
+        write(2, np.ones((0, 8)))
+        write(2, np.ones((1, 8)))
+        whole = self.stream(fmt)
+        sampler.samples_writer(whole, self.LAT, fmt)(0, np.r_[np.zeros((2, 8)), np.ones((1, 8))])
+        assert buf.getvalue() == whole.getvalue()
+
+
+class TestReadSamplesCsvSlabs:
+    """The reader checks writer order across its slabs of lines, N found in
+    a later slab than the first row's."""
+
+    @pytest.mark.parametrize("slab_rows", [1, 3, 7, 64])
+    @pytest.mark.parametrize("dim,n", [(1, 1), (1, 3), (2, 2), (3, 2)])
+    def test_round_trip_and_refusals(self, monkeypatch, slab_rows, dim, n):
+        monkeypatch.setattr(sampler, "_CSV_READ_ROWS", slab_rows)
+        lat = LatticeSpec(dim=dim, sites_per_axis=8)
+        samples = sample_array(THERMAL, lat, seed=29, n=n)
+        buf = io.StringIO()
+        write_samples_csv(buf, lat, samples)
+        assert read_samples_csv(io.StringIO(buf.getvalue()))[2].tobytes() == samples.tobytes()
+        lines = buf.getvalue().splitlines(keepends=True)
+        for at in (5, 12)[:len(lines) // 12 + 1]:  # data rows 4 and 11
+            for edited in (lines[:at] + lines[at + 1:], lines[:at + 1] + lines[at:],
+                           lines[:at] + [lines[at + 1], lines[at]] + lines[at + 2:]):
+                with pytest.raises(InvalidInputError):
+                    read_samples_csv(io.StringIO("".join(edited)))
+
+
+class TestReadSamplesCsvMemory:
+    def test_peak_is_the_array_plus_one_slab(self):
+        lat = LatticeSpec(dim=2, sites_per_axis=64)
+        samples = np.random.default_rng(27).standard_normal((100,) + lat.shape)
+        buf = io.StringIO()
+        write_samples_csv(buf, lat, samples)
+        text = io.StringIO(buf.getvalue())
+        tracemalloc.start()
+        try:
+            dim, n, back = read_samples_csv(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (dim, n) == (2, 64) and back.tobytes() == samples.tobytes()
+        # 3.3 MB of values; holding the parsed file at once took 5x that
+        assert peak < samples.nbytes + 3_000_000
