@@ -5,15 +5,15 @@ Five cooperating parts:
 - :mod:`kgf.kernels`: invariant inner products of Gaussian wave packets by
   mass-shell quadrature (quantum, classical and xi-scaled kernels).
 - :mod:`kgf.opalgebra`: symbolic creation/annihilation words, one
-  contraction kernel that evaluates every vacuum expectation value,
-  commutator rewriting to normal order as its independent referee, Wick
+  contraction kernel that evaluates every vacuum expectation value, Wick
   pairings and a small operator-string parser.
 - :mod:`kgf.spectra`: closed-form spectral coefficients of five Gaussian
   configuration-space densities and the lambda(xi) closure.
 - :mod:`kgf.sampler`: spectral-method Gaussian sampling of lattice field
   configurations with deterministic counter-based randomness.
-- :mod:`kgf.fockoracle`: independent truncated number-basis oracle for
-  the thermal variance structure.
+- :mod:`kgf.fockoracle`: independent Fock-space oracles: the vacuum
+  state's representation, which referees the contraction kernel, and a
+  truncated number basis for the thermal variance structure.
 
 :mod:`kgf.verify` wires them against each other; :mod:`kgf.cli` exposes
 everything as the ``kgf`` command.
@@ -40,7 +40,7 @@ _EXPORTS = {
     ),
     "opalgebra": (
         "FunctionRegistry", "InnerProductTable", "OperatorExpression",
-        "field_operator", "normal_order", "vacuum_expectation", "wick_vev",
+        "field_operator", "vacuum_expectation", "wick_vev",
         "enumerate_pairings", "parse_expression", "parse_terms",
     ),
     "spectra": (

@@ -1,4 +1,8 @@
-"""Single-mode number-basis oracle for the tanh/coth variance structure.
+"""Fock-space oracles, independent of the code they referee.
+
+:func:`fock_vacuum_expectation` represents the algebra of
+:mod:`kgf.opalgebra` on Fock space, a[f_i] = c_i and adag[f_j] =
+sum_k (f_j, f_k) c_k†, and so referees its contraction kernel.
 
 Each lattice mode of a thermal-family ensemble reduces to one harmonic
 degree of freedom: a ladder operator b with [b, b†] = 1, configuration
@@ -43,6 +47,7 @@ __all__ = [
     "mode_variance_closed",
     "DensityVarianceCheck",
     "verify_density_variance",
+    "fock_vacuum_expectation",
 ]
 
 TAIL_TOL = 1e-12
@@ -184,3 +189,34 @@ def verify_density_variance(density: SpectralDensity,
         closed_form=closed,
         rel_err=rel_err,
     )
+
+
+def fock_vacuum_expectation(letters, ip) -> complex:
+    """<0| L_1 ... L_n |0> for letters ``(kind, index)``, applied on Fock space.
+
+    ``kind`` is ``"a"``, ``"adag"`` or ``"phi"`` = a + adag.  A state maps
+    occupations q of the word's annihilated indices to the coefficient of
+    prod_k (c_k†)^q_k |0>, on which c_i lowers q_i with weight q_i.  The
+    letters act from the right; after m of the n, states with more than
+    min(m, n - m) quanta are dropped.  An odd word gives exactly 0.
+    """
+    letters = list(letters)
+    n = len(letters)
+    modes = sorted({index for kind, index in letters if kind in ("a", "phi")})
+    vacuum = (0,) * len(modes)
+    states = {vacuum: 1.0 + 0.0j}
+    for m, (kind, index) in enumerate(reversed(letters), start=1):
+        cap = min(m, n - m)
+        out: dict = {}
+        for q, coeff in states.items():
+            if kind in ("a", "phi") and sum(q) <= cap + 1:
+                k = modes.index(index)
+                if q[k]:
+                    lowered = q[:k] + (q[k] - 1,) + q[k + 1:]
+                    out[lowered] = out.get(lowered, 0) + q[k] * coeff
+            if kind in ("adag", "phi") and sum(q) < cap:
+                for k, mode in enumerate(modes):
+                    raised = q[:k] + (q[k] + 1,) + q[k + 1:]
+                    out[raised] = out.get(raised, 0) + complex(ip[(index, mode)]) * coeff
+        states = out
+    return states.get(vacuum, 0.0 + 0.0j)

@@ -15,14 +15,8 @@ computed by a memoised recursion over the set of unpaired letters.  Field
 letters ``phi[i] = adag[i] + a[i]`` enter it directly, so a product of n
 fields is never expanded into its 2^n words.
 
-The rewriting engine, :func:`normal_order`, moves every creation letter
-to the front by the relation above, one whole expression at a time: the
-words are grouped by their first letter L, each group's sum of rests is
-normal-ordered once, and L is put back into the sorted creation or
-annihilation run; an annihilation letter applies the relation once for
-each creation letter that it passes.  It shares no code with the kernel
-and is kept as the independent referee the verification suite checks the
-kernel against.
+Its independent referee, :func:`kgf.fockoracle.fock_vacuum_expectation`,
+applies a word to the vacuum letter by letter on Fock space.
 
 The two-point orientation that falls out of the commutator as written is
 ``<0| phi[f1] phi[f2] |0> = (f2, f1)``: the later insertion sits in the
@@ -35,7 +29,6 @@ of the algebra.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import re
 from dataclasses import dataclass
@@ -55,7 +48,6 @@ __all__ = [
     "InnerProductTable",
     "OperatorExpression",
     "field_operator",
-    "normal_order",
     "contract",
     "vacuum_expectation",
     "wick_vev",
@@ -153,7 +145,7 @@ class FunctionRegistry:
 
 
 class InnerProductTable:
-    """Table (i, j) -> (f_i, f_j) read by the contraction kernel and the rewriter."""
+    """Table (i, j) -> (f_i, f_j) read by the contraction kernel and its referee."""
 
     def __init__(self, entries: dict | None = None):
         self._entries = dict(entries or {})
@@ -287,71 +279,6 @@ def field_operator(registry: FunctionRegistry, index: int) -> OperatorExpression
     """adag[i] + a[i]: the smeared field at the registered function ``i``."""
     registry._check_index(index)
     return OperatorExpression.create(index) + OperatorExpression.annihilate(index)
-
-
-def _insert(run: tuple, letter: tuple) -> tuple:
-    """``run`` with ``letter`` added, kept sorted: same-kind letters commute."""
-    at = bisect.bisect(run, letter)
-    return run[:at] + (letter,) + run[at:]
-
-
-def _order_terms(terms: dict, ip, memo: dict) -> dict:
-    """N(terms) as {(creation run, annihilation run): coeff}.
-
-    Takes each word's first letter L so that
-    N(c + sum_L L S_L) = c + sum_L L N(S_L).
-    Each rest S_L is normal-ordered once, memoised on its terms.
-    """
-    key = frozenset(terms.items())
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    out: dict = {}
-    groups: dict = {}
-    for word, coeff in terms.items():
-        if word:
-            groups.setdefault(word[0], {})[word[1:]] = coeff
-        else:
-            out[((), ())] = coeff
-    for letter, rest in groups.items():
-        kind, index = letter
-        for (creators, annihilators), coeff in _order_terms(rest, ip, memo).items():
-            if kind == CREATE:
-                moved = (_insert(creators, letter), annihilators)
-                out[moved] = out.get(moved, 0) + coeff
-            else:
-                moved = (creators, _insert(annihilators, letter))
-                out[moved] = out.get(moved, 0) + coeff
-                # a[g] C A = C a[g] A + sum_i (c_i, g) (C without c_i) A
-                for i, (_, f) in enumerate(creators):
-                    dropped = (creators[:i] + creators[i + 1:], annihilators)
-                    out[dropped] = out.get(dropped, 0) + coeff * complex(ip[(f, index)])
-    out = {run: c for run, c in out.items() if c != 0}
-    memo[key] = out
-    return out
-
-
-def normal_order(expr: OperatorExpression, ip) -> OperatorExpression:
-    """Rewrite ``expr`` so every word has all creation letters first.
-
-    Works on the whole expression, always peeling from the left: the words
-    are grouped by their first letter, each group's sum of suffixes is
-    normal-ordered, and the letter is prepended.  A prepended a[g] passes
-    every creation letter adag[c_i] of a term and adds (c_i, g) times the
-    term without it.  Each sum of suffixes is rewritten once per call (the
-    memo is not kept, since ``ip`` differs between calls), and
-    exactly-zero coefficients are dropped.
-    """
-    try:
-        ordered = _order_terms(expr.terms, ip, {})
-    except RecursionError:
-        longest = max(map(len, expr.terms))
-        raise SizeLimitError(
-            f"refusing to normal-order a {longest}-letter word: peeling it "
-            f"nests deeper than the interpreter's recursion limit"
-        ) from None
-    return _wrap({creators + annihilators: c
-                  for (creators, annihilators), c in ordered.items()})
 
 
 #: Letter kinds that can annihilate and that can create.

@@ -5,9 +5,10 @@ Each check returns a :class:`CheckResult` and never raises: the
 :class:`~kgf.errors.KGFError` raised inside it into that check's FAIL, so
 the suite always reports every check it ran.  The checks are
 deliberately cross-module: quadrature kernels against algebraic axioms,
-the contraction kernel against the rewriting engine, sampled lattice moments
-against closed-form coefficients and against the independent Fock-space
-oracle.  All randomness is seeded, so a pass is reproducible.
+the contraction kernel against the algebra's Fock-space representation,
+sampled lattice moments against closed-form coefficients and against the
+independent number-basis oracle.  All randomness is seeded, so a pass is
+reproducible.
 
 The checks share no state, so :func:`run_suite` runs each in a forked
 child process, one per usable CPU at a time, where that is safe: the
@@ -178,41 +179,49 @@ def _random_hermitian_table(rng: np.random.Generator,
     return opalgebra.InnerProductTable(entries)
 
 
+#: Letter kinds of the ladder words: the first two can annihilate, the
+#: last two can create.
+_LADDER_KINDS = ("a", "phi", "adag")
+
+
 @_check("algebra_equivalence")
 def check_algebra_equivalence(seed: int = DEFAULT_SEED):
-    """Contraction-kernel VEVs against the rewriting engine on random ip tables.
+    """Contraction-kernel VEVs against the Fock-space referee on random ip tables.
 
-    ``contract`` over phi letters (the call ``kgf expect`` makes) and
-    ``vacuum_expectation`` both run on the contraction kernel; the identity
-    coefficient of ``normal_order`` is the referee.
+    ``contract``, the call ``kgf expect`` makes, against
+    :func:`~kgf.fockoracle.fock_vacuum_expectation` on phi products and,
+    drawn from a second stream, on mixed a/adag/phi ladder words.
     """
     rng = np.random.default_rng(seed)
+    ladder_rng = np.random.default_rng((seed, 1))
     size = 8
-    registry = opalgebra.FunctionRegistry()
-    for i in range(size):
-        registry.register(f"f{i + 1}")
-    worst = 0.0
+    worst = {"phi": 0.0, "ladder": 0.0}
+    nonzero = 0
     odd_ok = True
     for _ in range(ALGEBRA_TABLES):
         ip = _random_hermitian_table(rng, size)
         for n in (2, 4, 6, 8, 1, 3, 5, 7):
-            indices = [int(v) for v in rng.integers(1, size + 1, size=n)]
-            expr = opalgebra.OperatorExpression.identity()
-            for idx in indices:
-                expr = expr * opalgebra.field_operator(registry, idx)
-            via_rewrite = opalgebra.normal_order(expr, ip).terms.get((), 0j)
-            fast = (opalgebra.contract([("phi", i) for i in indices], ip),
-                    opalgebra.vacuum_expectation(expr, ip))
-            if n % 2:
-                odd_ok = odd_ok and via_rewrite == 0 and fast == (0, 0)
-            else:
-                denom = max(abs(via_rewrite), 1e-6)
-                worst = max(worst, *(abs(v - via_rewrite) / denom for v in fast))
-    passed = worst <= 1e-10 and odd_ok
+            phi = [("phi", int(i)) for i in rng.integers(1, size + 1, size=n)]
+            # first letter a or phi, last phi or adag: most even words pair up
+            kinds = ladder_rng.integers([0] * (n - 1) + [1], [2] + [3] * (n - 1))
+            ladder = [(_LADDER_KINDS[k], int(i))
+                      for k, i in zip(kinds, ladder_rng.integers(1, size + 1, size=n))]
+            for leg, word in (("phi", phi), ("ladder", ladder)):
+                referee = fockoracle.fock_vacuum_expectation(word, ip)
+                fast = opalgebra.contract(word, ip)
+                if n % 2:
+                    odd_ok = odd_ok and referee == 0 and fast == 0
+                else:
+                    dev = abs(fast - referee) / max(abs(referee), 1e-6)
+                    worst[leg] = max(worst[leg], dev)
+                    if leg == "ladder":
+                        nonzero += referee != 0
+    passed = max(worst.values()) <= 1e-10 and odd_ok
     return (
         passed,
-        f"{ALGEBRA_TABLES} tables, n in 2/4/6/8: worst rel dev {worst:.2e} (tol 1e-10), "
-        f"odd products exactly zero: {odd_ok}",
+        f"{ALGEBRA_TABLES} tables, n in 2/4/6/8: worst rel dev {worst['phi']:.2e} "
+        f"on phi products, {worst['ladder']:.2e} on ladder words ({nonzero} of "
+        f"{4 * ALGEBRA_TABLES} nonzero) (tol 1e-10), odd words exactly zero: {odd_ok}",
     )
 
 
@@ -228,9 +237,7 @@ def check_two_point(seed: int = DEFAULT_SEED):
         registry.register("f1", _random_packet(rng))
         registry.register("f2", _random_packet(rng))
         table = opalgebra.InnerProductTable.from_kernel(spec, registry)
-        expr = (opalgebra.field_operator(registry, 1)
-                * opalgebra.field_operator(registry, 2))
-        vev = opalgebra.vacuum_expectation(expr, table)
+        vev = opalgebra.contract([("phi", 1), ("phi", 2)], table)
         direct = inner_product(spec, registry.packet(2), registry.packet(1))
         scale = math.sqrt(
             positivity_check(spec, registry.packet(1), check=False)

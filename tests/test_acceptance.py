@@ -3,10 +3,11 @@
 Each test prints a single ``criterion N (<label>): PASS/FAIL`` line with
 the measured detail, then asserts.  Tolerances and check sizes are the
 shipped contract, not tuning knobs: 1e-8 for quadrature-limited kernel
-identities, 1e-12 for algebraic rescalings, 1e-10 for the rewriting and
-oracle comparisons, five standard errors for sampled moments.  The check
-sizes are constants of :mod:`kgf.verify`, so each check takes its seed
-only.  Runtime budgets are asserted where the contract states them.
+identities, 1e-12 for algebraic rescalings, 1e-10 for the Fock-space
+referee and oracle comparisons, five standard errors for sampled
+moments.  The check sizes are constants of :mod:`kgf.verify`, so each
+check takes its seed only.  Runtime budgets are asserted where the
+contract states them.
 """
 
 import subprocess
@@ -43,8 +44,9 @@ def test_criterion_1_kernel_axioms():
 
 
 def test_criterion_2_algorithm_equivalence():
-    # rewriting VEV vs Wick-pairing VEV, 20 random Hermitian tables,
-    # n in {2,4,6,8} to 1e-10 relative, odd n exactly 0; budget 10 s
+    # contraction-kernel VEV vs the Fock-space referee, 20 random Hermitian
+    # tables, phi products and ladder words, n in {2,4,6,8} to 1e-10
+    # relative, odd n exactly 0; budget 10 s
     report(2, "algorithm equivalence",
            verify.check_algebra_equivalence(seed=SEED), budget=10.0)
 

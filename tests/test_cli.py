@@ -19,7 +19,7 @@ except ModuleNotFoundError:  # Python 3.10, where pytest depends on tomli
     import tomli as tomllib
 
 import kgf
-from kgf import cli, opalgebra, sampler, spectra, verify
+from kgf import cli, fockoracle, opalgebra, sampler, spectra, verify
 from kgf.__main__ import _BLAS_THREAD_VARIABLES
 from kgf.cli import main
 from kgf.errors import InvalidInputError
@@ -548,7 +548,7 @@ class TestExpect:
         assert main(["expect", "--config", cfg, "phi[f1] phi[f2]"]) == 0
         assert main(["innerprod", "--config", cfg, "-f", "f1", "-g", "f2"]) == 0
 
-    def test_values_do_not_need_the_rewriting_engine(
+    def test_values_need_neither_the_referee_nor_expressions(
             self, tmp_path, capsys, monkeypatch):
         config = json.loads(json.dumps(BASE_CONFIG))
         for i in (3, 4, 5):
@@ -572,9 +572,9 @@ class TestExpect:
         plain = run_all()
 
         def refuse(*args, **kwargs):
-            raise AssertionError("rewriting engine on the expect path")
+            raise AssertionError("referee or expression API on the expect path")
 
-        monkeypatch.setattr(opalgebra, "normal_order", refuse)
+        monkeypatch.setattr(fockoracle, "fock_vacuum_expectation", refuse)
         monkeypatch.setattr(opalgebra, "parse_expression", refuse)
         monkeypatch.setattr(opalgebra.OperatorExpression, "__mul__", refuse)
         assert run_all() == plain

@@ -1,4 +1,5 @@
-"""Number-basis oracle: Gibbs sums, tail guards, density cross-checks."""
+"""Fock-space oracles: the vacuum representation against the contraction
+kernel; number-basis Gibbs sums, tail guards, density cross-checks."""
 
 import math
 import re
@@ -7,18 +8,45 @@ import numpy as np
 import pytest
 
 from kgf import fockoracle
-from kgf.errors import AccuracyError, InvalidInputError, SizeLimitError
+from kgf.errors import (
+    AccuracyError,
+    InvalidInputError,
+    MissingInnerProductError,
+    SizeLimitError,
+)
 from kgf.fockoracle import (
     MIN_CUTOFF,
     TAIL_TOL,
     VACUUM_GIBBS_X,
     ModeSpec,
+    fock_vacuum_expectation,
     mode_variance_closed,
     mode_variance_numeric,
     verify_density_variance,
 )
 from kgf.kernels import PhysicalConstants
+from kgf.opalgebra import InnerProductTable, contract
 from kgf.spectra import Ensemble, SpectralDensity, lambda_of_xi
+
+# exact in binary floating point, so the hand values hold bitwise
+DYADIC_TABLE = InnerProductTable({
+    (1, 1): 1.0,
+    (2, 2): 2.0,
+    (1, 2): 0.5 + 0.25j,
+    (2, 1): 0.5 - 0.25j,
+})
+
+
+def random_word(rng, length, functions):
+    """Random a/adag/phi letters, the first able to annihilate and the
+    last able to create, so that most even words have a nonzero VEV."""
+    kinds = rng.integers(0, 3, size=length)
+    indices = rng.integers(1, functions + 1, size=length)
+    word = [(("a", "adag", "phi")[k], int(i)) for k, i in zip(kinds, indices)]
+    if word:
+        word[0] = (("a", "phi")[rng.integers(2)], word[0][1])
+        word[-1] = (("adag", "phi")[rng.integers(2)], word[-1][1])
+    return word
 
 
 class TestModeSpec:
@@ -184,3 +212,48 @@ class TestDensityVariance:
             Ensemble.QUANTUM_THERMAL, PhysicalConstants(mass=0.0))
         with pytest.raises(InvalidInputError):
             verify_density_variance(density, 0.0)
+
+
+class TestFockVacuumExpectation:
+    def test_hand_values(self):
+        # pairs (03)(12) + (02)(13) = ip(1,1) ip(2,2) + ip(2,1) ip(1,2)
+        #   = 2 + |0.5+0.25j|^2
+        ladder = [("a", 1), ("a", 2), ("adag", 2), ("adag", 1)]
+        assert fock_vacuum_expectation(ladder, DYADIC_TABLE) == 2.3125
+        # (01)(23) + (02)(13) + (03)(12) = ip(1,1) ip(2,2) + 2 ip(2,1)^2
+        fields = [("phi", 1), ("phi", 1), ("phi", 2), ("phi", 2)]
+        assert fock_vacuum_expectation(fields, DYADIC_TABLE) == complex(2.375, -0.5)
+
+    def test_orientation_on_a_non_hermitian_table(self):
+        # [a(f_i), adag(f_j)] = ip[(j, i)], whether or not ip is Hermitian
+        table = InnerProductTable({(1, 1): 1.0, (1, 2): 2.0, (2, 1): 3.0j, (2, 2): 1.0})
+        assert fock_vacuum_expectation([("a", 1), ("adag", 2)], table) == 3.0j
+        assert fock_vacuum_expectation([("phi", 2), ("phi", 1)], table) == 2.0
+        assert fock_vacuum_expectation([("adag", 1), ("a", 2)], table) == 0.0
+
+    def test_empty_word_is_one_and_odd_words_exactly_zero(self):
+        assert fock_vacuum_expectation([], DYADIC_TABLE) == 1.0
+        rng = np.random.default_rng(606)
+        for n in (1, 3, 5, 7, 9):
+            assert fock_vacuum_expectation(random_word(rng, n, 2), DYADIC_TABLE) == 0.0
+            assert fock_vacuum_expectation([("phi", 1)] * n, DYADIC_TABLE) == 0.0
+
+    def test_matches_contract_on_non_hermitian_tables(self):
+        rng = np.random.default_rng(4711)
+        nonzero = 0
+        for _ in range(20):
+            raw = rng.uniform(-1.0, 1.0, size=(4, 4, 2))
+            table = InnerProductTable({(i + 1, j + 1): complex(*raw[i, j])
+                                       for i in range(4) for j in range(4)})
+            for n in (2, 4, 6, 8, 10):
+                word = random_word(rng, n, 4)
+                want = contract(word, table)
+                got = fock_vacuum_expectation(word, table)
+                assert abs(got - want) <= 1e-12 * max(abs(want), 1.0), word
+                nonzero += want != 0
+        assert nonzero > 50
+
+    def test_absent_entry_raises(self):
+        with pytest.raises(MissingInnerProductError) as err:
+            fock_vacuum_expectation([("a", 1), ("adag", 3)], DYADIC_TABLE)
+        assert err.value.pair == (3, 1)

@@ -79,6 +79,14 @@ def swap_contract_pair_order(monkeypatch):
                         lambda letters, ip: contract(letters, _Transposed(ip)))
 
 
+def let_contract_pair(kinds, kind):
+    """``contract`` counts letters of ``kind`` among ``kinds``, its set of
+    annihilating or of creating letter kinds."""
+    def apply(monkeypatch):
+        monkeypatch.setattr(opalgebra, kinds, getattr(opalgebra, kinds) | {kind})
+    return apply
+
+
 def halve_fock_cutoff(monkeypatch):
     """The Fock oracle sums over half its derived number of states."""
     cutoff = fockoracle._auto_cutoff
@@ -100,6 +108,10 @@ MUTANTS = [
      {"kernels": {"kernel_axioms"}}),
     ("contract_pair_order_swapped", swap_contract_pair_order,
      {"algebra": {"algebra_equivalence", "two_point_orientation"}}),
+    ("contract_adag_annihilates", let_contract_pair("_ANNIHILATORS", "adag"),
+     {"algebra": {"algebra_equivalence"}}),
+    ("contract_a_creates", let_contract_pair("_CREATORS", "a"),
+     {"algebra": {"algebra_equivalence"}}),
     ("fock_cutoff_halved", halve_fock_cutoff,
      {"fock": {"fock_oracle"}}),
 ]

@@ -1,4 +1,4 @@
-"""Operator algebra: rewriting engine, Wick oracle, parser."""
+"""Operator algebra: contraction kernel, Wick oracle, parser."""
 
 import itertools
 import math
@@ -14,6 +14,7 @@ from kgf.errors import (
     MissingInnerProductError,
     SizeLimitError,
 )
+from kgf.fockoracle import fock_vacuum_expectation
 from kgf.kernels import KernelSpec, PhysicalConstants, WavePacket, inner_product
 from kgf.opalgebra import (
     ANNIHILATE,
@@ -26,7 +27,6 @@ from kgf.opalgebra import (
     contract,
     enumerate_pairings,
     field_operator,
-    normal_order,
     parse_expression,
     parse_terms,
     vacuum_expectation,
@@ -59,61 +59,6 @@ def permanent(matrix):
             prod *= matrix[p][q]
         total += prod
     return total
-
-
-def reference_normal_order(expr, ip):
-    """The adjacent-swap rewriter, kept as the referee of normal_order.
-
-    Rewrites one word at a time: the leftmost adjacent a[g] adag[f]
-    becomes adag[f] a[g] + (f, g), recursively, memoised per canonical
-    word.  Returns the terms dict with exact zeros dropped.
-    """
-    cache = {}
-
-    def first_inversion(word):
-        for p in range(len(word) - 1):
-            if word[p][0] == ANNIHILATE and word[p + 1][0] == CREATE:
-                return p
-        return None
-
-    def rewrite(word):
-        word = canonical_word(word)
-        if word in cache:
-            return cache[word]
-        p = first_inversion(word)
-        if p is None:
-            result = {word: 1.0 + 0.0j}
-        else:
-            annihilator, creator = word[p], word[p + 1]
-            contraction = complex(ip[(creator[1], annihilator[1])])
-            result = {}
-            swapped = word[:p] + (creator, annihilator) + word[p + 2:]
-            for w, c in rewrite(swapped).items():
-                result[w] = result.get(w, 0) + c
-            for w, c in rewrite(word[:p] + word[p + 2:]).items():
-                result[w] = result.get(w, 0) + c * contraction
-            result = {w: c for w, c in result.items() if c != 0}
-        cache[word] = result
-        return result
-
-    out = {}
-    for word, coeff in expr.terms.items():
-        for w, c in rewrite(word).items():
-            out[w] = out.get(w, 0) + c * coeff
-    return {w: c for w, c in out.items() if c != 0}
-
-
-def assert_same_terms(got, want, rel=1e-12):
-    assert got.keys() == want.keys()
-    for word, value in want.items():
-        assert abs(got[word] - value) <= rel * abs(value), word
-
-
-def random_word(rng, length, functions):
-    kinds = rng.integers(0, 2, size=length)
-    indices = rng.integers(1, functions + 1, size=length)
-    return tuple((CREATE if k == 0 else ANNIHILATE, int(i))
-                 for k, i in zip(kinds, indices))
 
 
 class TestCanonicalWord:
@@ -242,15 +187,7 @@ class TestInnerProductTable:
             InnerProductTable.from_kernel(spec, reg)
 
 
-class TestNormalOrdering:
-    def test_single_commutator(self):
-        expr = OperatorExpression.annihilate(1) * OperatorExpression.create(2)
-        ordered = normal_order(expr, DYADIC_TABLE)
-        assert ordered.terms == {
-            ((CREATE, 2), (ANNIHILATE, 1)): 1.0,
-            (): DYADIC_TABLE[(2, 1)],
-        }
-
+class TestVacuumExpectation:
     def test_two_point_orientation(self):
         # <0| phi[1] phi[2] |0> = (f2, f1): later insertion conjugated
         reg = FunctionRegistry()
@@ -258,21 +195,6 @@ class TestNormalOrdering:
         reg.register("f2")
         expr = field_operator(reg, 1) * field_operator(reg, 2)
         assert vacuum_expectation(expr, DYADIC_TABLE) == DYADIC_TABLE[(2, 1)]
-
-    def test_phi_squared_pair_content(self):
-        reg = FunctionRegistry()
-        reg.register("f1")
-        reg.register("f2")
-        ordered = normal_order(
-            field_operator(reg, 1) * field_operator(reg, 2), DYADIC_TABLE
-        )
-        assert ordered.terms == {
-            ((CREATE, 1), (CREATE, 2)): 1.0,
-            ((CREATE, 1), (ANNIHILATE, 2)): 1.0,
-            ((CREATE, 2), (ANNIHILATE, 1)): 1.0,
-            ((ANNIHILATE, 1), (ANNIHILATE, 2)): 1.0,
-            (): DYADIC_TABLE[(2, 1)],
-        }
 
     def test_four_point_hand_value(self):
         # Wick by hand over positions of phi[1]phi[1]phi[2]phi[2]:
@@ -285,21 +207,6 @@ class TestNormalOrdering:
         vev = vacuum_expectation(phi1 * phi1 * phi2 * phi2, DYADIC_TABLE)
         assert vev == complex(2.375, -0.5)
 
-    def test_already_ordered_is_fixed_point(self):
-        expr = OperatorExpression.create(1) * OperatorExpression.annihilate(2)
-        assert normal_order(expr, DYADIC_TABLE) == expr
-
-    def test_missing_table_entry_surfaces(self):
-        expr = OperatorExpression.annihilate(3) * OperatorExpression.create(3)
-        with pytest.raises(MissingInnerProductError):
-            normal_order(expr, DYADIC_TABLE)
-
-    def test_deep_word_is_refused_not_crashed(self):
-        # one recursion level per letter: 1200 letters pass the limit
-        word = ((ANNIHILATE, 1), (CREATE, 1)) * 600
-        with pytest.raises(SizeLimitError, match="recursion limit"):
-            normal_order(OperatorExpression({word: 1.0}), DYADIC_TABLE)
-
     def test_vacuum_expectation_trivial_cases(self):
         assert vacuum_expectation(OperatorExpression.identity(), DYADIC_TABLE) == 1.0
         assert vacuum_expectation(OperatorExpression.zero(), DYADIC_TABLE) == 0.0
@@ -309,61 +216,6 @@ class TestNormalOrdering:
             OperatorExpression.annihilate(1) * OperatorExpression.annihilate(2),
             DYADIC_TABLE,
         ) == 0.0
-
-
-class TestNormalOrderReferee:
-    """normal_order against the adjacent-swap rewriter, term by term."""
-
-    def test_random_mixed_words(self):
-        rng = np.random.default_rng(8080)
-        for _ in range(12):
-            table = random_table(rng, 3)
-            terms = {}
-            for length in range(9):
-                word = random_word(rng, length, 3)
-                terms[word] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                # a shared suffix under two prefixes exercises the memo
-                terms[random_word(rng, 2, 3) + word[1:]] = 1.0
-            expr = OperatorExpression(terms)
-            got = normal_order(expr, table)
-            assert all(all((k1, k2) != (ANNIHILATE, CREATE)
-                           for (k1, _), (k2, _) in zip(w, w[1:]))
-                       for w in got.terms)
-            assert_same_terms(got.terms, reference_normal_order(expr, table))
-
-    def test_expanded_phi_products(self):
-        rng = np.random.default_rng(8181)
-        reg = FunctionRegistry()
-        for name in ("u", "v", "w"):
-            reg.register(name)
-        for _ in range(3):
-            table = random_table(rng, 3)
-            for n in range(1, 9):
-                indices = [int(i) for i in rng.integers(1, 4, size=n)]
-                expr = OperatorExpression.identity()
-                for i in indices:
-                    expr = expr * field_operator(reg, i)
-                got = normal_order(expr, table).terms
-                assert_same_terms(got, reference_normal_order(expr, table))
-                if n % 2:
-                    assert () not in got
-
-    def test_cancelled_terms_are_dropped(self):
-        a1, adag2 = OperatorExpression.annihilate(1), OperatorExpression.create(2)
-        contraction = DYADIC_TABLE[(2, 1)]
-        # the reordered word cancels, only the contraction survives
-        commutator = a1 * adag2 - adag2 * a1
-        assert normal_order(commutator, DYADIC_TABLE).terms == {
-            (): contraction,
-        }
-        # the identity cancels, only the reordered word survives
-        shifted = a1 * adag2 - OperatorExpression.identity().scaled(contraction)
-        assert normal_order(shifted, DYADIC_TABLE).terms == {
-            ((CREATE, 2), (ANNIHILATE, 1)): 1.0,
-        }
-        assert reference_normal_order(shifted, DYADIC_TABLE) == {
-            ((CREATE, 2), (ANNIHILATE, 1)): 1.0,
-        }
 
 
 class TestWickEquivalence:
@@ -380,7 +232,7 @@ class TestWickEquivalence:
             assert seen == list(range(6))
             assert all(p < q for p, q in matching)
 
-    def test_rewriting_matches_wick_on_random_tables(self):
+    def test_wick_matches_fock_referee_on_random_tables(self):
         rng = np.random.default_rng(7171)
         for _ in range(10):
             table = random_table(rng, 3)
@@ -392,7 +244,7 @@ class TestWickEquivalence:
                 expr = OperatorExpression.identity()
                 for i in indices:
                     expr = expr * field_operator(reg, i)
-                referee = normal_order(expr, table).terms.get((), 0)
+                referee = fock_vacuum_expectation([("phi", i) for i in indices], table)
                 scale = max(abs(referee), 1e-6)
                 for fast in (vacuum_expectation(expr, table),
                              wick_vev(indices, table)):
@@ -409,7 +261,7 @@ class TestWickEquivalence:
             expr = OperatorExpression.identity()
             for i in indices:
                 expr = expr * field_operator(reg, i)
-            assert normal_order(expr, table).terms.get((), 0) == 0.0
+            assert fock_vacuum_expectation([("phi", i) for i in indices], table) == 0.0
             assert vacuum_expectation(expr, table) == 0.0
             assert wick_vev(indices, table) == 0.0
 
@@ -433,9 +285,9 @@ class TestContract:
         table = random_table(np.random.default_rng(5150), 3)
         text = "a[f2] phi[f3] adag[f1] phi[f2]"
         expr = parse_expression(text, reg)
-        referee = normal_order(expr, table).terms.get((), 0)
         keywords = [(kw, reg.index_of(ident))
                     for kw, ident in parse_terms(text)[0].factors]
+        referee = fock_vacuum_expectation(keywords, table)
         assert contract(keywords, table) == pytest.approx(referee, rel=1e-13)
         assert vacuum_expectation(expr, table) == pytest.approx(referee, rel=1e-13)
 

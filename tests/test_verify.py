@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from kgf import verify
+from kgf import opalgebra, verify
 
 # Forking from a process that runs a BLAS thread draws a DeprecationWarning
 # on Python 3.12+; the checks forked in-process here touch no BLAS.
@@ -138,3 +138,22 @@ def test_forking_needs_two_checks_two_cpus_and_one_thread(monkeypatch):
     monkeypatch.setattr(os, "listdir", lambda path: ["1"])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert verify._fork_slots(8) == 0
+
+
+def test_the_algebra_suite_needs_no_expression_api(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("expression API reached by kgf verify")
+
+    monkeypatch.setattr(opalgebra.OperatorExpression, "__mul__", refuse)
+    for name in ("field_operator", "parse_expression", "vacuum_expectation"):
+        monkeypatch.setattr(opalgebra, name, refuse)
+    results = verify.run_suite("algebra")
+    assert [(r.name, r.passed) for r in results] == [
+        ("algebra_equivalence", True), ("two_point_orientation", True)]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_algebra_equivalence_passes_across_seeds(seed):
+    # the benchmark draws a fresh seed for every kgf verify it runs
+    result = verify.check_algebra_equivalence(seed=seed)
+    assert result.passed, result.detail
