@@ -416,19 +416,14 @@ def cmd_spectra(args) -> int:
             f"bad k grid: min {kmin}, max {kmax}, count {count} "
             f"(count at most MAX_K_GRID_COUNT = {MAX_K_GRID_COUNT})"
         )
-    from . import spectra
-    from .sampler import _CSV_SLAB_ROWS, _fill, _format_17g
+    from . import sampler, spectra
 
     k = kmin + (kmax - kmin) / (count - 1) * np.arange(count)
     c = spectra.spectral_coefficient(density, k)
     path = _out_dir(args) / "coefficients.csv" if args.out else None
     with (open(path, "w", encoding="utf-8") if path
           else contextlib.nullcontext(sys.stdout)) as fh:
-        fh.write("k,c\n")
-        for first in range(0, count, _CSV_SLAB_ROWS):
-            slab = np.stack((k[first:first + _CSV_SLAB_ROWS],
-                             c[first:first + _CSV_SLAB_ROWS]), axis=1)
-            _fill(fh, b"%s,%s\n" * len(slab), _format_17g(slab))
+        sampler.write_coefficients_csv(fh, k, c)
     if path:
         print(f"wrote {path}")
     return 0

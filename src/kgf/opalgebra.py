@@ -354,20 +354,16 @@ def vacuum_expectation(expr: OperatorExpression, ip, strategy: str = "leftmost")
                0.0 + 0.0j)
 
 
-def _check_pairing_size(n: int):
-    if n > MAX_PAIRING_SIZE:
-        raise SizeLimitError(
-            f"refusing to enumerate pairings of {n} insertions "
-            f"(limit MAX_PAIRING_SIZE = {MAX_PAIRING_SIZE})"
-        )
-
-
 def enumerate_pairings(n: int):
     """All perfect matchings of positions 0..n-1, yielded as lists of (p, q), p < q.
 
     The size limit is checked when called, not when first iterated.
     """
-    _check_pairing_size(n)
+    if n > MAX_PAIRING_SIZE:
+        raise SizeLimitError(
+            f"refusing to enumerate pairings of {n} insertions "
+            f"(limit MAX_PAIRING_SIZE = {MAX_PAIRING_SIZE})"
+        )
     if n % 2 or n < 0:
         return iter(())
 
@@ -391,10 +387,9 @@ def wick_vev(indices, ip) -> complex:
     For a product phi[i1]...phi[in] the vacuum expectation value is the sum
     over matchings of positions, with each matched pair (p < q) worth
     ip(f_q, f_p): :func:`contract` over phi letters.  Odd n gives 0, the
-    empty product gives 1.
+    empty product gives 1.  It enumerates no matchings, so its size limit is
+    :func:`contract`'s ``MAX_CONTRACTION_STATES``.
     """
-    indices = list(indices)
-    _check_pairing_size(len(indices))
     return contract([("phi", i) for i in indices], ip)
 
 

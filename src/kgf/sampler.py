@@ -72,6 +72,7 @@ __all__ = [
     "write_samples_binary",
     "read_samples_binary",
     "write_spectrum_csv",
+    "write_coefficients_csv",
     "spectrum_csv",
 ]
 
@@ -84,13 +85,10 @@ BLOCK_SIZE = 256
 #: Resident memory scales with it; the stream bytes do not depend on it.
 _CHUNK_BYTES = 2**20
 
-#: Rows per ``%`` template in the CSV writers and ``kgf spectra``, which bounds
-#: each template's size; the bytes written do not depend on it.
+#: Rows per slab of :func:`_csv_writer`: one :func:`_format_17g` call and
+#: one ``%`` template each, so it bounds the memory of both; the bytes
+#: written do not depend on it.
 _CSV_SLAB_ROWS = 4096
-
-#: Values per pass of :func:`_format_17g`, which bounds its temporaries; the
-#: fastest size measured (64 k was up to 30% slower).
-_FORMAT_SLAB = 2**14
 
 #: Lines of sample CSV that :func:`read_samples_csv` parses at once.
 _CSV_READ_ROWS = 2**13
@@ -603,57 +601,48 @@ def _format_17g(values) -> np.ndarray:
     """
     flat = np.ascontiguousarray(values, dtype=float).reshape(-1)
     texts = np.zeros(flat.size, dtype="S24")
-    lanes = texts.view(np.uint64).reshape(-1, 3)
-    for first in range(0, flat.size, _FORMAT_SLAB):
-        x = flat[first:first + _FORMAT_SLAB]
-        done = _fixed_notation(x, lanes[first:first + _FORMAT_SLAB])
-        for i in np.flatnonzero(~done).tolist():
-            texts[first + i] = b"%.17g" % x[i]
+    done = _fixed_notation(flat, texts.view(np.uint64).reshape(-1, 3))
+    for i in np.flatnonzero(~done).tolist():
+        texts[i] = b"%.17g" % flat[i]
     return texts
 
 
-def _fill(stream, template: bytes, texts: np.ndarray):
-    """Write ``template`` with its ``%s`` slots filled, in order, from the
-    ``S24`` ``texts``."""
-    stream.write((template % tuple(texts.reshape(-1).tolist())).decode("ascii"))
+def _csv_writer(stream, row: str, labels=(), dim: int = 0):
+    """The one CSV row writer: returns ``write(leads, columns)``.
 
+    ``write`` writes, for each string ``lead`` of ``leads`` in turn and
+    each index ``(i0, ..., i{dim-1})`` over ``dim`` axes that each carry
+    ``labels`` (row-major), the row ``lead + "i0,...,i{dim-1}," + row``,
+    with the ``%s`` slots of ``row`` filled by ``%.17g`` of the next value
+    of each float column in ``columns``.
 
-def _csv_templates(labels, dim: int, row: str):
-    """``%`` templates, as bytes, for a row-major table over ``dim`` axes
-    that each carry ``labels``.
-
-    Returns ``templates(lead)``, which yields ``(template, rows)`` for
-    consecutive slabs of at most ``_CSV_SLAB_ROWS`` rows (at least one);
-    the table's row ``(i0, ..., i{dim-1})`` reads
-    ``lead + "i0,...,i{dim-1}," + row``.  The index prefixes of the
-    trailing axes that fit in one slab are spelled once, here; a slab
-    joins them after each of its leading-axes heads.
+    Rows go out in slabs of at most ``_CSV_SLAB_ROWS`` (at least one head):
+    one :func:`_format_17g` call formats a slab's values, and they fill one
+    ``%`` template.  The index prefixes of the trailing axes that fit in one
+    slab are spelled once per writer, here; a slab joins them after each of
+    its heads, a lead followed by the labels of the other axes.
     """
-    tail, lead_axes = [""], dim
-    while lead_axes and len(labels) * len(tail) <= _CSV_SLAB_ROWS:
+    tail, head_axes = [""], dim
+    while head_axes and len(labels) * len(tail) <= _CSV_SLAB_ROWS:
         tail = [f"{label},{t}" for label in labels for t in tail]
-        lead_axes -= 1
+        head_axes -= 1
     group = max(1, _CSV_SLAB_ROWS // len(tail))
 
-    def templates(lead: str):
-        heads = (lead + "".join(f"{label}," for label in index)
-                 for index in itertools.product(labels, repeat=lead_axes))
+    def write(leads, columns):
+        heads = iter(leads)
+        for _ in range(head_axes):
+            heads = (head + f"{label}," for head in heads for label in labels)
+        first = 0
         while batch := list(itertools.islice(heads, group)):
-            yield ("".join(h + (row + h).join(tail) + row for h in batch).encode(),
-                   len(batch) * len(tail))
-    return templates
-
-
-def _column_texts(column, rows: int):
-    """The ``%.17g`` texts (``S24``) of a float column's distinct bit
-    patterns (so 0.0 apart from -0.0), each formatted once, and the index
-    of each row's text among them."""
-    bits = np.ascontiguousarray(column, dtype=float).reshape(-1)
-    if bits.size != rows:
-        raise InvalidInputError(
-            f"spectrum column has {bits.size} values for {rows} modes")
-    distinct, inverse = np.unique(bits.view(np.int64), return_inverse=True)
-    return _format_17g(distinct.view(float)), inverse
+            rows = len(batch) * len(tail)
+            if tail == [""]:  # one row per head, many heads: join them in C
+                template = row.join(batch) + row
+            else:
+                template = "".join(h + (row + h).join(tail) + row for h in batch)
+            texts = _format_17g(np.stack([c[first:first + rows] for c in columns], axis=1))
+            stream.write((template.encode() % tuple(texts.tolist())).decode("ascii"))
+            first += rows
+    return write
 
 
 def _csv_header(dim: int) -> str:
@@ -670,12 +659,10 @@ def samples_writer(stream, lattice: LatticeSpec, fmt: str):
     another shape, or one that does not start at the next sample, is
     refused with :class:`InvalidInputError`.
 
-    A CSV chunk's values are formatted ``_FORMAT_SLAB`` at a time by
-    :func:`_format_17g` (the text of ``f"{v:.17g}"``), and written a slab
-    of rows at a time through one ``%`` template with the sample number
-    and site indices already spelled in it.  Besides the chunk, that
-    holds about 5 MB (tracemalloc peak), mostly the formatter's
-    temporaries, whatever the lattice.
+    A CSV chunk goes through :func:`_csv_writer` with its sample numbers
+    as the leads, so one slab can span many samples of a small lattice.
+    Besides the chunk, that holds one slab: a tracemalloc peak of 0.6 to
+    1.6 MB over D = 1-3 and N = 8-65536.
     """
     if fmt == "binary":
         stream.write(_BINARY_HEADER.pack(
@@ -685,19 +672,12 @@ def samples_writer(stream, lattice: LatticeSpec, fmt: str):
             stream.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
     elif fmt == "csv":
         stream.write(_csv_header(lattice.dim))
-        templates = _csv_templates(range(lattice.sites_per_axis), lattice.dim,
-                                   "%s\n")
+        write_rows = _csv_writer(stream, "%s\n", range(lattice.sites_per_axis),
+                                 lattice.dim)
 
         def append(start, values):
-            flat = values.reshape(-1)
-            texts, first, site = flat[:0], 0, 0  # texts of flat[first:]
-            for s in range(start, start + len(values)):
-                for template, count in templates(f"{s},"):
-                    if site + count > first + len(texts):
-                        first = site
-                        texts = _format_17g(flat[site:site + max(count, _FORMAT_SLAB)])
-                    _fill(stream, template, texts[site - first:site - first + count])
-                    site += count
+            write_rows(map("{},".format, range(start, start + len(values))),
+                       [values.reshape(-1)])
     else:
         raise InvalidInputError(f"unknown samples format {fmt!r}")
     written = 0
@@ -812,30 +792,28 @@ def read_samples_binary(stream):
 
 def write_spectrum_csv(stream, estimate: SpectrumEstimate, expected: np.ndarray):
     """CSV ``k_index_0[,...],mean,stderr,count,expected`` in signed-index
-    order, written a slab of rows at a time.
+    order, written a slab of rows at a time by :func:`_csv_writer`.
 
-    Each column formats each of its distinct bit patterns once, as
-    ``%.17g`` by :func:`_format_17g`: ``mean`` and ``stderr`` hold the
-    same bits at k and -k, and ``expected`` depends on |k| only.
-    Memory: 24 B per distinct value (its text) and 8 B per mode and
-    column (the index of its text), held to the end, plus ``np.unique``'s
-    temporaries while one column's distinct values are found.  For D=3,
-    N=64 (270 k distinct values among 786 k) the tracemalloc peak is
-    21 MB, about 82 B per mode.
+    Besides the three columns it holds one slab: for D=3, N=64 a
+    tracemalloc peak of 4.3 MB, whatever the values.
     """
     lattice = estimate.lattice
-    dim = lattice.dim
-    index_cols = ",".join(f"k_index_{d}" for d in range(dim))
-    stream.write(f"{index_cols},mean,stderr,count,expected\n")
-    columns = [_column_texts(c, lattice.total_sites)
+    columns = [np.asarray(c, dtype=float).reshape(-1)
                for c in (estimate.mean, estimate.stderr, expected)]
-    templates = _csv_templates(lattice.axis_mode_indices(), dim,
-                               f"%s,%s,{estimate.count},%s\n")
-    first = 0
-    for template, rows in templates(""):
-        _fill(stream, template, np.stack([texts[index[first:first + rows]]
-                                          for texts, index in columns], axis=1))
-        first += rows
+    for column in columns:
+        if column.size != lattice.total_sites:
+            raise InvalidInputError(f"spectrum column has {column.size} values "
+                                    f"for {lattice.total_sites} modes")
+    index_cols = ",".join(f"k_index_{d}" for d in range(lattice.dim))
+    stream.write(f"{index_cols},mean,stderr,count,expected\n")
+    _csv_writer(stream, f"%s,%s,{estimate.count},%s\n", lattice.axis_mode_indices(),
+                lattice.dim)([""], columns)
+
+
+def write_coefficients_csv(stream, k: np.ndarray, c: np.ndarray):
+    """CSV ``k,c``: a spectral coefficient ``c`` on the wavenumbers ``k``."""
+    stream.write("k,c\n")
+    _csv_writer(stream, "%s,%s\n")(itertools.repeat("", len(k)), [k, c])
 
 
 def spectrum_csv(estimate: SpectrumEstimate, expected: np.ndarray) -> str:

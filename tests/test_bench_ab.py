@@ -94,9 +94,9 @@ def test_bench_document_round_trips_through_json(runs, tmp_path):
 
 
 def test_main_takes_run_length_from_the_benchmark(monkeypatch, tmp_path):
-    """Every run lasts BENCHMARK.json's ``run_seconds``; the claimed workload
-    gets ``CLAIMED_PAIRS`` pairs from ``BASE_SEED`` on, the others
-    ``OTHER_PAIRS``, and the side that goes first alternates."""
+    """Every run lasts BENCHMARK.json's ``run_seconds``; every workload
+    gets ``PAIRS`` pairs from ``BASE_SEED`` on, and the side that goes
+    first alternates."""
     benchmark = (bench_ab.ROOT / "BENCHMARK.json").read_text()
     (tmp_path / "BENCHMARK.json").write_text(benchmark)
     monkeypatch.setattr(bench_ab, "ROOT", tmp_path)
@@ -114,17 +114,16 @@ def test_main_takes_run_length_from_the_benchmark(monkeypatch, tmp_path):
         return subprocess.CompletedProcess(cmd, 0, stdout=run_output(Path(cwd).name, 1.0))
 
     monkeypatch.setattr(bench_ab.subprocess, "run", fake_run)
-    assert bench_ab.main(["--label", "t", "--claimed", "verify_all",
-                          "--workdir", str(tmp_path)]) == 0
+    assert bench_ab.main(["--label", "t", "--workdir", str(tmp_path)]) == 0
     seconds = json.loads(benchmark)["run_seconds"]
     assert {value["--seconds"] for _, value in calls} == {str(seconds)}
     verify = [(side, int(value["--seed"])) for side, value in calls
               if value["--workload"] == "verify_all"]
-    assert len(verify) == 2 * bench_ab.CLAIMED_PAIRS
+    assert len(verify) == 2 * bench_ab.PAIRS == 20
     assert verify[:4] == [("base", bench_ab.BASE_SEED), ("head", bench_ab.BASE_SEED),
                           ("head", bench_ab.BASE_SEED + 1), ("base", bench_ab.BASE_SEED + 1)]
     for workload in ("expect_d1", "kernels_d23", "sample_stream"):
-        assert sum(value["--workload"] == workload for _, value in calls) == 2 * bench_ab.OTHER_PAIRS
+        assert sum(value["--workload"] == workload for _, value in calls) == 2 * bench_ab.PAIRS
     document = json.loads((tmp_path / "BENCH_t.json").read_text())
     # one probe before each pair, shared by both of its runs
     probes = [(run["workload"], run["pair"], run["probe"]["ratio"]) for run in document["runs"]]
@@ -132,7 +131,7 @@ def test_main_takes_run_length_from_the_benchmark(monkeypatch, tmp_path):
                           ("expect_d1", 1, 1), ("expect_d1", 1, 1)]
     assert sorted({ratio for *_, ratio in probes}) == list(range(len(probes) // 2))
     assert document["seconds"] == seconds
-    assert document["summary"]["verify_all"]["pairs"] == bench_ab.CLAIMED_PAIRS
+    assert {entry["pairs"] for entry in document["summary"].values()} == {bench_ab.PAIRS}
     assert list(tmp_path.glob("bench_ab_*")) == []
 
 

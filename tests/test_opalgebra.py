@@ -269,8 +269,12 @@ class TestWickEquivalence:
         assert wick_vev([], DYADIC_TABLE) == 1.0
 
     def test_wick_size_limit(self):
-        with pytest.raises(SizeLimitError):
-            wick_vev([1] * 18, DYADIC_TABLE)
+        # past MAX_PAIRING_SIZE: wick_vev enumerates nothing, so it returns
+        # contract's value, 17!! (f1, f1)^9
+        word = [("phi", 1)] * 18
+        assert wick_vev([1] * 18, DYADIC_TABLE) == contract(word, DYADIC_TABLE)
+        assert contract(word, DYADIC_TABLE) == pytest.approx(
+            math.prod(range(1, 18, 2)) * DYADIC_TABLE[(1, 1)] ** 9, rel=1e-15)
 
     def test_pairing_enumeration_size_limit(self):
         with pytest.raises(SizeLimitError, match="MAX_PAIRING_SIZE"):

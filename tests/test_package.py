@@ -127,20 +127,20 @@ def test_perfbench_reads_these_attributes():
     assert sampler._SpectrumPlan(density, lattice, False).lattice is lattice
 
 
-def _kernel_privates(tree: ast.AST) -> list:
-    """The underscore names of ``kgf.kernels`` that a module imports or reads."""
-    modules, found = {"kgf.kernels"}, []
+def _privates(tree: ast.AST, module: str) -> list:
+    """The underscore names of ``kgf.<module>`` that a module imports or reads."""
+    modules, found = {f"kgf.{module}"}, []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             source = "." * node.level + (node.module or "")
             for alias in node.names:
-                if source in (".kernels", "kgf.kernels") and alias.name.startswith("_"):
+                if source in (f".{module}", f"kgf.{module}") and alias.name.startswith("_"):
                     found.append(alias.name)
-                if source in (".", "kgf") and alias.name == "kernels":
-                    modules.add(alias.asname or "kernels")
+                if source in (".", "kgf") and alias.name == module:
+                    modules.add(alias.asname or module)
         elif isinstance(node, ast.Import):
             modules.update(alias.asname for alias in node.names
-                           if alias.name == "kgf.kernels" and alias.asname)
+                           if alias.name == f"kgf.{module}" and alias.asname)
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
                 and not node.attr.startswith("__")
@@ -149,17 +149,23 @@ def _kernel_privates(tree: ast.AST) -> list:
     return found
 
 
-@pytest.mark.parametrize("path", sorted(
-    p for p in (Path(__file__).resolve().parents[1] / "src" / "kgf").glob("*.py")
-    if p.name != "kernels.py"), ids=lambda p: p.name)
-def test_no_module_but_kernels_touches_a_kernels_private(path):
-    assert _kernel_privates(ast.parse(path.read_text(encoding="utf-8"))) == []
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "kgf").glob("*.py"))
+PRIVATE_PAIRS = [(module.stem, path) for module in SOURCES if not module.stem.startswith("__")
+                 for path in SOURCES if path != module]
 
 
-def test_kernel_private_check_sees_imports_and_reads():
+@pytest.mark.parametrize("module, path", PRIVATE_PAIRS,
+                         ids=[f"{module}-{path.name}" for module, path in PRIVATE_PAIRS])
+def test_no_module_touches_another_modules_private(module, path):
+    assert _privates(ast.parse(path.read_text(encoding="utf-8")), module) == []
+
+
+def test_private_check_sees_imports_and_reads():
     source = ("from .kernels import KernelSpec, _passes\n"
               "from . import kernels as K\n"
               "import kgf.kernels\n"
+              "from .sampler import _fill\n"
               "K._diagnosis(); kgf.kernels._radial_rule; K.inner_products; K.__name__\n")
-    assert sorted(_kernel_privates(ast.parse(source))) == [
+    assert sorted(_privates(ast.parse(source), "kernels")) == [
         "_diagnosis", "_passes", "_radial_rule"]
+    assert _privates(ast.parse(source), "sampler") == ["_fill"]

@@ -1,7 +1,7 @@
 """A/B benchmark of two versions of kgf with the unchanged perfbench harness.
 
     python3 tools/bench_ab.py --label NAME [--base REV] [--head REV]
-        [--claimed WORKLOAD ...] [--workdir DIR]
+        [--workdir DIR]
 
 Run from a git checkout.  ``--base`` (default ``HEAD``) and ``--head`` are
 each extracted into a directory of their own under ``--workdir``: a
@@ -11,9 +11,9 @@ or would add.  Nothing is registered in the repository's git metadata.
 
 Then ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` runs
 on both sides, one run at a time, alternating which side goes first, with
-T the ``run_seconds`` of ``BENCHMARK.json``: ``CLAIMED_PAIRS`` pairs on
-each ``--claimed`` workload and ``OTHER_PAIRS`` on every other.  Pair ``i``
-uses seed ``BASE_SEED + i`` on both sides.  Before each pair, one
+T the ``run_seconds`` of ``BENCHMARK.json``, ``PAIRS`` pairs on every
+workload (fewer cannot resolve the end-to-end bounds on a shared host).
+Pair ``i`` uses seed ``BASE_SEED + i`` on both sides.  Before each pair, one
 ``python -c pass`` is timed, since a shared host drifts between pairs, and
 so is a parallel-capacity probe: the wall time of two CPU-bound
 ``python -c`` loops run at once against one run alone.  Its ratio is near
@@ -48,8 +48,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("expect_d1", "kernels_d23", "sample_stream", "verify_all")
 ENVIRONMENT_PREFIX = "# environment: "
 WORKTREE = "WORKTREE"
-CLAIMED_PAIRS = 10
-OTHER_PAIRS = 3
+PAIRS = 10
 BASE_SEED = 101
 
 #: The CPU-bound loop of the parallel-capacity probe: about 0.2 s alone.
@@ -210,7 +209,6 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--base", default="HEAD")
     parser.add_argument("--head", default=WORKTREE)
-    parser.add_argument("--claimed", action="append", choices=WORKLOADS, default=[])
     parser.add_argument("--workdir", type=Path)
     args = parser.parse_args(argv)
 
@@ -224,10 +222,8 @@ def main(argv=None) -> int:
                  for side, rev in (("base", args.base), ("head", args.head))}
         environment = {"blas": blas_info()}
         runs = []
-        plan = [(w, CLAIMED_PAIRS if w in args.claimed else OTHER_PAIRS)
-                for w in WORKLOADS]
-        for workload, count in plan:
-            for pair in range(count):
+        for workload in WORKLOADS:
+            for pair in range(PAIRS):
                 seed = BASE_SEED + pair
                 calibration = timed_pass()
                 probe = parallel_probe()
