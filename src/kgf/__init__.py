@@ -4,9 +4,9 @@ Five cooperating parts:
 
 - :mod:`kgf.kernels`: invariant inner products of Gaussian wave packets by
   mass-shell quadrature (quantum, classical and xi-scaled kernels).
-- :mod:`kgf.opalgebra`: symbolic creation/annihilation words, one
-  contraction kernel that evaluates every vacuum expectation value, Wick
-  pairings and a small operator-string parser.
+- :mod:`kgf.opalgebra`: words of field and creation/annihilation
+  letters, one contraction kernel that evaluates every vacuum expectation
+  value, Wick pairings and a small operator-string parser.
 - :mod:`kgf.spectra`: closed-form spectral coefficients of five Gaussian
   configuration-space densities and the lambda(xi) closure.
 - :mod:`kgf.sampler`: spectral-method Gaussian sampling of lattice field
@@ -40,8 +40,8 @@ _EXPORTS = {
     ),
     "opalgebra": (
         "FunctionRegistry", "InnerProductTable", "OperatorExpression",
-        "field_operator", "vacuum_expectation", "wick_vev",
-        "enumerate_pairings", "parse_expression", "parse_terms",
+        "vacuum_expectation", "wick_vev", "enumerate_pairings",
+        "parse_expression", "parse_terms",
     ),
     "spectra": (
         "Ensemble", "SpectralDensity", "spectral_coefficient", "lambda_of_xi",

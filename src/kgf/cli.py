@@ -340,8 +340,21 @@ def _fmt_complex(value: complex) -> str:
 
 def _out_dir(args) -> Path:
     path = Path(args.out or ".")
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidInputError(
+            f"cannot create output directory {path}: {exc.strerror}") from None
     return path
+
+
+def _open_out(path: Path, binary: bool = False):
+    """``path`` opened for writing; an exit-2 error naming it if it cannot be."""
+    try:
+        return open(path, "wb") if binary else open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InvalidInputError(
+            f"cannot open {path} for writing: {exc.strerror}") from None
 
 
 # --- subcommands ------------------------------------------------------------
@@ -421,8 +434,7 @@ def cmd_spectra(args) -> int:
     k = kmin + (kmax - kmin) / (count - 1) * np.arange(count)
     c = spectra.spectral_coefficient(density, k)
     path = _out_dir(args) / "coefficients.csv" if args.out else None
-    with (open(path, "w", encoding="utf-8") if path
-          else contextlib.nullcontext(sys.stdout)) as fh:
+    with _open_out(path) if path else contextlib.nullcontext(sys.stdout) as fh:
         sampler.write_coefficients_csv(fh, k, c)
     if path:
         print(f"wrote {path}")
@@ -444,8 +456,7 @@ def cmd_sample(args) -> int:
     text = args.format == "csv"
     path = out / ("samples.csv" if text else "samples.bin")
     acc = sampler.SpectrumAccumulator(lattice)
-    with open(path, "w" if text else "wb",
-              encoding="utf-8" if text else None) as fh:
+    with _open_out(path, binary=not text) as fh:
         write = sampler.samples_writer(fh, lattice, args.format)
         for chunk in chunks:
             write(chunk.start, chunk.values)
@@ -455,7 +466,7 @@ def cmd_sample(args) -> int:
         expected = sampler.expected_power(density, lattice,
                                           pin_zero_mode=args.pin_zero_mode)
         spath = out / "spectrum.csv"
-        with open(spath, "w", encoding="utf-8") as fh:
+        with _open_out(spath) as fh:
             sampler.write_spectrum_csv(fh, acc.finalize(), expected)
         print(f"wrote {spath}")
     return 0

@@ -1,19 +1,19 @@
-"""Free *-algebra over creation/annihilation symbols and its vacuum state.
+"""Vacuum expectation values of the quantized field's ladder algebra.
 
-Words are finite sequences of letters ``(kind, index)`` over registered
-test functions, with ``kind`` one of the parser's keywords ``"adag"``,
-``"a"`` or (in :func:`contract` only) ``"phi"``.  Expressions are complex
-linear combinations of words, and the only non-trivial relation is
+A word is a sequence of letters ``(kind, index)``: ``kind`` is a parser
+keyword ``"phi"``, ``"a"`` or ``"adag"``, ``index`` a registered test
+function.  The one relation is
 
     a[g] adag[f]  =  adag[f] a[g] + (f, g) * 1,
 
-with same-kind letters commuting among themselves.
+with ``phi[i] = adag[i] + a[i]`` and same-kind letters commuting.
 
 One kernel, :func:`contract`, evaluates every vacuum expectation value: a
 word's VEV is the sum over its pairings (a hafnian) of inner products,
 computed by a memoised recursion over the set of unpaired letters.  Field
-letters ``phi[i] = adag[i] + a[i]`` enter it directly, so a product of n
-fields is never expanded into its 2^n words.
+letters enter it as they are, so a product of n fields is never expanded
+into its 2^n ladder words.  :func:`parse_expression` reads an operator
+string into words and coefficients.
 
 Its independent referee, :func:`kgf.fockoracle.fock_vacuum_expectation`,
 applies a word to the vacuum letter by letter on Fock space.
@@ -30,7 +30,9 @@ of the algebra.
 from __future__ import annotations
 
 import itertools
+import math
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -47,7 +49,6 @@ __all__ = [
     "FunctionRegistry",
     "InnerProductTable",
     "OperatorExpression",
-    "field_operator",
     "contract",
     "vacuum_expectation",
     "wick_vev",
@@ -64,32 +65,6 @@ MAX_PAIRING_SIZE = 16
 #: The contraction kernel refuses to memoise more unpaired-letter sets than
 #: this: 24 distinct phi letters need 75 025, 26 would need 196 418.
 MAX_CONTRACTION_STATES = 2**17
-
-
-CREATE = "adag"
-ANNIHILATE = "a"
-
-
-def canonical_word(letters) -> tuple:
-    """Sort same-kind runs by function index; licensed by [a,a]=[adag,adag]=0."""
-    letters = tuple(letters)
-    out = []
-    run = []
-    run_kind = None
-    for kind, index in letters:
-        if kind != run_kind and run:
-            out.extend(sorted(run))
-            run = []
-        run_kind = kind
-        run.append((kind, index))
-    out.extend(sorted(run))
-    return tuple(out)
-
-
-def _word_str(word) -> str:
-    if not word:
-        return "1"
-    return " ".join(f"{kind}[{index}]" for kind, index in word)
 
 
 class FunctionRegistry:
@@ -131,17 +106,14 @@ class FunctionRegistry:
             raise FunctionLookupError(f"unknown function name {name!r}") from None
 
     def packet(self, index: int) -> WavePacket:
-        self._check_index(index)
+        if not 1 <= index <= len(self._names):
+            raise FunctionLookupError(f"function index {index} not registered")
         pkt = self._packets[index - 1]
         if pkt is None:
             raise FunctionLookupError(
                 f"function {self._names[index - 1]!r} has no wave packet attached"
             )
         return pkt
-
-    def _check_index(self, index: int):
-        if not 1 <= index <= len(self._names):
-            raise FunctionLookupError(f"function index {index} not registered")
 
 
 class InnerProductTable:
@@ -180,105 +152,15 @@ class InnerProductTable:
         return cls(entries)
 
 
+@dataclass(frozen=True)
 class OperatorExpression:
-    """Complex linear combination of operator words.
+    """Complex linear combination of words: ``terms`` maps word -> coefficient.
 
-    Terms live in a dict word -> coefficient; words are canonical tuples
-    of (kind, index) letters.  Only exactly-zero coefficients are dropped
-    when terms merge: magnitude-based pruning would silently zero
-    computations whose natural scale is small.  Instances are treated as
-    immutable: all arithmetic returns new expressions.
+    A word is a tuple of ``(kind, index)`` letters as :func:`contract`
+    reads them; ``phi`` letters are kept, not expanded.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms = {}
-        if terms:
-            for word, coeff in terms.items():
-                _accumulate(self.terms, canonical_word(word), complex(coeff))
-
-    @classmethod
-    def zero(cls) -> "OperatorExpression":
-        return cls()
-
-    @classmethod
-    def identity(cls) -> "OperatorExpression":
-        return cls({(): 1.0})
-
-    @classmethod
-    def create(cls, index: int) -> "OperatorExpression":
-        return cls({((CREATE, index),): 1.0})
-
-    @classmethod
-    def annihilate(cls, index: int) -> "OperatorExpression":
-        return cls({((ANNIHILATE, index),): 1.0})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OperatorExpression):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other) -> "OperatorExpression":
-        if not isinstance(other, OperatorExpression):
-            return NotImplemented
-        merged = dict(self.terms)
-        for word, coeff in other.terms.items():
-            _accumulate(merged, word, coeff)
-        return _wrap(merged)
-
-    def __sub__(self, other) -> "OperatorExpression":
-        if not isinstance(other, OperatorExpression):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "OperatorExpression":
-        return _wrap({w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, OperatorExpression):
-            product: dict = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    _accumulate(product, canonical_word(w1 + w2), c1 * c2)
-            return _wrap(product)
-        return self.scaled(other)
-
-    def __rmul__(self, other):
-        return self.scaled(other)
-
-    def scaled(self, factor) -> "OperatorExpression":
-        factor = complex(factor)
-        return _wrap({w: c * factor for w, c in self.terms.items()})
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for word in sorted(self.terms, key=lambda w: (len(w), w)):
-            coeff = self.terms[word]
-            parts.append(f"({coeff.real:g}{coeff.imag:+g}j)*{_word_str(word)}")
-        return " + ".join(parts)
-
-
-def _accumulate(terms: dict, word: tuple, coeff: complex):
-    total = terms.get(word, 0.0) + coeff
-    if total == 0:
-        terms.pop(word, None)
-    else:
-        terms[word] = total
-
-
-def _wrap(terms: dict) -> OperatorExpression:
-    expr = OperatorExpression.__new__(OperatorExpression)
-    expr.terms = {w: c for w, c in terms.items() if c != 0}
-    return expr
-
-
-def field_operator(registry: FunctionRegistry, index: int) -> OperatorExpression:
-    """adag[i] + a[i]: the smeared field at the registered function ``i``."""
-    registry._check_index(index)
-    return OperatorExpression.create(index) + OperatorExpression.annihilate(index)
+    terms: dict
 
 
 #: Letter kinds that can annihilate and that can create.
@@ -301,6 +183,8 @@ def contract(letters, ip) -> complex:
     n = len(letters)
     if n % 2:
         return 0.0 + 0.0j
+    if n // 2 >= sys.getrecursionlimit():
+        raise _too_deep(n)
     weight = [[0j] * n for _ in range(n)]
     for p, (kind_p, index_p) in enumerate(letters):
         if kind_p in _ANNIHILATORS:
@@ -336,10 +220,12 @@ def contract(letters, ip) -> complex:
     try:
         return rec((1 << n) - 1)
     except RecursionError:
-        raise SizeLimitError(
-            f"refusing to contract {n} letters: pairing them nests deeper "
-            f"than the interpreter's recursion limit"
-        ) from None
+        raise _too_deep(n) from None
+
+
+def _too_deep(n: int) -> SizeLimitError:
+    return SizeLimitError(f"refusing to contract {n} letters: pairing them nests "
+                          f"deeper than the interpreter's recursion limit")
 
 
 def vacuum_expectation(expr: OperatorExpression, ip, strategy: str = "leftmost") -> complex:
@@ -548,9 +434,12 @@ class _Parser:
 
 
 def _number_value(tok: _Token) -> complex:
-    if tok.text.endswith("j"):
-        return complex(0.0, float(tok.text[:-1]))
-    return complex(float(tok.text), 0.0)
+    imaginary = tok.text.endswith("j")
+    value = float(tok.text[:-1] if imaginary else tok.text)
+    if not math.isfinite(value):
+        raise ExpressionSyntaxError(
+            f"number {tok.text!r} is outside the float range", tok.position)
+    return complex(0.0, value) if imaginary else complex(value, 0.0)
 
 
 def parse_terms(text: str) -> list:
@@ -559,17 +448,13 @@ def parse_terms(text: str) -> list:
 
 
 def parse_expression(text: str, registry: FunctionRegistry) -> OperatorExpression:
-    """Parse an operator string, auto-registering idents on first appearance."""
-    parsed = parse_terms(text)
-    total = OperatorExpression.zero()
-    for term in parsed:
-        expr = OperatorExpression.identity().scaled(term.coefficient)
-        for keyword, ident in term.factors:
-            index = registry.ensure(ident)
-            if keyword == "phi":
-                factor = field_operator(registry, index)
-            else:
-                factor = OperatorExpression({((keyword, index),): 1.0})
-            expr = expr * factor
-        total = total + expr
-    return total
+    """Parse an operator string, auto-registering idents on first appearance.
+
+    Each term becomes one word of its letters in textual order; the
+    coefficients of equal words are summed.
+    """
+    terms: dict = {}
+    for term in parse_terms(text):
+        word = tuple((kw, registry.ensure(ident)) for kw, ident in term.factors)
+        terms[word] = terms.get(word, 0.0) + term.coefficient
+    return OperatorExpression(terms)

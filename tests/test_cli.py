@@ -131,6 +131,26 @@ class TestConfigHandling:
         assert exit_info.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, out, message", [
+        (["sample"], "taken", "cannot create output directory {out}: "),
+        (["spectra"], "taken/sub", "cannot create output directory {out}: "),
+        (["sample", "--format", "binary"], "dir", "cannot open {out}/samples.bin for writing"),
+        (["sample"], "dir", "cannot open {out}/spectrum.csv for writing"),
+        (["spectra"], "dir", "cannot open {out}/coefficients.csv for writing"),
+    ], ids=["sample-dir-is-a-file", "spectra-dir-under-a-file", "samples-bin",
+            "spectrum-csv", "coefficients-csv"])
+    def test_output_that_cannot_be_created_exits_2(self, tmp_path, capsys, command,
+                                                    out, message):
+        (tmp_path / "taken").write_text("")
+        for name in ("samples.bin", "spectrum.csv", "coefficients.csv"):
+            (tmp_path / "dir" / name).mkdir(parents=True)
+        sizes = (["--samples", "2", "--lattice-n", "8"] if command[0] == "sample"
+                 else ["--kcount", "8"])
+        out = tmp_path / out
+        assert main([*command, *sizes, "--ensemble", "vacuum", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message.format(out=out)}")
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"ensemble": "vacuum", "samples": 2})
         assert main(["sample", "--config", cfg, "--seed", "-1",
@@ -507,6 +527,14 @@ class TestExpect:
         assert main(["expect", "--config", cfg, "phi[f1"]) == 2
         assert "offset 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--show-pairings"]])
+    def test_coefficient_past_the_float_range_exits_2(self, tmp_path, capsys, flags):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        assert main(["expect", "--config", cfg, *flags, "1e400*phi[f1] phi[f2]"]) == 2
+        captured = capsys.readouterr()
+        assert "'1e400' is outside the float range at offset 1" in captured.err
+        assert "nan" not in captured.out
+
     def test_show_pairings_size_limit_exits_2_before_quadrature(
             self, tmp_path, capsys, monkeypatch):
         def no_quadrature(*args, **kwargs):
@@ -576,7 +604,7 @@ class TestExpect:
 
         monkeypatch.setattr(fockoracle, "fock_vacuum_expectation", refuse)
         monkeypatch.setattr(opalgebra, "parse_expression", refuse)
-        monkeypatch.setattr(opalgebra.OperatorExpression, "__mul__", refuse)
+        monkeypatch.setattr(opalgebra, "vacuum_expectation", refuse)
         assert run_all() == plain
 
 

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,16 +19,12 @@ from kgf.errors import (
 from kgf.fockoracle import fock_vacuum_expectation
 from kgf.kernels import KernelSpec, PhysicalConstants, WavePacket, inner_product
 from kgf.opalgebra import (
-    ANNIHILATE,
-    CREATE,
     MAX_CONTRACTION_STATES,
     FunctionRegistry,
     InnerProductTable,
     OperatorExpression,
-    canonical_word,
     contract,
     enumerate_pairings,
-    field_operator,
     parse_expression,
     parse_terms,
     vacuum_expectation,
@@ -61,42 +59,6 @@ def permanent(matrix):
     return total
 
 
-class TestCanonicalWord:
-    def test_same_kind_runs_sort_by_index(self):
-        word = ((ANNIHILATE, 2), (ANNIHILATE, 1), (CREATE, 3), (CREATE, 1))
-        assert canonical_word(word) == (
-            (ANNIHILATE, 1), (ANNIHILATE, 2), (CREATE, 1), (CREATE, 3)
-        )
-
-    def test_runs_are_not_merged_across_kinds(self):
-        word = ((CREATE, 2), (ANNIHILATE, 1), (CREATE, 1))
-        assert canonical_word(word) == word
-
-    def test_expressions_identify_commuted_words(self):
-        ex1 = OperatorExpression({((ANNIHILATE, 2), (ANNIHILATE, 1)): 1.0})
-        ex2 = OperatorExpression({((ANNIHILATE, 1), (ANNIHILATE, 2)): 1.0})
-        assert ex1 == ex2
-
-
-class TestExpressionArithmetic:
-    def test_zero_and_identity(self):
-        assert OperatorExpression.zero().terms == {}
-        assert OperatorExpression.identity().terms == {(): 1.0}
-
-    def test_add_cancels_exactly(self):
-        e = OperatorExpression.create(1)
-        assert (e - e).terms == {}
-
-    def test_scalar_multiplication(self):
-        e = 2.0j * OperatorExpression.create(1)
-        assert e.terms == {((CREATE, 1),): 2.0j}
-        assert (e * 0.5).terms == {((CREATE, 1),): 1.0j}
-
-    def test_product_concatenates_words(self):
-        e = OperatorExpression.annihilate(2) * OperatorExpression.create(1)
-        assert e.terms == {((ANNIHILATE, 2), (CREATE, 1)): 1.0}
-
-
 class TestRegistry:
     def test_register_and_lookup(self):
         reg = FunctionRegistry()
@@ -125,8 +87,8 @@ class TestRegistry:
 
     def test_unregistered_index_rejected(self):
         reg = FunctionRegistry()
-        with pytest.raises(FunctionLookupError):
-            field_operator(reg, 1)
+        with pytest.raises(FunctionLookupError, match="function index 1 not registered"):
+            reg.packet(1)
 
     def test_packet_required_for_quadrature(self):
         reg = FunctionRegistry()
@@ -190,32 +152,21 @@ class TestInnerProductTable:
 class TestVacuumExpectation:
     def test_two_point_orientation(self):
         # <0| phi[1] phi[2] |0> = (f2, f1): later insertion conjugated
-        reg = FunctionRegistry()
-        reg.register("f1")
-        reg.register("f2")
-        expr = field_operator(reg, 1) * field_operator(reg, 2)
-        assert vacuum_expectation(expr, DYADIC_TABLE) == DYADIC_TABLE[(2, 1)]
+        word = [("phi", 1), ("phi", 2)]
+        assert contract(word, DYADIC_TABLE) == DYADIC_TABLE[(2, 1)]
 
     def test_four_point_hand_value(self):
         # Wick by hand over positions of phi[1]phi[1]phi[2]phi[2]:
         # (01)(23) + (02)(13) + (03)(12)
         #   = ip(1,1) ip(2,2) + 2 ip(2,1)^2 = 2 + 2 (0.5-0.25j)^2
-        reg = FunctionRegistry()
-        reg.register("f1")
-        reg.register("f2")
-        phi1, phi2 = field_operator(reg, 1), field_operator(reg, 2)
-        vev = vacuum_expectation(phi1 * phi1 * phi2 * phi2, DYADIC_TABLE)
-        assert vev == complex(2.375, -0.5)
+        word = [("phi", 1), ("phi", 1), ("phi", 2), ("phi", 2)]
+        assert contract(word, DYADIC_TABLE) == complex(2.375, -0.5)
 
     def test_vacuum_expectation_trivial_cases(self):
-        assert vacuum_expectation(OperatorExpression.identity(), DYADIC_TABLE) == 1.0
-        assert vacuum_expectation(OperatorExpression.zero(), DYADIC_TABLE) == 0.0
-        assert vacuum_expectation(
-            OperatorExpression.create(1), DYADIC_TABLE) == 0.0
-        assert vacuum_expectation(
-            OperatorExpression.annihilate(1) * OperatorExpression.annihilate(2),
-            DYADIC_TABLE,
-        ) == 0.0
+        for terms, value in [({(): 1.0}, 1.0), ({}, 0.0),
+                             ({(("adag", 1),): 1.0}, 0.0),
+                             ({(("a", 1), ("a", 2)): 1.0}, 0.0)]:
+            assert vacuum_expectation(OperatorExpression(terms), DYADIC_TABLE) == value
 
 
 class TestWickEquivalence:
@@ -237,13 +188,13 @@ class TestWickEquivalence:
         for _ in range(10):
             table = random_table(rng, 3)
             reg = FunctionRegistry()
-            for name in ("u", "v", "w"):
+            names = ("u", "v", "w")
+            for name in names:
                 reg.register(name)
             for n in (2, 4, 6, 8):
                 indices = [int(i) for i in rng.integers(1, 4, size=n)]
-                expr = OperatorExpression.identity()
-                for i in indices:
-                    expr = expr * field_operator(reg, i)
+                expr = parse_expression(
+                    " ".join(f"phi[{names[i - 1]}]" for i in indices), reg)
                 referee = fock_vacuum_expectation([("phi", i) for i in indices], table)
                 scale = max(abs(referee), 1e-6)
                 for fast in (vacuum_expectation(expr, table),
@@ -254,13 +205,13 @@ class TestWickEquivalence:
         rng = np.random.default_rng(7271)
         table = random_table(rng, 2)
         reg = FunctionRegistry()
-        reg.register("u")
-        reg.register("v")
+        names = ("u", "v")
+        for name in names:
+            reg.register(name)
         for n in (1, 3, 5, 7):
             indices = [int(i) for i in rng.integers(1, 3, size=n)]
-            expr = OperatorExpression.identity()
-            for i in indices:
-                expr = expr * field_operator(reg, i)
+            expr = parse_expression(
+                " ".join(f"phi[{names[i - 1]}]" for i in indices), reg)
             assert fock_vacuum_expectation([("phi", i) for i in indices], table) == 0.0
             assert vacuum_expectation(expr, table) == 0.0
             assert wick_vev(indices, table) == 0.0
@@ -287,19 +238,21 @@ class TestContract:
         for name in ("f1", "f2", "f3"):
             reg.register(name)
         table = random_table(np.random.default_rng(5150), 3)
-        text = "a[f2] phi[f3] adag[f1] phi[f2]"
-        expr = parse_expression(text, reg)
-        keywords = [(kw, reg.index_of(ident))
-                    for kw, ident in parse_terms(text)[0].factors]
-        referee = fock_vacuum_expectation(keywords, table)
-        assert contract(keywords, table) == pytest.approx(referee, rel=1e-13)
-        assert vacuum_expectation(expr, table) == pytest.approx(referee, rel=1e-13)
+        for text in ("a[f2] phi[f3] adag[f1] phi[f2]",
+                     "phi[f1] phi[f3] phi[f3] phi[f2]",
+                     "a[f1] a[f3] adag[f3] adag[f2]"):
+            expr = parse_expression(text, reg)
+            keywords = [(kw, reg.index_of(ident))
+                        for kw, ident in parse_terms(text)[0].factors]
+            referee = fock_vacuum_expectation(keywords, table)
+            assert contract(keywords, table) == pytest.approx(referee, rel=1e-13)
+            assert vacuum_expectation(expr, table) == pytest.approx(referee, rel=1e-13)
 
     def test_orientation_and_trivial_words(self):
         assert contract([], DYADIC_TABLE) == 1.0
         assert contract([("phi", 1)], DYADIC_TABLE) == 0.0
         assert contract([("phi", 1), ("phi", 2)], DYADIC_TABLE) == DYADIC_TABLE[(2, 1)]
-        assert contract([(CREATE, 1), (ANNIHILATE, 2)], DYADIC_TABLE) == 0.0
+        assert contract([("adag", 1), ("a", 2)], DYADIC_TABLE) == 0.0
         assert contract([("a", 1), ("adag", 2)], DYADIC_TABLE) == DYADIC_TABLE[(2, 1)]
 
     def test_state_limit_admits_24_and_refuses_26_fields(self):
@@ -316,7 +269,7 @@ class TestContract:
 
     def test_vacuum_expectation_still_validates_strategy(self):
         with pytest.raises(InvalidInputError):
-            vacuum_expectation(OperatorExpression.identity(), DYADIC_TABLE,
+            vacuum_expectation(OperatorExpression({(): 1.0}), DYADIC_TABLE,
                                strategy="inner")
 
     def test_deep_word_is_refused_not_crashed(self):
@@ -324,6 +277,25 @@ class TestContract:
         word = [("a", 1), ("adag", 1)] * 1200
         with pytest.raises(SizeLimitError, match="recursion limit"):
             contract(word, InnerProductTable({(1, 1): 1.0}))
+
+    def test_word_just_inside_the_up_front_guard_is_refused_too(self):
+        # n/2 below the limit, but the caller's frames push the nesting past it
+        word = [("a", 1), ("adag", 1)] * (sys.getrecursionlimit() - 1)
+        with pytest.raises(SizeLimitError, match="recursion limit"):
+            contract(word, InnerProductTable({(1, 1): 1.0}))
+
+    def test_deep_word_is_refused_before_its_weight_table(self):
+        # 3000 phi letters: an n x n pair table of about 236 MB if built
+        word = [("phi", 1)] * max(3000, 2 * sys.getrecursionlimit())
+        table = InnerProductTable({(1, 1): 1.0})
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="recursion limit"):
+                contract(word, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestExcitedStateNorm:
@@ -418,6 +390,14 @@ class TestParser:
         with pytest.raises(ExpressionSyntaxError):
             parse_terms("(1+phi)*phi[f]")
 
+    @pytest.mark.parametrize("text, position", [("1e400*phi[f]", 1),
+                                                 ("(1-1e999j)*phi[f]", 4)],
+                             ids=["real", "imaginary"])
+    def test_literal_past_the_float_range_rejected(self, text, position):
+        with pytest.raises(ExpressionSyntaxError, match="outside the float range") as err:
+            parse_terms(text)
+        assert err.value.position == position
+
     def test_empty_input_rejected(self):
         with pytest.raises(ExpressionSyntaxError):
             parse_terms("")
@@ -429,12 +409,10 @@ class TestParser:
 
     def test_expression_semantics_match_manual_build(self):
         reg = FunctionRegistry()
-        got = parse_expression("2*phi[f] a[g] - adag[f]", reg)
+        got = parse_expression("2*phi[f] a[g] - adag[f] + 0.5j*phi[f] a[g]", reg)
         i_f, i_g = reg.index_of("f"), reg.index_of("g")
-        manual = 2.0 * (
-            field_operator(reg, i_f) * OperatorExpression.annihilate(i_g)
-        ) - OperatorExpression.create(i_f)
-        assert got == manual
+        assert got.terms == {(("phi", i_f), ("a", i_g)): 2 + 0.5j,
+                             (("adag", i_f),): -1.0}
 
     def test_parsed_vev_matches_table(self):
         reg = FunctionRegistry()

@@ -116,7 +116,7 @@ def test_perfbench_lookups_resolve_and_bind(caller, name, args, kwargs):
 
 
 def test_perfbench_reads_these_attributes():
-    from kgf import kernels, sampler, spectra
+    from kgf import kernels, opalgebra, sampler, spectra
 
     spec = kernels.KernelSpec()
     assert isinstance(spec.quadrature.nodes, int) and spec.dim == 1
@@ -125,6 +125,11 @@ def test_perfbench_reads_these_attributes():
         getattr(lattice, attr)
     density = spectra.SpectralDensity(spectra.Ensemble.QUANTUM_VACUUM)
     assert sampler._SpectrumPlan(density, lattice, False).lattice is lattice
+    registry = opalgebra.FunctionRegistry()
+    expr = opalgebra.parse_expression("a[f] phi[g]", registry)
+    assert expr.terms == {(("a", 1), ("phi", 2)): 1.0}
+    table = opalgebra.InnerProductTable({(2, 1): 0.5 - 0.25j})
+    assert opalgebra.vacuum_expectation(expr, table, strategy="leftmost") == 0.5 - 0.25j
 
 
 def _privates(tree: ast.AST, module: str) -> list:
