@@ -22,6 +22,7 @@ head -1``.  The sampling worker count comes from --workers alone.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import json
@@ -348,13 +349,22 @@ def _out_dir(args) -> Path:
     return path
 
 
+@contextlib.contextmanager
 def _open_out(path: Path, binary: bool = False):
-    """``path`` opened for writing; an exit-2 error naming it if it cannot be."""
+    """``path`` opened for writing; an exit-2 error naming it if it cannot be.
+    The file is removed if the block or the closing flush raises, so a
+    failed command leaves no partial artifact."""
     try:
-        return open(path, "wb") if binary else open(path, "w", encoding="utf-8")
+        fh = open(path, "wb") if binary else open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise InvalidInputError(
             f"cannot open {path} for writing: {exc.strerror}") from None
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 # --- subcommands ------------------------------------------------------------
@@ -405,6 +415,12 @@ def cmd_expect(args) -> int:
         registry.register(name, packet)
     words = [[(keyword, registry.index_of(ident))
               for keyword, ident in term.factors] for term in terms]
+    # unit weights make every pair the letter kinds allow nonzero, so this
+    # visits the most states any table can: a word past the limit is
+    # refused before any integral is evaluated
+    unit = collections.defaultdict(lambda: 1.0)
+    for word in words:
+        opalgebra.contract(word, unit)
     table = opalgebra.InnerProductTable.from_kernel(spec, registry)
     if pairings is not None:
         _show_pairings(terms[0], words[0], pairings, table)
@@ -431,11 +447,10 @@ def cmd_spectra(args) -> int:
         )
     from . import sampler, spectra
 
-    k = kmin + (kmax - kmin) / (count - 1) * np.arange(count)
-    c = spectra.spectral_coefficient(density, k)
     path = _out_dir(args) / "coefficients.csv" if args.out else None
     with _open_out(path) if path else contextlib.nullcontext(sys.stdout) as fh:
-        sampler.write_coefficients_csv(fh, k, c)
+        k = kmin + (kmax - kmin) / (count - 1) * np.arange(count)
+        sampler.write_coefficients_csv(fh, k, spectra.spectral_coefficient(density, k))
     if path:
         print(f"wrote {path}")
     return 0
@@ -455,19 +470,22 @@ def cmd_sample(args) -> int:
     out = _out_dir(args)
     text = args.format == "csv"
     path = out / ("samples.csv" if text else "samples.bin")
+    spath = out / "spectrum.csv"
     acc = sampler.SpectrumAccumulator(lattice)
-    with _open_out(path, binary=not text) as fh:
+    # every artifact is opened before the first draw, and none is kept if one fails
+    with contextlib.ExitStack() as files:
+        fh = files.enter_context(_open_out(path, binary=not text))
+        sfh = files.enter_context(_open_out(spath)) if n >= 2 else None
         write = sampler.samples_writer(fh, lattice, args.format)
         for chunk in chunks:
             write(chunk.start, chunk.values)
             acc.add(chunk)
+        if sfh is not None:
+            expected = sampler.expected_power(density, lattice,
+                                              pin_zero_mode=args.pin_zero_mode)
+            sampler.write_spectrum_csv(sfh, acc.finalize(), expected)
     print(f"wrote {path} ({n} samples, seed {seed}, workers {args.workers})")
     if n >= 2:
-        expected = sampler.expected_power(density, lattice,
-                                          pin_zero_mode=args.pin_zero_mode)
-        spath = out / "spectrum.csv"
-        with _open_out(spath) as fh:
-            sampler.write_spectrum_csv(fh, acc.finalize(), expected)
         print(f"wrote {spath}")
     return 0
 

@@ -21,7 +21,10 @@ the three kernel variants reduce to
 For Gaussian packets f~* g~ depends on the direction of k only through
 exp(b.k), so each reduced form is one Gauss-Legendre integral in |k| times
 a mean over the direction cosine u: u = +-1 in D=1, the periodic trapezoid
-in the angle in D=2 and Gauss-Legendre in u in D=3.  The Gauss-Legendre
+in the angle in D=2 and Gauss-Legendre in u in D=3.  That mean is of
+exp(z u) with |z| at most the pass's reach |s| cutoff, and each pass
+derives its direction count from that reach (:func:`_direction_count`),
+as it derives its cutoff from the packets.  The Gauss-Legendre
 rule comes from Newton's method on the Legendre recurrence, started from
 Tricomi's asymptotic nodes, in O(n) vectorised steps per iteration.
 Every checked inner product goes through :func:`inner_products`, which
@@ -65,9 +68,10 @@ CONVERGENCE_RTOL = 1e-8
 CUTOFF_SIGMAS = 12.0
 
 #: Largest ``QuadratureSpec.nodes``.  The doubled check of a D>=2 integral
-#: evaluates (2 * nodes)^2 points per packet pair, on one grid per pass; a
-#: pass runs on each usable CPU, so one (2 * nodes)^2 grid stays resident
-#: per thread: 64 MiB complex, or 32 MiB real for an (f, f) pass, at 1024.
+#: evaluates (2 * nodes) radii times its derived direction count, at most
+#: 2 * nodes, per packet pair, on one grid per pass; a pass runs on each
+#: usable CPU, so one such grid stays resident per thread: at most 64 MiB
+#: complex, or 32 MiB real for an (f, f) pass, at 1024.
 MAX_QUADRATURE_NODES = 1024
 
 
@@ -187,12 +191,17 @@ class QuadratureSpec:
     """How to evaluate the reduced wave-vector integral.
 
     The rule is radial: ``nodes`` Gauss-Legendre radii on [0, cutoff] and,
-    in D >= 2, as many direction points per radius.  The Gauss-Legendre
+    in D >= 2, a mean over directions at each radius.  The Gauss-Legendre
     nodes and weights come from Newton's method on the three-term Legendre
     recurrence (:func:`_gauss_legendre`), not from an eigenvalue solve.
     The cutoff is derived, never set: each inner product takes
     |kbar| + 12/sigma of whichever of its two packets reaches further.
-    ``nodes`` lies in [16, MAX_QUADRATURE_NODES].
+    The direction count is derived too, from the reach |s| cutoff of the
+    pass's exponent exp(r s u): ceil(reach) + 20 midpoint angles in D = 2,
+    the next power of two >= 0.75 reach + 16 Gauss-Legendre cosines in
+    D = 3, each at most ``nodes`` (all of it for a non-finite reach).
+    Either mean is then within 1e-14 of its limit, relative to
+    e^|Re z|, for every z = r s.  ``nodes`` lies in [16, MAX_QUADRATURE_NODES].
     """
 
     nodes: int = 256
@@ -266,8 +275,10 @@ def _legendre(n: int, x: np.ndarray) -> tuple:
     return p1, n * (x * p1 - p0) / (x * x - 1.0)
 
 
+@lru_cache(maxsize=32)
 def _gauss_legendre(n: int) -> tuple:
-    """Ascending nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+    """Ascending nodes and weights of the n-point Gauss-Legendre rule on [-1, 1],
+    built once per n and read-only.
 
     Newton's method on the recurrence, started from Tricomi's asymptotic
     nodes, for the n // 2 positive nodes (and 0 for odd n); the weights
@@ -288,23 +299,53 @@ def _gauss_legendre(n: int) -> tuple:
         if np.max(np.abs(step)) <= np.finfo(float).eps:
             break
     w = 2.0 / ((1.0 - x * x) * dp * dp)
-    return (np.concatenate((-x, x[half - 1::-1])),
-            np.concatenate((w, w[half - 1::-1])))
+    rule = (np.concatenate((-x, x[half - 1::-1])), np.concatenate((w, w[half - 1::-1])))
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
-@lru_cache(maxsize=32)
 def _radial_rule(dim: int, nodes: int):
-    """Radii on [0, 1] with weights for the measure |S^(D-1)| r^(D-1), and
-    direction cosines with weights that take the mean over directions."""
+    """Radii on [0, 1] with weights for the measure |S^(D-1)| r^(D-1)."""
     x, w = _gauss_legendre(nodes)
     r = 0.5 * (x + 1.0)
-    radial = w * math.pi ** (dim / 2) / math.gamma(dim / 2) * r ** (dim - 1)
+    return r, w * math.pi ** (dim / 2) / math.gamma(dim / 2) * r ** (dim - 1)
+
+
+def _direction_count(dim: int, nodes: int, s, cutoff: float) -> int:
+    """Direction points for the mean of exp(z u) over directions at every
+    z = r s of a pass over radii [0, cutoff], |z| <= reach = |s| cutoff.
+
+    The mean is entire in z, and its error falls below rounding, relative
+    to e^|Re z|, once the count passes a small multiple of |z|: the
+    midpoint angles of D = 2 (the periodic trapezoid) need about |z|, the
+    Gauss-Legendre cosines of D = 3 about e|z|/4 (Trefethen and Weideman,
+    SIAM Rev. 56(3), 385 (2014); Trefethen, SIAM Rev. 50(1), 67 (2008)).
+    D = 2 takes ceil(reach) + 20 angles, D = 3 the next power of two >=
+    0.75 reach + 16, so few counts are built; both at most ``nodes``,
+    which a non-finite reach takes.
+    """
     if dim == 1:
-        return r, radial, np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+        return 2
+    reach = abs(complex(s)) * cutoff
+    if not math.isfinite(reach):
+        return nodes
     if dim == 2:
-        theta = (np.arange(nodes) + 0.5) * (math.pi / nodes)
-        return r, radial, np.cos(theta), np.full(nodes, 1.0 / nodes)
-    return r, radial, x, 0.5 * w
+        return min(nodes, math.ceil(reach) + 20)
+    return min(nodes, 1 << (math.ceil(0.75 * reach) + 15).bit_length())
+
+
+def _direction_rule(dim: int, count: int):
+    """``count`` direction cosines with weights that take the mean over
+    directions: u = +-1 in D = 1, midpoint angles in D = 2, Gauss-Legendre
+    in u in D = 3."""
+    if dim == 1:
+        return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+    if dim == 2:
+        theta = (np.arange(count) + 0.5) * (math.pi / count)
+        return np.cos(theta), np.full(count, 1.0 / count)
+    x, w = _gauss_legendre(count)
+    return x, 0.5 * w
 
 
 def _variant_weight(spec: KernelSpec, omega: np.ndarray) -> np.ndarray:
@@ -330,8 +371,10 @@ def _passes(spec: KernelSpec, jobs: list) -> list:
     the same bits on any thread.  D = 1 passes, of 2 * nodes points each,
     run inline.
     """
-    for nodes in {job[2] for job in jobs}:
-        _radial_rule(spec.dim, nodes)  # built once, before any thread reads it
+    for f, g, nodes, cutoff in jobs:  # each cached rule built before any thread reads it
+        _gauss_legendre(nodes)
+        if spec.dim == 3:
+            _gauss_legendre(_direction_count(3, nodes, _exponent(f, g)[1], cutoff))
     workers = min(_usable_cpus(), len(jobs)) if spec.dim > 1 else 1
     if workers < 2:
         return [_reduced_integral(spec, *job) for job in jobs]
@@ -372,16 +415,11 @@ def _direction_means(c0, s, r: np.ndarray, u: np.ndarray, mean: np.ndarray,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _reduced_integral(spec: KernelSpec, f: WavePacket, g: WavePacket,
-                      nodes: int, cutoff: float) -> complex:
-    """One radial pass.  conj(f~) g~ = conj(A_f T_f) A_g T_g (2 pi sigma_f
-    sigma_g)^D exp(c0 - alpha r^2 + b.k); each direction term is the one
-    exponent exp(c0 - alpha r^2 + r s u), s = sqrt(b.b), of modulus <= 1,
-    and real for every (f, f).  Overflowing scales give inf or nan without
-    a warning: the caller refuses a non-finite result."""
-    r, radial, u, mean = _radial_rule(spec.dim, nodes)
-    r = cutoff * r
-    omega = np.sqrt(r * r + _pow(spec.constants.mass, 2))
+def _exponent(f: WavePacket, g: WavePacket) -> tuple:
+    """``(c0, s, alpha)``: conj(f~) g~ = conj(A_f T_f) A_g T_g (2 pi sigma_f
+    sigma_g)^D exp(c0 - alpha r^2 + b.k), and each direction term is the
+    one exponent exp(c0 - alpha r^2 + r s u), s = sqrt(b.b), of modulus
+    <= 1.  ``c0`` and ``s`` are real for every (f, f)."""
     sf2, sg2 = _pow(f.width_x, 2), _pow(g.width_x, 2)
     kf, kg = np.asarray(f.carrier_wavevector), np.asarray(g.carrier_wavevector)
     xf, xg = np.asarray(f.center_x), np.asarray(g.center_x)
@@ -390,7 +428,22 @@ def _reduced_integral(spec: KernelSpec, f: WavePacket, g: WavePacket,
     s = np.sqrt(complex(b @ b))
     if c0.imag == 0.0 and s.imag == 0.0:
         c0, s = c0.real, s.real
-    directions = _direction_means(c0, s, r, u, mean, 0.5 * (sf2 + sg2))
+    return c0, s, 0.5 * (sf2 + sg2)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _reduced_integral(spec: KernelSpec, f: WavePacket, g: WavePacket,
+                      nodes: int, cutoff: float) -> complex:
+    """One radial pass of :func:`_exponent`'s integrand: ``nodes`` radii
+    on [0, cutoff] and :func:`_direction_count` directions for its reach.
+    Overflowing scales give inf or nan without a warning: the caller
+    refuses a non-finite result."""
+    c0, s, alpha = _exponent(f, g)
+    r, radial = _radial_rule(spec.dim, nodes)
+    u, mean = _direction_rule(spec.dim, _direction_count(spec.dim, nodes, s, cutoff))
+    r = cutoff * r
+    omega = np.sqrt(r * r + _pow(spec.constants.mass, 2))
+    directions = _direction_means(c0, s, r, u, mean, alpha)
     du_f, du_g = omega - f.carrier_freq, omega - g.carrier_freq
     time = np.exp(-0.5 * ((f.width_t * du_f) ** 2 + (g.width_t * du_g) ** 2)
                   - 1j * (du_f * f.center_t - du_g * g.center_t))
@@ -416,7 +469,9 @@ def inner_product_with_diagnostics(spec: KernelSpec, f: WavePacket, g: WavePacke
     """Inner product plus the convergence diagnostics behind it.
 
     The check doubles both the cutoff and the node count, so it certifies
-    the radius and the direction rule together, and requires the two
+    the radius and the direction rule together: the refined pass derives
+    its direction count from twice the reach under twice the cap, so it
+    never has fewer directions than the base pass.  It requires the two
     estimates to agree to ``CONVERGENCE_RTOL`` relative to the
     Cauchy-Schwarz scale sqrt((f,f)(g,g)), each norm the packet's refined
     (h, h) at its own doubled cutoff.  That scale dominates |(f,g)| and is

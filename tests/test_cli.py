@@ -151,6 +151,50 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message.format(out=out)}")
 
+    def test_unopenable_spectrum_refuses_before_the_first_draw(self, tmp_path, capsys,
+                                                               monkeypatch):
+        drawn = []
+        real = sampler.sample_chunks
+
+        def spied(*args, **kwargs):
+            for chunk in real(*args, **kwargs):
+                drawn.append(chunk)
+                yield chunk
+
+        monkeypatch.setattr(sampler, "sample_chunks", spied)
+        (tmp_path / "spectrum.csv").mkdir()
+        assert main(["sample", "--ensemble", "vacuum", "--samples", "2", "--lattice-n", "8",
+                     "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot open {tmp_path}/spectrum.csv")
+        assert captured.out == "" and drawn == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["spectrum.csv"]
+
+    def test_unopenable_coefficients_refuse_before_the_k_grid(self, tmp_path, capsys,
+                                                              monkeypatch):
+        evaluated = []
+
+        def refused(density, k):
+            evaluated.append(len(k))
+            raise InvalidInputError("k grid refused")
+
+        monkeypatch.setattr(spectra, "spectral_coefficient", refused)
+        out = tmp_path / "new"
+        (out / "coefficients.csv").mkdir(parents=True)
+        assert main(["spectra", "--ensemble", "vacuum", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot open {out}/coefficients.csv")
+        assert evaluated == []
+        made = tmp_path / "made" / "sub"
+        assert main(["spectra", "--ensemble", "vacuum", "--out", str(made)]) == 2
+        assert capsys.readouterr().err == "error: k grid refused\n"
+        assert evaluated == [256] and made.is_dir() and list(made.iterdir()) == []
+
+    def test_failed_spectra_leaves_no_coefficients(self, tmp_path, capsys):
+        assert main(["spectra", "--ensemble", "classical", "--kmax", "1e308", "--kcount", "3",
+                     "--out", str(tmp_path)]) == 2
+        assert "overflows at |k| = 5e+307" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"ensemble": "vacuum", "samples": 2})
         assert main(["sample", "--config", cfg, "--seed", "-1",
@@ -557,10 +601,22 @@ class TestExpect:
         expected = math.prod(range(1, 20, 2)) * norm**10
         assert abs(vev - expected) <= 1e-12 * abs(expected)
 
-    def test_contraction_state_limit_exits_2(self, tmp_path, capsys):
+    def test_contraction_state_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        """Refused before any quadrature pass: 26 copies of one phi in D=1,
+        and 26 distinct phi in D=2, whose table would hold 351 pairs."""
+        from kgf import kernels
+
+        passes = []
+        monkeypatch.setattr(kernels, "_reduced_integral", lambda *job: passes.append(job))
         cfg = write_config(tmp_path, BASE_CONFIG)
         assert main(["expect", "--config", cfg, " ".join(["phi[f1]"] * 26)]) == 2
         assert "MAX_CONTRACTION_STATES" in capsys.readouterr().err
+        names = [f"g{i}" for i in range(26)]
+        cfg = write_config(tmp_path, {"dim": 2, "packets": {
+            name: {"center_x": [0.1 * i, 0.0]} for i, name in enumerate(names)}}, "d2.json")
+        assert main(["expect", "--config", cfg, " ".join(f"phi[{n}]" for n in names)]) == 2
+        assert "MAX_CONTRACTION_STATES" in capsys.readouterr().err
+        assert passes == []
 
     def test_unknown_name_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG)

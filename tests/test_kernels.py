@@ -507,7 +507,8 @@ class TestPasses:
         assert sorted(map(str, dtypes)) == ["complex128"] * 2 + ["float64"] * 2
 
     def test_one_grid_is_the_plain_expression_bit_for_bit(self):
-        r, _, u, mean = K._radial_rule(2, 128)
+        r, _ = K._radial_rule(2, 128)
+        u, mean = K._direction_rule(2, 128)
         r = 6.5 * r
         c0, s, alpha = np.complex128(-0.7 + 1.9j), np.sqrt(np.complex128(2.1 - 3.4j)), 0.9
         plain = np.einsum("ij,j->i", np.exp((c0 - alpha * r * r)[:, None] + s * r[:, None] * u),
@@ -593,16 +594,105 @@ class TestPasses:
         assert peak <= 128 * 2**20
 
 
-def tensor_grid(spec, f, g, nodes):
-    """((f,g), (f,f), (g,g)) on a Gauss-Legendre tensor grid over [-cutoff, cutoff]^D.
+class TestDirectionRule:
+    """Each D >= 2 pass takes its direction count from the reach |s| cutoff
+    of its own exponent, capped at ``nodes``."""
+
+    @pytest.mark.parametrize("dim, reach, count", [
+        (1, 50.0, 2), (2, 0.0, 20), (2, 7.2, 28), (2, 236.0, 256), (2, 237.0, 256),
+        (3, 0.0, 16), (3, 21.3, 32), (3, 21.4, 64), (3, 320.0, 256), (3, 1e5, 256),
+    ])
+    def test_count(self, dim, reach, count):
+        assert K._direction_count(dim, 256, reach, 1.0) == count
+        assert K._direction_count(dim, 256, reach / 4.0 * 1j, 4.0) == count
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("s, cutoff", [(math.inf, 1.0), (math.nan, 1.0),
+                                           (complex(math.inf, 1.0), 1.0), (0.0, math.inf),
+                                           (1e200, 1e200)])
+    def test_non_finite_reach_takes_nodes(self, dim, s, cutoff):
+        assert K._direction_count(dim, 100, s, cutoff) == 100
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_refined_pass_never_has_fewer_directions(self, dim):
+        for nodes in (16, 100, 256, MAX_QUADRATURE_NODES):
+            for reach in np.geomspace(1e-3, 1e4, 200):
+                assert (K._direction_count(dim, 2 * nodes, reach, 2.0)
+                        >= K._direction_count(dim, nodes, reach, 1.0))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_mean_is_rounding_close_up_to_the_caps_reach(self, dim):
+        """Random complex z up to the largest reach whose count is still
+        below MAX_QUADRATURE_NODES, relative to e^|Re z|: D=2 against 8192
+        midpoint angles, D=3 against sinh(z)/z."""
+        reach = {2: MAX_QUADRATURE_NODES - 20, 3: (MAX_QUADRATURE_NODES - 16) / 0.75}[dim]
+        rng = np.random.default_rng(30 + dim)
+        zs = reach * np.sqrt(rng.uniform(size=120)) * np.exp(2j * math.pi * rng.uniform(size=120))
+        zs = np.concatenate((zs, [reach, 1j * reach, 0.5 * reach, 0.0]))
+
+        def mean(z, count):
+            u, w = K._direction_rule(dim, count)
+            return np.sum(w * np.exp(z * u - abs(z.real)))
+
+        for z in zs:
+            count = K._direction_count(dim, MAX_QUADRATURE_NODES, z, 1.0)
+            assert count <= MAX_QUADRATURE_NODES
+            if dim == 2:
+                expected = mean(z, 8192)
+            elif z == 0:
+                expected = 1.0
+            else:
+                expected = (np.exp(z - abs(z.real)) - np.exp(-z - abs(z.real))) / (2 * z)
+            assert abs(mean(z, count) - expected) <= 1e-14
+
+    @pytest.mark.parametrize("variant", list(KernelVariant))
+    @pytest.mark.parametrize("dim, width, carrier", [(2, (0.8, 1.8), 2.0),
+                                                     (3, (5.5, 6.5), 0.2),
+                                                     (3, (0.8, 1.8), 2.0)])
+    def test_inner_products_match_the_full_direction_rule(self, dim, width, carrier,
+                                                          variant, monkeypatch):
+        rng = np.random.default_rng(200 + dim)
+        spec = KernelSpec(variant, TestTensorGridReferee.CONSTANTS, dim=dim)
+        packets = [replace(p, width_x=rng.uniform(*width),
+                           carrier_wavevector=tuple(rng.uniform(-carrier, carrier, dim)))
+                   for p in random_packets(rng, dim, 3)]
+        pairs = list(itertools.combinations_with_replacement(packets, 2))
+        derived = K.inner_products(spec, pairs)
+        monkeypatch.setattr(K, "_direction_count", lambda dim, nodes, s, cutoff: nodes)
+        full = K.inner_products(spec, pairs)
+        norms = {id(f): full[pairs.index((f, f))][0].real for f in packets}
+        for (f, g), (value, _), (reference, _) in zip(pairs, derived, full):
+            assert abs(value - reference) <= 1e-13 * math.sqrt(norms[id(f)] * norms[id(g)])
+
+
+def referee_packet(rng, dim, width, carrier):
+    return WavePacket(
+        dim=dim,
+        center_t=rng.uniform(-2, 2),
+        center_x=tuple(rng.uniform(-2, 2, dim)),
+        width_t=rng.uniform(0.8, 1.8),
+        width_x=rng.uniform(*width),
+        carrier_freq=rng.uniform(-2, 2),
+        carrier_wavevector=tuple(rng.uniform(-carrier, carrier, dim)),
+        amplitude=complex(rng.uniform(0.3, 1.5), rng.uniform(-1, 1)),
+    )
+
+
+def tensor_grid(spec, f, g, nodes, eta=0.0):
+    """((f,g), (f,f), (g,g)) on a Gauss-Legendre tensor grid over [-cutoff, cutoff]^D,
+    for the packets boosted along axis 1 with rapidity ``eta``.
 
     The referee of the radial quadrature: it shares nothing with it but
-    ``fourier_transform``, evaluated at every grid point.  The grid is
-    summed one slab of the first axis at a time, so memory stays at
-    nodes^(D-1) points.
+    ``fourier_transform``, evaluated at every grid point.  A boost L needs
+    no boosted packet: f_L~(k) = f~(L^-1 k), and the box grows by e^|eta|
+    to cover the boosted support.  The classical weight kT/omega^2 is the
+    rest frame's form of 2kT/(u.k) per invariant measure, with u.k =
+    (L^-1 k)^0.  The grid is summed one slab of the first axis at a time,
+    so memory stays at nodes^(D-1) points.
     """
     c = spec.constants
-    cutoff = max(f.suggested_cutoff, g.suggested_cutoff)
+    cutoff = max(f.suggested_cutoff, g.suggested_cutoff) * math.exp(abs(eta))
+    ch, sh = math.cosh(eta), math.sinh(eta)
     x, w = np.polynomial.legendre.leggauss(nodes)
     x, w = cutoff * x, cutoff * w
     k_rest = np.array(list(itertools.product(x, repeat=spec.dim - 1)))
@@ -611,13 +701,15 @@ def tensor_grid(spec, f, g, nodes):
     for x0, w0 in zip(x, w):
         k = np.column_stack([np.full(len(k_rest), x0), k_rest])
         omega = np.sqrt(np.sum(k * k, axis=1) + c.mass**2)
+        rest0 = ch * omega - sh * k[:, 0]
+        rest = np.column_stack([ch * k[:, 0] - sh * omega, k[:, 1:]])
         weight = w0 * w_rest * c.hbar / (2.0 * omega)
         if spec.variant is KernelVariant.CLASSICAL:
-            weight = weight * (c.kT / c.hbar) * (2.0 / omega)
+            weight = weight * (c.kT / c.hbar) * (2.0 / rest0)
         elif spec.variant is KernelVariant.XI_SCALED:
             weight = weight * c.xi
-        ft = fourier_transform(f, omega, k)
-        gt = fourier_transform(g, omega, k)
+        ft = fourier_transform(f, rest0, rest)
+        gt = fourier_transform(g, rest0, rest)
         totals += [np.sum(weight * np.conj(ft) * gt),
                    np.sum(weight * np.abs(ft) ** 2),
                    np.sum(weight * np.abs(gt) ** 2)]
@@ -643,22 +735,34 @@ class TestTensorGridReferee:
     def test_radial_matches_tensor_grid(self, dim, grid_nodes, width, carrier,
                                         variant):
         rng = np.random.default_rng(100 + dim)
-
-        def draw():
-            return WavePacket(
-                dim=dim,
-                center_t=rng.uniform(-2, 2),
-                center_x=tuple(rng.uniform(-2, 2, dim)),
-                width_t=rng.uniform(0.8, 1.8),
-                width_x=rng.uniform(*width),
-                carrier_freq=rng.uniform(-2, 2),
-                carrier_wavevector=tuple(rng.uniform(-carrier, carrier, dim)),
-                amplitude=complex(rng.uniform(0.3, 1.5), rng.uniform(-1, 1)),
-            )
-
-        f, g = draw(), draw()
+        f, g = (referee_packet(rng, dim, width, carrier) for _ in range(2))
         spec = KernelSpec(variant, self.CONSTANTS, dim=dim)
         expected, norm_f, norm_g = tensor_grid(spec, f, g, grid_nodes)
+        scale = math.sqrt(norm_f.real * norm_g.real)
+        assert scale > 0
+        assert abs(inner_product(spec, f, g) - expected) <= 1e-10 * scale
+
+
+class TestBoostedTensorGrid:
+    """The identities of :class:`TestLorentzCovariance` in D=2 and D=3, on
+    the tensor-grid referee boosted along axis 1 with 0.3 <= |eta| <= 0.7:
+    (f_L, g_L) = (f, g) under the quantum and xi kernels, and under the
+    classical kernel with the moving frame's weight 2kT/(u.k).  The grid
+    shares only ``fourier_transform`` with the radial pass and its
+    derived direction counts."""
+
+    @pytest.mark.parametrize("variant", list(KernelVariant))
+    @pytest.mark.parametrize("dim, grid_nodes, width, carrier", [
+        (2, 512, (0.8, 1.8), 2.0),
+        (3, 128, (5.5, 6.5), 0.2),
+    ])
+    def test_boosted_pair_keeps_its_inner_product(self, dim, grid_nodes, width, carrier,
+                                                  variant):
+        rng = np.random.default_rng(300 + dim)
+        f, g = (referee_packet(rng, dim, width, carrier) for _ in range(2))
+        eta = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 0.7)
+        spec = KernelSpec(variant, TestTensorGridReferee.CONSTANTS, dim=dim)
+        expected, norm_f, norm_g = tensor_grid(spec, f, g, grid_nodes, eta)
         scale = math.sqrt(norm_f.real * norm_g.real)
         assert scale > 0
         assert abs(inner_product(spec, f, g) - expected) <= 1e-10 * scale
