@@ -413,8 +413,12 @@ def cmd_expect(args) -> int:
     for name, packet in _packets(args, config, {ident for term in terms
                                                 for _, ident in term.factors}).items():
         registry.register(name, packet)
-    words = [[(keyword, registry.index_of(ident))
-              for keyword, ident in term.factors] for term in terms]
+    # each distinct word is contracted once, weighted by its terms' summed
+    # coefficients, in the order of its first term
+    words: dict = {}
+    for term in terms:
+        word = tuple((keyword, registry.index_of(ident)) for keyword, ident in term.factors)
+        words[word] = words.get(word, 0.0) + term.coefficient
     # unit weights make every pair the letter kinds allow nonzero, so this
     # visits the most states any table can: a word past the limit is
     # refused before any integral is evaluated
@@ -423,9 +427,9 @@ def cmd_expect(args) -> int:
         opalgebra.contract(word, unit)
     table = opalgebra.InnerProductTable.from_kernel(spec, registry)
     if pairings is not None:
-        _show_pairings(terms[0], words[0], pairings, table)
-    value = sum((term.coefficient * opalgebra.contract(word, table)
-                 for term, word in zip(terms, words)), 0.0 + 0.0j)
+        _show_pairings(terms[0], next(iter(words)), pairings, table)
+    value = sum((coefficient * opalgebra.contract(word, table)
+                 for word, coefficient in words.items()), 0.0 + 0.0j)
     print(f"<0| {args.expression} |0> = {_fmt_complex(value)}")
     return 0
 

@@ -100,6 +100,10 @@ MAX_MODE_SCALE_RATIO = 2**40
 #: Most sampling threads: each opens one block, with about one chunk resident.
 MAX_WORKERS = 64
 
+#: Most field values, samples times sites, in one stream: 32 GiB of float64
+#: draws, or about 100 GiB of CSV.
+MAX_TOTAL_VALUES = 2**32
+
 #: Distinguishes field-sampling Philox streams from any other use of a seed.
 _PHILOX_TAG = 0x4B474631  # "KGF1"
 
@@ -343,6 +347,10 @@ def sample_chunks(density: SpectralDensity, lattice: LatticeSpec, seed: int,
     """
     if n < 1:
         raise InvalidInputError(f"sample count must be >= 1, got {n}")
+    if n * lattice.total_sites > MAX_TOTAL_VALUES:
+        raise InvalidInputError(
+            f"{n} samples of {lattice.total_sites} sites exceed "
+            f"MAX_TOTAL_VALUES = {MAX_TOTAL_VALUES} field values")
     if not 0 <= seed < 2**64:
         raise InvalidInputError(f"seed must be in [0, 2**64), got {seed}")
     if workers < 1:

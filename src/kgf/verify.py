@@ -10,14 +10,14 @@ sampled lattice moments against closed-form coefficients and against the
 independent number-basis oracle.  All randomness is seeded, so a pass is
 reproducible.
 
-The checks share no state, so :func:`run_suite` runs each in a forked
-child process, one per usable CPU at a time, where that is safe: the
-suite has more than one check, ``os.fork`` exists, more than one CPU is
-usable and the process runs no other OS thread.  ``python -m kgf`` pins
-BLAS to one thread, so ``kgf verify`` forks; elsewhere the checks run
-inline, one after another.  The results are the same and come in suite
-order either way.  Each check's elapsed time is its own, so the summary's
-total is their sum, not the wall time of the suite.
+The checks share no state, so :func:`run_suite` runs them on a pool of
+threads, one per usable CPU up to the number of checks; on one CPU they
+run one after another on a single thread.  Their numpy work (Philox
+draws, FFTs, the quadrature's ``exp``) releases the GIL.  The results
+are the same and come in suite order on any CPU count.  Each check's
+elapsed time is its own wall time, which includes any time its thread
+waits for the GIL, so the summary's total is their sum, not the wall
+time of the suite.
 
 Deviation normalization: inner-product identities are measured relative
 to sqrt((f,f)(g,g)).  By the Cauchy-Schwarz inequality this dominates
@@ -28,21 +28,13 @@ nearly orthogonal packet pairs.
 from __future__ import annotations
 
 import functools
-import gc
 import math
 import os
-import pickle
-import select
-import signal
 import time
-import traceback
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-# numpy loads these on first use: loaded here, before any check forks,
-# they are not loaded again in every child
-import numpy.fft
-import numpy.random
 
 from . import fockoracle, kernels, opalgebra, sampler, spectra
 from .errors import InvalidInputError, KGFError
@@ -416,10 +408,11 @@ SUITES["all"] = sum(SUITES.values(), ())
 def run_suite(name: str = "all", seed: int = DEFAULT_SEED) -> list:
     """Run one named suite; numerical failures are reported, not raised.
 
-    The checks run in forked children where :func:`_fork_slots` allows,
-    inline otherwise; the results come in suite order either way.  An
-    exception other than a :class:`~kgf.errors.KGFError`, raised in a
-    check, propagates from here.
+    The checks run on a pool of ``min(len(checks), usable CPUs)`` threads,
+    :func:`check_sampler_moments` first and the rest in suite order; the
+    results come in suite order.  An exception other than a
+    :class:`~kgf.errors.KGFError`, raised in a check, propagates from here
+    once every check has finished.
     """
     try:
         checks = SUITES[name]
@@ -427,118 +420,18 @@ def run_suite(name: str = "all", seed: int = DEFAULT_SEED) -> list:
         raise InvalidInputError(
             f"unknown suite {name!r}; choose from {sorted(SUITES)}"
         ) from None
-    slots = _fork_slots(len(checks))
-    if not slots:
-        return [_run(check, seed) for check in checks]
-    return _run_forked(checks, seed, slots)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    # the longest check starts first, so no thread is left running it alone
+    order = sorted(range(len(checks)),
+                   key=lambda i: checks[i] is not check_sampler_moments)
+    with ThreadPoolExecutor(min(len(checks), cpus)) as pool:
+        futures = {i: pool.submit(_run, checks[i], seed) for i in order}
+    return [futures[i].result() for i in range(len(checks))]
 
 
 def _run(check, seed: int) -> CheckResult:
     return (check() if check in (check_lambda_closure, check_crossover)
             else check(seed=seed))
-
-
-def _fork_slots(count: int) -> int:
-    """How many of ``count`` checks may run at once in forked children;
-    0 runs them inline."""
-    if count < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 0
-    try:
-        # the OS threads, not threading's list: a BLAS runtime's threads
-        # would be lost in the child, holding whatever locks they held
-        threads = len(os.listdir("/proc/self/task"))
-    except OSError:
-        return 0
-    cpus = len(os.sched_getaffinity(0))
-    return min(cpus, count) if cpus > 1 and threads == 1 else 0
-
-
-class _ChildTraceback(Exception):
-    """The formatted traceback of an exception raised in a check's child."""
-
-
-def _run_forked(checks, seed: int, slots: int) -> list:
-    """Each check in a forked child, ``slots`` at a time, in suite order.
-
-    A child sends ``(result, exception, traceback)`` back pickled through a
-    pipe and leaves by ``os._exit``, so nothing the parent buffered is
-    flushed twice.  A child that exits without sending is its check's FAIL.
-    Every child is reaped before this returns or raises.
-    """
-    results = [None] * len(checks)
-    running = {}  # read end of the pipe -> (index, pid, start)
-    waiting = list(enumerate(checks))[::-1]
-    # Out of the collector's sight, the parent's objects are not written to
-    # (and so not copied) by each child's first collection.
-    gc.freeze()
-    try:
-        while waiting or running:
-            while waiting and len(running) < slots:
-                index, check = waiting.pop()
-                read_fd, write_fd = os.pipe()
-                try:
-                    pid = os.fork()
-                    if pid == 0:
-                        _child(check, seed, read_fd, write_fd)  # does not return
-                except BaseException:
-                    os.close(read_fd)
-                    raise
-                finally:
-                    os.close(write_fd)
-                running[read_fd] = (index, pid, time.perf_counter())
-            ready, _, _ = select.select(list(running), [], [])
-            for fd in ready:
-                index, pid, start = running.pop(fd)
-                try:
-                    with open(fd, "rb") as pipe:  # the child writes once, then exits
-                        data = pipe.read()
-                finally:
-                    _, status = os.waitpid(pid, 0)
-                results[index] = _received(checks[index], data, status,
-                                           time.perf_counter() - start)
-    finally:
-        for fd, (_, pid, _) in running.items():
-            os.close(fd)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        gc.unfreeze()
-    return results
-
-
-def _child(check, seed: int, read_fd: int, write_fd: int):
-    """The forked child's whole life: run ``check``, send, exit."""
-    status = 1
-    try:
-        os.close(read_fd)
-        try:
-            message = (_run(check, seed), None, None)
-        except BaseException as exc:
-            message = (None, exc, traceback.format_exc())
-        try:
-            data = pickle.dumps(message)
-            pickle.loads(data)  # an exception may pickle and not unpickle
-        except Exception:
-            data = pickle.dumps((None, RuntimeError(repr(message[1])), message[2]))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(data)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _received(check, data: bytes, status: int, elapsed: float) -> CheckResult:
-    """The result a child sent, or a FAIL naming how it exited without one."""
-    try:
-        result, exc, text = pickle.loads(data)
-    except Exception:  # nothing, or a message cut short
-        code = os.waitstatus_to_exitcode(status)
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        return CheckResult(name=check.name, passed=False,
-                           detail=f"check process {how} before sending a result",
-                           elapsed=elapsed)
-    if exc is not None:
-        raise exc from _ChildTraceback(text)
-    return result
 
 
 def format_results(results) -> str:

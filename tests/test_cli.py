@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -618,6 +619,33 @@ class TestExpect:
         assert "MAX_CONTRACTION_STATES" in capsys.readouterr().err
         assert passes == []
 
+    def test_each_distinct_word_is_contracted_once(self, tmp_path, capsys, monkeypatch):
+        """300 copies of a 20-letter word over 2 packets: one dry run and
+        one value, weighted by the summed coefficients."""
+        word = " ".join(["phi[f1] phi[f2]"] * 10)
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        assert main(["expect", "--config", cfg, word]) == 0
+        once = parse_value(capsys.readouterr().out.splitlines()[-1])
+        contracted = []
+        contract = opalgebra.contract
+        monkeypatch.setattr(opalgebra, "contract",
+                            lambda word, ip: contracted.append(word) or contract(word, ip))
+        start = time.perf_counter()
+        assert main(["expect", "--config", cfg, " + ".join([word] * 300)]) == 0
+        assert time.perf_counter() - start < 0.5
+        vev = parse_value(capsys.readouterr().out.splitlines()[-1])
+        assert len(contracted) == 2
+        assert abs(vev - 300 * once) <= 1e-12 * abs(300 * once)
+
+    def test_summed_coefficients_print_as_one_term(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        printed = []
+        for expression in ("2*phi[f1] phi[f2] - 3j*phi[f2] phi[f1] + 0.5*phi[f1] phi[f2]",
+                           "2.5*phi[f1] phi[f2] - 3j*phi[f2] phi[f1]"):
+            assert main(["expect", "--config", cfg, expression]) == 0
+            printed.append(capsys.readouterr().out.split(" = ")[-1])
+        assert printed[0] == printed[1]
+
     def test_unknown_name_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG)
         assert main(["expect", "--config", cfg, "phi[f1] phi[x]"]) == 2
@@ -923,6 +951,15 @@ class TestSample:
         out = tmp_path / "artifacts"
         assert main([*self.COMMON, "--workers", "65", "--out", str(out)]) == 2
         assert "MAX_WORKERS = 64" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_samples_times_sites_above_max_exit_2_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        start = time.perf_counter()
+        assert main(["sample", "--ensemble", "thermal", "--dim", "1", "--lattice-n", "64",
+                     "--samples", "1000000000", "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert "MAX_TOTAL_VALUES = 4294967296" in capsys.readouterr().err
         assert not out.exists()
 
     def test_degenerate_mode_exits_2_and_names_mode(self, tmp_path, capsys):

@@ -174,3 +174,42 @@ def test_private_check_sees_imports_and_reads():
     assert sorted(_privates(ast.parse(source), "kernels")) == [
         "_diagnosis", "_passes", "_radial_rule"]
     assert _privates(ast.parse(source), "sampler") == ["_fill"]
+
+
+#: Modules whose import would bring a second parallel mechanism beside threads.
+PROCESS_MODULES = {"multiprocessing", "pickle", "select"}
+
+
+def _process_uses(tree: ast.AST) -> list:
+    """Imports of :data:`PROCESS_MODULES` and uses of ``os.fork`` in a module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name.split(".")[0] in PROCESS_MODULES]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            root = node.module.split(".")[0]
+            if root in PROCESS_MODULES:
+                found.append(node.module)
+            elif root == "os":
+                found += [f"os.{alias.name}" for alias in node.names if alias.name == "fork"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "fork"
+              and ast.unparse(node.value) == "os"):
+            found.append("os.fork")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_threads_are_the_one_parallel_mechanism(path):
+    assert _process_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_process_check_sees_imports_and_forks():
+    source = ("import os, pickle\n"
+              "import multiprocessing.pool\n"
+              "from select import select\n"
+              "from os import fork\n"
+              "from concurrent.futures import ThreadPoolExecutor\n"
+              "pid = os.fork()\n")
+    assert _process_uses(ast.parse(source)) == [
+        "pickle", "multiprocessing.pool", "select", "os.fork", "os.fork"]

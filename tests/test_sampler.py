@@ -274,6 +274,13 @@ class TestDeterminism:
         # accepted, and not iterated, so no thread is started
         sample_chunks(VACUUM, self.LAT, seed=1, n=1, workers=sampler.MAX_WORKERS)
 
+    def test_values_above_max_refused(self):
+        most = sampler.MAX_TOTAL_VALUES // self.LAT.total_sites
+        with pytest.raises(InvalidInputError, match="MAX_TOTAL_VALUES = 4294967296"):
+            sample_chunks(VACUUM, self.LAT, seed=1, n=most + 1)
+        # accepted, and not iterated, so nothing is drawn
+        sample_chunks(VACUUM, self.LAT, seed=1, n=most)
+
     @pytest.mark.parametrize("bad", [-1, 2**64])
     def test_seed_outside_64_bits_refused(self, bad):
         with pytest.raises(InvalidInputError, match=str(bad)):

@@ -1,43 +1,27 @@
-"""The verification suite's runner: forked children where it is safe,
-inline elsewhere, the same report either way."""
+"""The verification suite's runner: a pool of threads, one per usable CPU
+up to the number of checks, and the same report on any CPU count."""
 
 import os
 import re
 import subprocess
 import sys
-import time
+import threading
 
 import pytest
 
 from kgf import opalgebra, verify
 
-# Forking from a process that runs a BLAS thread draws a DeprecationWarning
-# on Python 3.12+; the checks forked in-process here touch no BLAS.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:This process .* is multi-threaded:DeprecationWarning")
-
 #: Run as ``python -c RUN CPUS``: ``kgf verify --suite all`` on the given
-#: CPUs through runpy, with each fork the runner makes counted on stderr.
+#: CPUs through runpy, with its exit code on stderr.
 RUN = """
 import os, runpy, sys
 
 os.sched_setaffinity(0, {int(cpu) for cpu in sys.argv[1].split(",")})
-forks = []
-fork = os.fork
-
-def counted():
-    pid = fork()
-    if pid:
-        forks.append(pid)
-    return pid
-
-os.fork = counted
 sys.argv[1:] = ["verify", "--suite", "all"]
 try:
     runpy.run_module("kgf", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
-    code = exc.code
-print(f"forks {len(forks)} exit {code}", file=sys.stderr)
+    print(f"exit {exc.code}", file=sys.stderr)
 """
 
 #: A time as ``kgf verify`` prints it: each check's, each sampled leg's
@@ -57,12 +41,11 @@ def verify_on(cpus):
                     reason="needs two usable CPUs")
 def test_one_and_two_cpus_print_the_same_lines():
     two = sorted(os.sched_getaffinity(0))[:2]
-    inline, inline_info = verify_on(two[:1])
-    forked, forked_info = verify_on(two)
-    assert inline_info == "forks 0 exit 0"
-    assert forked_info == f"forks {len(verify.SUITES['all'])} exit 0"
-    assert forked == inline
-    assert len(inline.splitlines()) == 9
+    one_cpu, one_info = verify_on(two[:1])
+    two_cpus, two_info = verify_on(two)
+    assert one_info == two_info == "exit 0"
+    assert two_cpus == one_cpu
+    assert len(one_cpu.splitlines()) == 9
 
 
 @verify._check("passes")
@@ -75,69 +58,54 @@ def divides_by_zero(seed=verify.DEFAULT_SEED):
     return True, str(1 / 0)
 
 
-@verify._check("sleeps")
-def sleeps(seed=verify.DEFAULT_SEED):
-    time.sleep(5.0)
-    return True, "slept"
-
-
-@verify._check("exits_early")
-def exits_early(seed=verify.DEFAULT_SEED):
-    os._exit(7)
-
-
 @pytest.fixture
-def forked(monkeypatch):
-    """Fork the checks registered as suite "test", and require that no
-    child is left over."""
-    monkeypatch.setattr(verify, "_fork_slots", lambda count: 2)
-    yield lambda *checks: monkeypatch.setitem(verify.SUITES, "test", checks)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def suite(monkeypatch):
+    """Register the checks given as suite "test"."""
+    return lambda *checks: monkeypatch.setitem(verify.SUITES, "test", checks)
 
 
-def test_forked_results_come_in_suite_order(forked):
-    forked(passes, passes, passes)
+def test_results_come_in_suite_order(suite):
+    suite(passes, passes, passes)
     results = verify.run_suite("test", seed=5)
     assert [(r.name, r.passed, r.detail) for r in results] == [("passes", True, "seed 5")] * 3
 
 
-def test_an_exception_in_a_child_is_raised_in_the_parent(forked):
-    # the raise comes while "sleeps" runs: that child is killed and reaped
-    forked(sleeps, divides_by_zero, passes)
-    start = time.perf_counter()
+def test_the_longest_check_starts_first_and_reports_in_place(suite, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    started = []
+
+    def recording(name):
+        @verify._check(name)
+        def check(seed=verify.DEFAULT_SEED):
+            started.append(name)
+            return True, name
+        return check
+
+    longest = recording("longest")
+    monkeypatch.setattr(verify, "check_sampler_moments", longest)
+    suite(recording("first"), longest, recording("last"))
+    results = verify.run_suite("test")
+    assert started == ["longest", "first", "last"]  # one thread runs them in turn
+    assert [r.name for r in results] == ["first", "longest", "last"]
+
+
+def test_an_exception_in_a_check_is_raised_from_run_suite(suite):
+    suite(passes, divides_by_zero, passes)
+    threads = threading.active_count()
     with pytest.raises(ZeroDivisionError) as info:
         verify.run_suite("test")
-    assert time.perf_counter() - start < 4.0
-    assert isinstance(info.value.__cause__, verify._ChildTraceback)
-    assert "divides_by_zero" in str(info.value.__cause__)
+    assert info.traceback[-1].name == "divides_by_zero"  # the check's own raise
+    assert threading.active_count() == threads
 
 
-def test_a_child_that_exits_without_a_result_fails_its_check(forked):
-    forked(passes, exits_early, passes)
-    results = verify.run_suite("test")
-    assert [r.passed for r in results] == [True, False, True]
-    assert results[1].name == "exits_early"
-    assert results[1].detail == "check process exited with status 7 before sending a result"
+def test_the_real_suite_matches_one_thread(monkeypatch):
+    def report():  # the sampled legs' details carry their times
+        return [(r.name, r.passed, TIME.sub("<t>", r.detail)) for r in verify.run_suite("all")]
 
-
-def test_the_real_suite_forked_matches_inline(forked):
-    forked(*verify.SUITES["spectra"])
-    assert ([(r.name, r.passed, r.detail) for r in verify.run_suite("test")]
-            == [(r.name, r.passed, r.detail) for r in verify.run_suite("spectra")])
-
-
-def test_forking_needs_two_checks_two_cpus_and_one_thread(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    monkeypatch.setattr(os, "listdir", lambda path: ["1"])
-    assert verify._fork_slots(8) == 3
-    assert verify._fork_slots(2) == 2
-    assert verify._fork_slots(1) == 0
-    monkeypatch.setattr(os, "listdir", lambda path: ["1", "2"])
-    assert verify._fork_slots(8) == 0
-    monkeypatch.setattr(os, "listdir", lambda path: ["1"])
+    pooled = report()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert verify._fork_slots(8) == 0
+    assert report() == pooled
+    assert len(pooled) == len(verify.SUITES["all"])
 
 
 def test_the_algebra_suite_needs_no_expression_api(monkeypatch):
