@@ -485,9 +485,7 @@ def cmd_sample(args) -> int:
             write(chunk.start, chunk.values)
             acc.add(chunk)
         if sfh is not None:
-            expected = sampler.expected_power(density, lattice,
-                                              pin_zero_mode=args.pin_zero_mode)
-            sampler.write_spectrum_csv(sfh, acc.finalize(), expected)
+            sampler.write_spectrum_csv(sfh, acc.finalize(), chunk.expected)
     print(f"wrote {path} ({n} samples, seed {seed}, workers {args.workers})")
     if n >= 2:
         print(f"wrote {spath}")

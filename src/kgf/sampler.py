@@ -31,6 +31,13 @@ another from that block's generator; sequential draws from one generator
 give the same bytes as one draw, so neither the chunk size nor the number
 of worker threads (which split the work over blocks) changes a byte, and
 the first n samples of a seed are the same for every longer run.
+
+Each open block keeps two buffers of one chunk's rows: the white noise and
+its half-grid spectrum.  The draw fills the noise, transforms it into the
+spectrum and back one axis at a time, in place, in the axis order of
+``rfftn`` and ``irfftn`` (so with their bytes), and only the chunk's values
+and power are new arrays.  At D=3, N=64, where a chunk is one sample, the
+buffers take about 4 MB per open block.
 """
 
 from __future__ import annotations
@@ -217,9 +224,18 @@ class _HalfGrid:
         self.axes = tuple(range(1, lattice.dim + 1))
         self.multiplicity = np.full(self.shape, 2.0)
         self.multiplicity[..., [0, n // 2]] = 1.0
-        full = np.indices(lattice.shape)
-        source = np.where(full[-1] > n // 2, (n - full) % n, full)
-        self.full_from_half = np.ravel_multi_index(tuple(source), self.shape)
+        # past j_last = N/2 a mode reads its -k partner, each axis index j
+        # as (n - j) % n: source[j_last, j]; the flat index adds one term
+        # per leading axis, broadcast over that axis and the last
+        j = np.arange(n)
+        source = np.where(j[:, None] > n // 2, (n - j) % n, j)
+        full = source.diagonal().copy()
+        for axis in range(lattice.dim - 1):
+            shape = [1] * lattice.dim
+            shape[axis] = shape[-1] = n
+            stride = (n // 2 + 1) * n ** (lattice.dim - 2 - axis)
+            full = full + source.T.reshape(shape) * stride
+        self.full_from_half = full
 
 
 @functools.lru_cache(maxsize=4)
@@ -233,12 +249,16 @@ class SampleChunk:
 
     ``power`` holds |phi~_k|^2 of each sample on the half mode grid (last
     axis j in 0..N/2), read off the spectrum that ``values`` was drawn from.
+    ``expected`` is the moment contract E|phi~_k|^2 of the draw on the full
+    mode grid, as :func:`expected_power` gives it; every chunk of a stream
+    shares one array.
     """
 
     lattice: LatticeSpec
     start: int
     values: np.ndarray
     power: np.ndarray
+    expected: np.ndarray
 
     def mode_sums(self, weights: np.ndarray) -> np.ndarray:
         """Per sample (1/V) sum_k w_k |phi~_k|^2, for weights on the full
@@ -277,15 +297,25 @@ class _SpectrumPlan:
         if pinned:
             self.expected[zero] = self.scale[zero] = 0.0
 
-    def _draw(self, rng: np.random.Generator, rows: int):
+    def _draw(self, rng: np.random.Generator, rows: int, noise: np.ndarray,
+              spectrum: np.ndarray):
         """The next ``rows`` configurations from one block's generator, and
-        their |phi~_k|^2 on the half mode grid."""
-        axes, shape = self.grid.axes, self.lattice.shape
-        spectrum = np.fft.rfftn(rng.standard_normal((rows,) + shape), axes=axes)
+        their |phi~_k|^2 on the half mode grid, drawn through the block's
+        ``noise`` (lattice) and ``spectrum`` (half grid) buffers."""
+        axes, n = self.grid.axes, self.lattice.sites_per_axis
+        noise, spectrum = noise[:rows], spectrum[:rows]
+        rng.standard_normal(out=noise)
+        np.fft.rfftn(noise, axes=axes, out=spectrum)
         spectrum *= self.scale
-        values = np.fft.irfftn(spectrum, s=shape, axes=axes)
-        values /= self.lattice.spacing**self.lattice.dim
-        return values, spectrum.real**2 + spectrum.imag**2
+        power = np.square(spectrum.real)
+        power += np.square(spectrum.imag)
+        for axis in axes[:-1]:  # irfftn's own steps would each allocate
+            np.fft.ifft(spectrum, axis=axis, out=spectrum)
+        values = np.fft.irfft(spectrum, n=n, axis=axes[-1])
+        cell = self.lattice.spacing**self.lattice.dim
+        if cell != 1.0:  # x / 1.0 is x
+            values /= cell
+        return values, power
 
     def block_chunks(self, seed: int, block: int, rows: int):
         """The first ``rows`` samples of one block, as chunks in order."""
@@ -294,9 +324,12 @@ class _SpectrumPlan:
         rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
         step = max(1, min(BLOCK_SIZE,
                           _CHUNK_BYTES // (8 * self.lattice.total_sites)))
+        noise = np.empty((min(step, rows),) + self.lattice.shape)
+        spectrum = np.empty((len(noise),) + self.grid.shape, dtype=complex)
         for offset in range(0, rows, step):
-            values, power = self._draw(rng, min(step, rows - offset))
-            yield SampleChunk(self.lattice, block * BLOCK_SIZE + offset, values, power)
+            values, power = self._draw(rng, min(step, rows - offset), noise, spectrum)
+            yield SampleChunk(self.lattice, block * BLOCK_SIZE + offset, values,
+                              power, self.expected)
 
     def draw(self, seed: int, sample_index: int) -> np.ndarray:
         """One configuration's values, read off its block's stream."""
@@ -417,11 +450,14 @@ class SpectrumAccumulator:
         """Fold the rows of ``power`` (|phi~_k|^2 per sample) into the moments
         in place, by the Chan-Golub-LeVeque update of two disjoint sets."""
         count, total = len(power), self.count + len(power)
-        mean = power.mean(axis=0)
+        if count == 1:  # one row is its own mean, with no spread about it
+            mean = power[0]
+        else:
+            mean = power.mean(axis=0)
+            self._m2 += np.sum((power - mean) ** 2, axis=0)
         delta = mean - self._mean
-        self._m2 = (self._m2 + np.sum((power - mean) ** 2, axis=0)
-                    + delta * delta * (self.count * count / total))
-        self._mean = self._mean + delta * (count / total)
+        self._m2 += delta * delta * (self.count * count / total)
+        self._mean += delta * (count / total)
         self.count = total
 
     def add(self, chunk: SampleChunk):
@@ -677,7 +713,7 @@ def samples_writer(stream, lattice: LatticeSpec, fmt: str):
             BINARY_MAGIC, lattice.dim, lattice.sites_per_axis, lattice.spacing))
 
         def append(start, values):
-            stream.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
+            stream.write(np.ascontiguousarray(values, dtype="<f8").data)
     elif fmt == "csv":
         stream.write(_csv_header(lattice.dim))
         write_rows = _csv_writer(stream, "%s\n", range(lattice.sites_per_axis),

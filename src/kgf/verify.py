@@ -302,8 +302,7 @@ def _verification_densities() -> dict:
 def _moment_agreement(density: SpectralDensity, lattice: sampler.LatticeSpec,
                       seed: int, expected: np.ndarray) -> tuple:
     """Whether |phi~_k|^2 of ``N_SAMPLES`` draws meets ``expected`` on enough
-    modes, and the text ``"<fraction> in <sigma>se (worst z <z>"``, its
-    parenthesis left open for the caller to close."""
+    modes, and the text ``"<fraction> in <sigma>se (worst z <z>)"``."""
     acc = sampler.SpectrumAccumulator(lattice)
     for chunk in sampler.sample_chunks(density, lattice, seed, N_SAMPLES):
         acc.add(chunk)
@@ -311,7 +310,7 @@ def _moment_agreement(density: SpectralDensity, lattice: sampler.LatticeSpec,
     z = np.abs(estimate.mean - expected) / estimate.stderr
     frac = float(np.mean(z <= MODE_SIGMA))
     return (frac >= MODE_PASS_FRACTION,
-            f"{frac:.1%} in {MODE_SIGMA}se (worst z {float(np.max(z)):.2f}")
+            f"{frac:.1%} in {MODE_SIGMA}se (worst z {float(np.max(z)):.2f})")
 
 
 @_check("sampler_moments")
@@ -326,7 +325,7 @@ def check_sampler_moments(seed: int = DEFAULT_SEED):
         leg = _check(ensemble.value)(_moment_agreement)(
             density, lattice, (seed + 3 + i) % 2**64, expected)
         passed = passed and leg.passed
-        lines.append(f"{leg.name}: {leg.detail}, {leg.elapsed:.1f}s)")
+        lines.append(f"{leg.name}: {leg.detail}")
     density = _verification_densities()[Ensemble.QUANTUM_VACUUM]
     serial, threaded = (
         b"".join(chunk.values.tobytes() for chunk in sampler.sample_chunks(
@@ -391,7 +390,7 @@ def check_fock_oracle(seed: int = DEFAULT_SEED):
     return (
         passed,
         f"coth dev {worst_coth:.2e} (tol 1e-10); density dev {worst_density:.2e} "
-        f"(tol 1e-10); lattice agreement {agreement})",
+        f"(tol 1e-10); lattice agreement {agreement}",
     )
 
 

@@ -226,11 +226,11 @@ class TestDeterminism:
             draw = sampler._SpectrumPlan._draw
             calls = []
 
-            def failing_draw(plan, rng, rows):
+            def failing_draw(plan, rng, rows, *buffers):
                 calls.append(rows)
                 if len(calls) == 6:
                     raise InvalidInputError("draw failed")
-                return draw(plan, rng, rows)
+                return draw(plan, rng, rows, *buffers)
             monkeypatch.setattr(sampler._SpectrumPlan, "_draw", failing_draw)
             with pytest.raises(InvalidInputError, match="draw failed"):
                 sample_array(VACUUM, lat, seed=4, n=n, workers=8)
@@ -242,6 +242,30 @@ class TestDeterminism:
         arr = sample_array(VACUUM, self.LAT, seed=42, n=BLOCK_SIZE + 2)
         for i in (0, BLOCK_SIZE - 1, BLOCK_SIZE + 1):
             assert plan.draw(42, i).tobytes() == arr[i].tobytes()
+
+    @pytest.mark.parametrize("dim,spacing", [(1, 1.0), (2, 0.5), (3, 1.0), (3, 0.5)])
+    def test_in_place_draw_gives_the_bytes_of_rfftn_and_irfftn(self, dim, spacing):
+        lat = LatticeSpec(dim=dim, sites_per_axis=8, spacing=spacing)
+        plan = sampler._SpectrumPlan(THERMAL, lat, pin_zero_mode=False)
+        axes, rows = plan.grid.axes, 3
+
+        def rng():
+            return np.random.Generator(np.random.Philox(key=[5, 6]))
+        spectrum = np.fft.rfftn(rng().standard_normal((rows,) + lat.shape), axes=axes)
+        spectrum *= plan.scale
+        values = np.fft.irfftn(spectrum, s=lat.shape, axes=axes) / spacing**dim
+        # buffers of a longer block: the draw uses their first rows
+        noise = np.empty((rows + 1,) + lat.shape)
+        scratch = np.empty((rows + 1,) + plan.grid.shape, dtype=complex)
+        drawn, power = plan._draw(rng(), rows, noise, scratch)
+        assert drawn.tobytes() == values.tobytes()
+        assert power.tobytes() == (spectrum.real**2 + spectrum.imag**2).tobytes()
+
+    def test_chunks_share_the_plan_expected_power(self):
+        lat = LatticeSpec(dim=2, sites_per_axis=8)
+        chunks = list(sample_chunks(THERMAL, lat, seed=5, n=BLOCK_SIZE + 1, workers=2))
+        assert len(chunks) == 2 and chunks[0].expected is chunks[1].expected
+        assert chunks[0].expected.tobytes() == expected_power(THERMAL, lat).tobytes()
 
     def test_samples_are_index_addressed(self):
         # sample i is a pure function of (seed, i): prefixes agree
@@ -326,6 +350,21 @@ class TestGoldenStreams:
         """The samples and spectrum CSVs of a stream, written chunk by chunk
         as ``kgf sample`` writes them."""
         lat = LatticeSpec(dim=dim, sites_per_axis=sites, spacing=0.5)
+        assert self.csv_digests(density, lat, pin) == (samples_digest, spectrum_digest)
+
+    def test_one_row_chunk_digests(self, monkeypatch):
+        """A stream drawn one sample per chunk, as every D=3, N=64 stream is:
+        the samples are those of ``thermal_d3``, and the spectrum, folded one
+        row at a time, has digests of its own."""
+        lat = LatticeSpec(dim=3, sites_per_axis=8, spacing=0.5)
+        monkeypatch.setattr(sampler, "_CHUNK_BYTES", 8 * lat.total_sites)
+        chunks = sample_chunks(THERMAL, lat, seed=2026, n=self.N_SAMPLES)
+        assert {len(chunk.values) for chunk in chunks} == {1}
+        assert self.csv_digests(THERMAL, lat, False) == (
+            "3d9be849cfbb2310e14afd3c5b1cb3724c1e7097f9700d9c231aae55953d2dd4",
+            "127db30db648174b83aecb2cd32a122e7ebc6b6c581c068a9b5ea4802522bb58")
+
+    def csv_digests(self, density, lat, pin):
         buf = io.StringIO()
         write = sampler.samples_writer(buf, lat, "csv")
         acc = SpectrumAccumulator(lat)
@@ -335,8 +374,8 @@ class TestGoldenStreams:
             acc.add(chunk)
         spectrum = spectrum_csv(acc.finalize(),
                                 expected_power(density, lat, pin_zero_mode=pin))
-        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == samples_digest
-        assert hashlib.sha256(spectrum.encode()).hexdigest() == spectrum_digest
+        return (hashlib.sha256(buf.getvalue().encode()).hexdigest(),
+                hashlib.sha256(spectrum.encode()).hexdigest())
 
 
 class TestDegenerateModes:
@@ -507,6 +546,18 @@ class TestAccumulator:
         want = [hamiltonian_classical(FieldConfiguration(lat, v), NATURAL)
                 for v in chunk.values]
         assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("sites", [8, 16, 64])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_full_from_half_reads_each_mode_or_its_partner(self, dim, sites):
+        lat = LatticeSpec(dim=dim, sites_per_axis=sites)
+        grid = sampler._HalfGrid(lat)
+        full = np.indices(lat.shape)
+        source = np.where(full[-1] > sites // 2, (sites - full) % sites, full)
+        reference = np.ravel_multi_index(tuple(source), grid.shape)
+        assert grid.full_from_half.dtype == reference.dtype
+        assert grid.full_from_half.shape == reference.shape
+        assert np.array_equal(grid.full_from_half, reference)
 
     def test_needs_two_samples(self):
         acc = SpectrumAccumulator(self.LAT)
@@ -868,6 +919,22 @@ class TestSamplesWriterChunks:
         whole = self.stream(fmt)
         sampler.samples_writer(whole, self.LAT, fmt)(0, np.r_[np.zeros((2, 8)), np.ones((1, 8))])
         assert buf.getvalue() == whole.getvalue()
+
+    @pytest.mark.parametrize("values", [
+        np.empty((0, 8)),
+        np.asfortranarray(np.arange(24.0).reshape(3, 8) - 7.5),
+        np.arange(16, dtype=np.float32).reshape(2, 8) / 3,
+    ], ids=["zero_rows", "fortran_order", "float32"])
+    def test_binary_chunk_bytes(self, values):
+        """The binary writer writes a chunk's float64 LE values in row-major
+        order, whatever the chunk's order or dtype, and nothing for no rows."""
+        buf = io.BytesIO()
+        write = sampler.samples_writer(buf, self.LAT, "binary")
+        header = buf.getvalue()
+        write(0, values)
+        write(len(values), np.ones((1, 8)))
+        want = np.concatenate([np.asarray(values, dtype=float), np.ones((1, 8))])
+        assert buf.getvalue() == header + np.ascontiguousarray(want, dtype="<f8").tobytes()
 
 
 class TestReadSamplesCsvSlabs:
