@@ -2,7 +2,8 @@
 with numpy's BLAS limited to one thread unless the user says otherwise.
 
 No kgf computation uses BLAS threads.  Sampling parallelism is
-``--workers`` threads over pocketfft, the quadrature passes of a D >= 2
+``--workers`` blocks, each on up to two threads (pocketfft and a
+draw-ahead of its Philox normals), the quadrature passes of a D >= 2
 inner product or table run on one thread per usable CPU, and so do the
 checks of ``kgf verify``, with results that do not depend on the thread
 count.  A threaded OpenBLAS, though, starts its pool at import and, after

@@ -350,12 +350,12 @@ def _out_dir(args) -> Path:
 
 
 @contextlib.contextmanager
-def _open_out(path: Path, binary: bool = False):
-    """``path`` opened for writing; an exit-2 error naming it if it cannot be.
-    The file is removed if the block or the closing flush raises, so a
-    failed command leaves no partial artifact."""
+def _open_out(path: Path):
+    """``path`` opened for writing bytes; an exit-2 error naming it if it
+    cannot be.  The file is removed if the block or the closing flush
+    raises, so a failed command leaves no partial artifact."""
     try:
-        fh = open(path, "wb") if binary else open(path, "w", encoding="utf-8")
+        fh = open(path, "wb")
     except OSError as exc:
         raise InvalidInputError(
             f"cannot open {path} for writing: {exc.strerror}") from None
@@ -452,7 +452,8 @@ def cmd_spectra(args) -> int:
     from . import sampler, spectra
 
     path = _out_dir(args) / "coefficients.csv" if args.out else None
-    with _open_out(path) if path else contextlib.nullcontext(sys.stdout) as fh:
+    sys.stdout.flush()  # text already printed goes first: the CSV skips the text layer
+    with _open_out(path) if path else contextlib.nullcontext(sys.stdout.buffer) as fh:
         k = kmin + (kmax - kmin) / (count - 1) * np.arange(count)
         sampler.write_coefficients_csv(fh, k, spectra.spectral_coefficient(density, k))
     if path:
@@ -472,13 +473,12 @@ def cmd_sample(args) -> int:
                                    pin_zero_mode=args.pin_zero_mode,
                                    workers=args.workers)
     out = _out_dir(args)
-    text = args.format == "csv"
-    path = out / ("samples.csv" if text else "samples.bin")
+    path = out / ("samples.csv" if args.format == "csv" else "samples.bin")
     spath = out / "spectrum.csv"
     acc = sampler.SpectrumAccumulator(lattice)
     # every artifact is opened before the first draw, and none is kept if one fails
     with contextlib.ExitStack() as files:
-        fh = files.enter_context(_open_out(path, binary=not text))
+        fh = files.enter_context(_open_out(path))
         sfh = files.enter_context(_open_out(spath)) if n >= 2 else None
         write = sampler.samples_writer(fh, lattice, args.format)
         for chunk in chunks:
@@ -562,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spacing", type=float, metavar="A")
     p.add_argument("--samples", type=int, metavar="COUNT")
     p.add_argument("--workers", type=int, default=1,
-                   help="sampling threads (default 1)")
+                   help="blocks sampled at once, on up to two threads each (default 1)")
     p.add_argument("--pin-zero-mode", action="store_true",
                    help="set the k=0 mode to zero instead of failing when c(0)=0")
     p.add_argument("--format", choices=("csv", "binary"), default="csv")

@@ -32,16 +32,20 @@ give the same bytes as one draw, so neither the chunk size nor the number
 of worker threads (which split the work over blocks) changes a byte, and
 the first n samples of a seed are the same for every longer run.
 
-Each open block keeps two buffers of one chunk's rows: the white noise and
-its half-grid spectrum.  The draw fills the noise, transforms it into the
-spectrum and back one axis at a time, in place, in the axis order of
-``rfftn`` and ``irfftn`` (so with their bytes), and only the chunk's values
-and power are new arrays.  At D=3, N=64, where a chunk is one sample, the
-buffers take about 4 MB per open block.
+Each open block keeps three buffers of one chunk's rows: two of white
+noise and one of its half-grid spectrum.  A chunk's noise is transformed
+into the spectrum and back one axis at a time, in place, in the axis order
+of ``rfftn`` and ``irfftn`` (so with their bytes), and only the chunk's
+values and power are new arrays.  While one chunk is transformed and then
+written, the next chunk's noise is drawn into the other noise buffer on one
+helper thread per block; a block of one chunk draws inline and starts no
+thread.  At D=3, N=64, where a chunk is one sample, the buffers take about
+6 MB per open block.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import itertools
@@ -89,7 +93,8 @@ MAX_TOTAL_SITES = 2**24
 BLOCK_SIZE = 256
 
 #: Upper bound on the field values of one chunk (at least one sample).
-#: Resident memory scales with it; the stream bytes do not depend on it.
+#: Resident memory scales with it (each open block keeps three chunk-sized
+#: buffers besides the chunk in flight); the stream bytes do not depend on it.
 _CHUNK_BYTES = 2**20
 
 #: Rows per slab of :func:`_csv_writer`: one :func:`_format_17g` call and
@@ -104,7 +109,8 @@ _CSV_READ_ROWS = 2**13
 #: mode keeps at least 12 fraction bits in the site sums of the inverse FFT.
 MAX_MODE_SCALE_RATIO = 2**40
 
-#: Most sampling threads: each opens one block, with about one chunk resident.
+#: Most blocks sampled at once: each has about one chunk resident and runs
+#: on up to two threads, its worker and its draw-ahead helper.
 MAX_WORKERS = 64
 
 #: Most field values, samples times sites, in one stream: 32 GiB of float64
@@ -297,14 +303,12 @@ class _SpectrumPlan:
         if pinned:
             self.expected[zero] = self.scale[zero] = 0.0
 
-    def _draw(self, rng: np.random.Generator, rows: int, noise: np.ndarray,
-              spectrum: np.ndarray):
-        """The next ``rows`` configurations from one block's generator, and
-        their |phi~_k|^2 on the half mode grid, drawn through the block's
-        ``noise`` (lattice) and ``spectrum`` (half grid) buffers."""
+    def _transform(self, noise: np.ndarray, spectrum: np.ndarray):
+        """The configurations filtered from the rows of white ``noise``
+        (lattice shape), and their |phi~_k|^2 on the half mode grid, through
+        the block's ``spectrum`` buffer (half grid, at least as many rows)."""
         axes, n = self.grid.axes, self.lattice.sites_per_axis
-        noise, spectrum = noise[:rows], spectrum[:rows]
-        rng.standard_normal(out=noise)
+        spectrum = spectrum[:len(noise)]
         np.fft.rfftn(noise, axes=axes, out=spectrum)
         spectrum *= self.scale
         power = np.square(spectrum.real)
@@ -318,18 +322,35 @@ class _SpectrumPlan:
         return values, power
 
     def block_chunks(self, seed: int, block: int, rows: int):
-        """The first ``rows`` samples of one block, as chunks in order."""
+        """The first ``rows`` samples of one block, as chunks in order.
+
+        The first chunk's noise is drawn here.  Each later chunk's is drawn
+        on one helper thread, into the other of two noise buffers, while the
+        chunk before it is transformed and consumed; the generator is still
+        used by one thread at a time, in order, so the bytes are those of
+        one draw.  A one-chunk block starts no thread.
+        """
         key = np.array([np.uint64(seed), np.uint64(_PHILOX_TAG)], dtype=np.uint64)
         counter = np.array([0, np.uint64(block), 0, 0], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
         step = max(1, min(BLOCK_SIZE,
                           _CHUNK_BYTES // (8 * self.lattice.total_sites)))
-        noise = np.empty((min(step, rows),) + self.lattice.shape)
-        spectrum = np.empty((len(noise),) + self.grid.shape, dtype=complex)
-        for offset in range(0, rows, step):
-            values, power = self._draw(rng, min(step, rows - offset), noise, spectrum)
-            yield SampleChunk(self.lattice, block * BLOCK_SIZE + offset, values,
-                              power, self.expected)
+        starts = range(0, rows, step)
+        buffers = [np.empty((min(step, rows),) + self.lattice.shape) for _ in starts[:2]]
+        spectrum = np.empty((len(buffers[0]),) + self.grid.shape, dtype=complex)
+
+        def fill(i):  # chunk i's noise
+            return rng.standard_normal(out=buffers[i % 2][:min(step, rows - starts[i])])
+
+        noise = fill(0)
+        with (ThreadPoolExecutor(1) if len(starts) > 1 else contextlib.nullcontext()) as helper:
+            for i, start in enumerate(starts):
+                ahead = helper.submit(fill, i + 1) if i + 1 < len(starts) else None
+                values, power = self._transform(noise, spectrum)
+                yield SampleChunk(self.lattice, block * BLOCK_SIZE + start, values,
+                                  power, self.expected)
+                if ahead is not None:
+                    noise = ahead.result()
 
     def draw(self, seed: int, sample_index: int) -> np.ndarray:
         """One configuration's values, read off its block's stream."""
@@ -342,32 +363,36 @@ class _SpectrumPlan:
 def _in_order(blocks, workers: int):
     """Chain the blocks' chunk iterators, advancing up to ``workers`` at once.
 
-    Each open block has at most one chunk in flight, so about
-    ``workers + 1`` chunks are resident however long the stream is.
+    Each open block has at most one chunk in flight and the next chunk's
+    noise drawn ahead, so about ``workers + 1`` chunks are resident however
+    long the stream is, on up to ``2 * workers`` threads.  However the
+    stream ends (exhausted, dropped or failed), the pool's threads are
+    joined and then every open block is closed, which joins its helper.
     """
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        window = deque()
+    pool = ThreadPoolExecutor(max_workers=workers)
+    window = deque()
 
-        def open_block():
-            chunks = next(blocks, None)
-            if chunks is not None:
-                window.append((chunks, pool.submit(next, chunks, None)))
+    def open_block():
+        chunks = next(blocks, None)
+        if chunks is not None:
+            window.append((chunks, pool.submit(next, chunks, None)))
 
+    try:
         for _ in range(workers):
             open_block()
-        try:
-            while window:
-                chunks, pending = window[0]
-                chunk = pending.result()
-                if chunk is None:
-                    window.popleft()
-                    open_block()
-                    continue
-                window[0] = (chunks, pool.submit(next, chunks, None))
-                yield chunk
-        finally:
-            for _, pending in window:
-                pending.cancel()
+        while window:
+            chunks, pending = window[0]
+            chunk = pending.result()
+            if chunk is None:
+                window.popleft()
+                open_block()
+                continue
+            window[0] = (chunks, pool.submit(next, chunks, None))
+            yield chunk
+    finally:
+        pool.shutdown(cancel_futures=True)
+        for chunks, _ in window:
+            chunks.close()
 
 
 def sample_chunks(density: SpectralDensity, lattice: LatticeSpec, seed: int,
@@ -651,8 +676,9 @@ def _format_17g(values) -> np.ndarray:
     return texts
 
 
-def _csv_writer(stream, row: str, labels=(), dim: int = 0):
-    """The one CSV row writer: returns ``write(leads, columns)``.
+def _csv_writer(stream, header: str, row: str, labels=(), dim: int = 0):
+    """The one CSV writer: writes ``header`` to ``stream`` and returns
+    ``write(leads, columns)``.
 
     ``write`` writes, for each string ``lead`` of ``leads`` in turn and
     each index ``(i0, ..., i{dim-1})`` over ``dim`` axes that each carry
@@ -665,7 +691,16 @@ def _csv_writer(stream, row: str, labels=(), dim: int = 0):
     ``%`` template.  The index prefixes of the trailing axes that fit in one
     slab are spelled once per writer, here; a slab joins them after each of
     its heads, a lead followed by the labels of the other axes.
+
+    The filled template goes out as ASCII bytes, as a binary stream (a file
+    opened ``"wb"``) takes them; a text stream (:class:`io.TextIOBase`) is
+    handed the decoded text instead.
     """
+    emit = stream.write
+    if isinstance(stream, io.TextIOBase):
+        def emit(data):
+            stream.write(data.decode("ascii"))
+    emit(header.encode())
     tail, head_axes = [""], dim
     while head_axes and len(labels) * len(tail) <= _CSV_SLAB_ROWS:
         tail = [f"{label},{t}" for label in labels for t in tail]
@@ -684,7 +719,7 @@ def _csv_writer(stream, row: str, labels=(), dim: int = 0):
             else:
                 template = "".join(h + (row + h).join(tail) + row for h in batch)
             texts = _format_17g(np.stack([c[first:first + rows] for c in columns], axis=1))
-            stream.write((template.encode() % tuple(texts.tolist())).decode("ascii"))
+            emit(template.encode() % tuple(texts.tolist()))
             first += rows
     return write
 
@@ -703,8 +738,10 @@ def samples_writer(stream, lattice: LatticeSpec, fmt: str):
     another shape, or one that does not start at the next sample, is
     refused with :class:`InvalidInputError`.
 
-    A CSV chunk goes through :func:`_csv_writer` with its sample numbers
-    as the leads, so one slab can span many samples of a small lattice.
+    A binary file needs a binary ``stream``; a CSV file is written as
+    bytes to a binary one, or as text to a text one.  A CSV chunk goes
+    through :func:`_csv_writer` with its sample numbers as the leads, so
+    one slab can span many samples of a small lattice.
     Besides the chunk, that holds one slab: a tracemalloc peak of 0.6 to
     1.6 MB over D = 1-3 and N = 8-65536.
     """
@@ -715,9 +752,8 @@ def samples_writer(stream, lattice: LatticeSpec, fmt: str):
         def append(start, values):
             stream.write(np.ascontiguousarray(values, dtype="<f8").data)
     elif fmt == "csv":
-        stream.write(_csv_header(lattice.dim))
-        write_rows = _csv_writer(stream, "%s\n", range(lattice.sites_per_axis),
-                                 lattice.dim)
+        write_rows = _csv_writer(stream, _csv_header(lattice.dim), "%s\n",
+                                 range(lattice.sites_per_axis), lattice.dim)
 
         def append(start, values):
             write_rows(map("{},".format, range(start, start + len(values))),
@@ -836,7 +872,8 @@ def read_samples_binary(stream):
 
 def write_spectrum_csv(stream, estimate: SpectrumEstimate, expected: np.ndarray):
     """CSV ``k_index_0[,...],mean,stderr,count,expected`` in signed-index
-    order, written a slab of rows at a time by :func:`_csv_writer`.
+    order, written a slab of rows at a time by :func:`_csv_writer`, as bytes
+    to a binary ``stream`` or as text to a text one.
 
     Besides the three columns it holds one slab: for D=3, N=64 a
     tracemalloc peak of 4.3 MB, whatever the values.
@@ -849,19 +886,18 @@ def write_spectrum_csv(stream, estimate: SpectrumEstimate, expected: np.ndarray)
             raise InvalidInputError(f"spectrum column has {column.size} values "
                                     f"for {lattice.total_sites} modes")
     index_cols = ",".join(f"k_index_{d}" for d in range(lattice.dim))
-    stream.write(f"{index_cols},mean,stderr,count,expected\n")
-    _csv_writer(stream, f"%s,%s,{estimate.count},%s\n", lattice.axis_mode_indices(),
+    _csv_writer(stream, f"{index_cols},mean,stderr,count,expected\n",
+                f"%s,%s,{estimate.count},%s\n", lattice.axis_mode_indices(),
                 lattice.dim)([""], columns)
 
 
 def write_coefficients_csv(stream, k: np.ndarray, c: np.ndarray):
     """CSV ``k,c``: a spectral coefficient ``c`` on the wavenumbers ``k``."""
-    stream.write("k,c\n")
-    _csv_writer(stream, "%s,%s\n")(itertools.repeat("", len(k)), [k, c])
+    _csv_writer(stream, "k,c\n", "%s,%s\n")(itertools.repeat("", len(k)), [k, c])
 
 
 def spectrum_csv(estimate: SpectrumEstimate, expected: np.ndarray) -> str:
     """:func:`write_spectrum_csv` as a string."""
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_spectrum_csv(buf, estimate, expected)
-    return buf.getvalue()
+    return buf.getvalue().decode("ascii")

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -739,6 +740,8 @@ class TestSpectra:
         assert path.exists()
         assert f"wrote {path}" in capsys.readouterr().out
         assert path.read_text(encoding="utf-8").startswith("k,c\n")
+        assert main(["spectra", "--ensemble", "classical", "--kcount", "5"]) == 0
+        assert path.read_text(encoding="utf-8") == capsys.readouterr().out
 
     def test_bad_grid_exits_2(self, capsys):
         assert main(["spectra", "--ensemble", "vacuum",
@@ -887,6 +890,22 @@ class TestSample:
         spectrum = (tmp_path / "spectrum.csv").read_text(encoding="utf-8")
         assert spectrum.startswith("k_index_0,mean,stderr,count,expected\n")
         assert len(spectrum.strip().split("\n")) == 17
+
+    def test_csv_artifacts_are_the_text_writers_bytes(self, tmp_path):
+        """The files are written as bytes; they hold the text that the
+        writers give a text stream."""
+        assert main([*self.COMMON, "--out", str(tmp_path)]) == 0
+        lattice = sampler.LatticeSpec(dim=1, sites_per_axis=16)
+        density = SpectralDensity(Ensemble.QUANTUM_VACUUM, PhysicalConstants())
+        samples, spectrum = io.StringIO(), io.StringIO()
+        write = sampler.samples_writer(samples, lattice, "csv")
+        acc = sampler.SpectrumAccumulator(lattice)
+        for chunk in sampler.sample_chunks(density, lattice, 11, 6):
+            write(chunk.start, chunk.values)
+            acc.add(chunk)
+        sampler.write_spectrum_csv(spectrum, acc.finalize(), chunk.expected)
+        assert (tmp_path / "samples.csv").read_bytes() == samples.getvalue().encode()
+        assert (tmp_path / "spectrum.csv").read_bytes() == spectrum.getvalue().encode()
 
     def test_binary_round_trip(self, tmp_path):
         assert main([*self.COMMON, "--format", "binary",

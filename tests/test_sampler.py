@@ -5,6 +5,7 @@ import io
 import math
 import os
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -223,15 +224,15 @@ class TestDeterminism:
             threaded = sample_array(VACUUM, lat, seed=4, n=n, workers=8)
             assert serial.tobytes() == threaded.tobytes()
 
-            draw = sampler._SpectrumPlan._draw
+            transform = sampler._SpectrumPlan._transform
             calls = []
 
-            def failing_draw(plan, rng, rows, *buffers):
-                calls.append(rows)
+            def failing_transform(plan, noise, spectrum):
+                calls.append(len(noise))
                 if len(calls) == 6:
                     raise InvalidInputError("draw failed")
-                return draw(plan, rng, rows, *buffers)
-            monkeypatch.setattr(sampler._SpectrumPlan, "_draw", failing_draw)
+                return transform(plan, noise, spectrum)
+            monkeypatch.setattr(sampler._SpectrumPlan, "_transform", failing_transform)
             with pytest.raises(InvalidInputError, match="draw failed"):
                 sample_array(VACUUM, lat, seed=4, n=n, workers=8)
         finally:
@@ -254,10 +255,10 @@ class TestDeterminism:
         spectrum = np.fft.rfftn(rng().standard_normal((rows,) + lat.shape), axes=axes)
         spectrum *= plan.scale
         values = np.fft.irfftn(spectrum, s=lat.shape, axes=axes) / spacing**dim
-        # buffers of a longer block: the draw uses their first rows
-        noise = np.empty((rows + 1,) + lat.shape)
+        # buffers of a longer block: the transform uses their first rows
+        noise = rng().standard_normal(out=np.empty((rows + 1,) + lat.shape)[:rows])
         scratch = np.empty((rows + 1,) + plan.grid.shape, dtype=complex)
-        drawn, power = plan._draw(rng(), rows, noise, scratch)
+        drawn, power = plan._transform(noise, scratch)
         assert drawn.tobytes() == values.tobytes()
         assert power.tobytes() == (spectrum.real**2 + spectrum.imag**2).tobytes()
 
@@ -376,6 +377,90 @@ class TestGoldenStreams:
                                 expected_power(density, lat, pin_zero_mode=pin))
         return (hashlib.sha256(buf.getvalue().encode()).hexdigest(),
                 hashlib.sha256(spectrum.encode()).hexdigest())
+
+
+class TestDrawAhead:
+    """A block of many chunks draws each later chunk's noise on one helper
+    thread while the chunk before it is consumed; a block of one chunk
+    starts no thread.  No thread outlives its stream."""
+
+    LAT = LatticeSpec(dim=2, sites_per_axis=8)
+    N = 2 * BLOCK_SIZE + 37  # two whole blocks and a partial third
+    ROWS = 5  # per chunk, once _CHUNK_BYTES is patched down
+
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_CHUNK_BYTES", self.ROWS * 8 * self.LAT.total_sites)
+
+    def failing_transform(self, monkeypatch, fail_at):
+        transform, calls = sampler._SpectrumPlan._transform, []
+
+        def failing(plan, noise, spectrum):
+            calls.append(len(noise))
+            if len(calls) == fail_at:
+                raise InvalidInputError("transform failed")
+            return transform(plan, noise, spectrum)
+        monkeypatch.setattr(sampler._SpectrumPlan, "_transform", failing)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_many_chunk_blocks_give_the_one_chunk_bytes(self, monkeypatch, workers):
+        whole = list(sample_chunks(THERMAL, self.LAT, seed=8, n=self.N))
+        assert [len(c.values) for c in whole] == [BLOCK_SIZE, BLOCK_SIZE, 37]
+        self.small_chunks(monkeypatch)
+        start = threading.active_count()
+        chunks, most = [], start
+        for chunk in sample_chunks(THERMAL, self.LAT, seed=8, n=self.N, workers=workers):
+            chunks.append(chunk)
+            most = max(most, threading.active_count())
+        assert [len(c.values) for c in chunks] == [
+            min(self.ROWS, rows - offset) for rows in (BLOCK_SIZE, BLOCK_SIZE, 37)
+            for offset in range(0, rows, self.ROWS)]
+        for field in ("values", "power"):
+            assert (np.concatenate([getattr(c, field) for c in chunks]).tobytes()
+                    == np.concatenate([getattr(c, field) for c in whole]).tobytes())
+        # each open block: one pool thread (if workers > 1) and one helper
+        assert start < most <= start + (1 if workers == 1 else 2 * workers)
+        assert threading.active_count() == start
+
+    def test_the_helper_draws_the_next_noise_while_a_chunk_is_consumed(self, monkeypatch):
+        self.small_chunks(monkeypatch)
+        start = threading.active_count()
+        stream = sample_chunks(THERMAL, self.LAT, seed=8, n=self.N)
+        first = next(stream)
+        assert threading.active_count() == start + 1
+        assert len(first.values) == self.ROWS
+        for _ in stream:
+            pass
+        assert threading.active_count() == start
+
+    def test_one_chunk_blocks_start_no_thread(self):
+        # kgf verify's lattice: every block of D=1, N=64 is one chunk
+        lat = LatticeSpec(dim=1, sites_per_axis=64)
+        start = threading.active_count()
+        chunks = sample_chunks(VACUUM, lat, seed=3, n=2 * BLOCK_SIZE + 1)
+        assert [threading.active_count() for _ in chunks] == [start] * 3
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_stream_dropped_mid_block_joins_its_threads(self, monkeypatch, workers):
+        self.small_chunks(monkeypatch)
+        start = threading.active_count()
+        stream = sample_chunks(THERMAL, self.LAT, seed=8, n=self.N, workers=workers)
+        next(stream), next(stream)
+        assert threading.active_count() > start
+        del stream
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_failed_transform_reaches_the_caller_and_joins_the_threads(
+            self, monkeypatch, workers):
+        self.small_chunks(monkeypatch)
+        self.failing_transform(monkeypatch, fail_at=3)
+        start = threading.active_count()
+        stream = sample_chunks(THERMAL, self.LAT, seed=8, n=self.N, workers=workers)
+        with pytest.raises(InvalidInputError, match="transform failed") as failure:
+            for _ in stream:
+                pass
+        # the traceback still holds the stream's frames, and no thread
+        assert failure.traceback and threading.active_count() == start
 
 
 class TestDegenerateModes:
@@ -826,6 +911,21 @@ class TestFileFormats:
         assert float(first[4]) == pytest.approx(4.0)  # V/(2 c(0)) = 8/2
         indices = [int(l.split(",")[0]) for l in lines[1:]]
         assert indices == [0, 1, 2, 3, 4, -3, -2, -1]
+
+    def test_csv_writers_give_a_binary_stream_the_text_as_bytes(self):
+        lat = LatticeSpec(dim=2, sites_per_axis=8)
+        samples = sample_array(THERMAL, lat, seed=16, n=3)
+        est = power_spectrum(FieldConfiguration(lat, v) for v in samples)
+        k = np.linspace(0.0, 3.0, 7)
+        writers = [
+            lambda stream: write_samples_csv(stream, lat, samples),
+            lambda stream: sampler.write_spectrum_csv(stream, est, expected_power(THERMAL, lat)),
+            lambda stream: sampler.write_coefficients_csv(stream, k, k * k + 1.0),
+        ]
+        for write in writers:
+            text, binary = io.StringIO(), io.BytesIO()
+            write(text), write(binary)
+            assert binary.getvalue() == text.getvalue().encode()
 
 
 class TestFormat17g:
