@@ -268,20 +268,16 @@ def _packet(dim: int | None, fields: dict) -> WavePacket:
 
 
 def _packets(args, config: dict, names) -> dict:
-    """The configured packets among ``names``, by name, in config order.
-
-    Packets the command does not name are neither built nor integrated.
-    """
+    """The configured packets of ``names``, by name, in config order, refusing
+    the first of ``names`` with none.  Packets the command does not name are
+    neither built nor integrated."""
     dim = _pick(config, "dim", int, args.dim)
-    return {name: _packet(dim, fields)
-            for name, fields in config.get("packets", {}).items() if name in names}
-
-
-def _named(packets: dict, name: str) -> WavePacket:
-    try:
-        return packets[name]
-    except KeyError:
-        raise FunctionLookupError(f"unknown function name {name!r}") from None
+    packets = {name: _packet(dim, fields)
+               for name, fields in config.get("packets", {}).items() if name in names}
+    for name in names:
+        if name not in packets:
+            raise FunctionLookupError(f"unknown function name {name!r}")
+    return packets
 
 
 def _kernel_spec(args, config: dict) -> KernelSpec:
@@ -373,8 +369,8 @@ def _open_out(path: Path):
 def cmd_innerprod(args) -> int:
     config = load_config(args.config)
     spec = _kernel_spec(args, config)
-    packets = _packets(args, config, {args.f, args.g})
-    f, g = _named(packets, args.f), _named(packets, args.g)
+    packets = _packets(args, config, dict.fromkeys((args.f, args.g)))
+    f, g = packets[args.f], packets[args.g]
     value, diag = inner_product_with_diagnostics(spec, f, g)
     print(f"({args.f}, {args.g})_{spec.variant.value} = {_fmt_complex(value)}")
     print(
@@ -385,13 +381,13 @@ def cmd_innerprod(args) -> int:
     return 0
 
 
-def _show_pairings(term, word, pairings, table):
+def _show_pairings(term, pairings, table):
     count = 0
     for count, pairing in enumerate(pairings, start=1):
         product = term.coefficient
         label = "".join(f"({p + 1},{q + 1})" for p, q in pairing)
         for p, q in pairing:
-            product *= table[(word[q][1], word[p][1])]
+            product *= table[(term.factors[q][1], term.factors[p][1])]
         print(f"pairing {label}: {_fmt_complex(product)}")
     print(f"{count} pairings")
 
@@ -409,25 +405,23 @@ def cmd_expect(args) -> int:
                 "--show-pairings needs a single product of phi factors"
             )
         pairings = opalgebra.enumerate_pairings(len(terms[0].factors))
-    registry = opalgebra.FunctionRegistry()
-    for name, packet in _packets(args, config, {ident for term in terms
-                                                for _, ident in term.factors}).items():
-        registry.register(name, packet)
-    # each distinct word is contracted once, weighted by its terms' summed
-    # coefficients, in the order of its first term
+    packets = _packets(args, config, dict.fromkeys(
+        name for term in terms for _, name in term.factors))
+    # a word is a term's letters (keyword, name) as they are; each distinct
+    # word is contracted once, weighted by its terms' summed coefficients,
+    # in the order of its first term
     words: dict = {}
     for term in terms:
-        word = tuple((keyword, registry.index_of(ident)) for keyword, ident in term.factors)
-        words[word] = words.get(word, 0.0) + term.coefficient
+        words[term.factors] = words.get(term.factors, 0.0) + term.coefficient
     # unit weights make every pair the letter kinds allow nonzero, so this
     # visits the most states any table can: a word past the limit is
     # refused before any integral is evaluated
     unit = collections.defaultdict(lambda: 1.0)
     for word in words:
         opalgebra.contract(word, unit)
-    table = opalgebra.InnerProductTable.from_kernel(spec, registry)
+    table = opalgebra.InnerProductTable.from_kernel(spec, packets)
     if pairings is not None:
-        _show_pairings(terms[0], next(iter(words)), pairings, table)
+        _show_pairings(terms[0], pairings, table)
     value = sum((coefficient * opalgebra.contract(word, table)
                  for word, coefficient in words.items()), 0.0 + 0.0j)
     print(f"<0| {args.expression} |0> = {_fmt_complex(value)}")

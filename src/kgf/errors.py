@@ -22,7 +22,7 @@ class DomainError(InvalidInputError):
 
 
 class FunctionLookupError(KGFError, KeyError):
-    """A registry index or packet name is not registered."""
+    """A test-function name has no configured packet, or no registry index."""
 
     def __str__(self):
         # KeyError.__str__ repr-quotes the message; keep it readable.

@@ -58,6 +58,10 @@ MIN_CUTOFF = 8
 #: argument x -> 0, so it refuses x below about 1e-5.
 MAX_FOCK_STATES = 2**22
 
+#: Most occupation states :func:`fock_vacuum_expectation` holds for two
+#: letters at once, as many as the contraction kernel it referees memoises.
+MAX_REFEREE_STATES = 2**17
+
 #: Gibbs argument standing in for x -> infinity when an ensemble's mode is a
 #: pure ground state: e^(-64) ~ 1.6e-28 leaves no excited weight at 1e-12.
 VACUUM_GIBBS_X = 64.0
@@ -198,25 +202,36 @@ def fock_vacuum_expectation(letters, ip) -> complex:
     occupations q of the word's annihilated indices to the coefficient of
     prod_k (c_k†)^q_k |0>, on which c_i lowers q_i with weight q_i.  The
     letters act from the right; after m of the n, states with more than
-    min(m, n - m) quanta are dropped.  An odd word gives exactly 0.
+    min(m, n - m) quanta are dropped.  An odd word gives exactly 0.  A word
+    is refused once the states it holds pass MAX_REFEREE_STATES.
     """
     letters = list(letters)
     n = len(letters)
     modes = sorted({index for kind, index in letters if kind in ("a", "phi")})
-    vacuum = (0,) * len(modes)
-    states = {vacuum: 1.0 + 0.0j}
+    # a state is an integer: q_k is its base-(n + 1) digit k, and the top
+    # digit is sum(q), so raising or lowering q_k adds or subtracts step[k]
+    base, top = n + 1, (n + 1) ** len(modes)
+    step = [base**k + top for k in range(len(modes))]
+    states = {0: 1.0 + 0.0j}
     for m, (kind, index) in enumerate(reversed(letters), start=1):
         cap = min(m, n - m)
         out: dict = {}
+        row = None  # ip[(index, mode)] per mode, read when first needed
         for q, coeff in states.items():
-            if kind in ("a", "phi") and sum(q) <= cap + 1:
+            quanta = q // top
+            if kind in ("a", "phi") and quanta <= cap + 1:
                 k = modes.index(index)
-                if q[k]:
-                    lowered = q[:k] + (q[k] - 1,) + q[k + 1:]
-                    out[lowered] = out.get(lowered, 0) + q[k] * coeff
-            if kind in ("adag", "phi") and sum(q) < cap:
-                for k, mode in enumerate(modes):
-                    raised = q[:k] + (q[k] + 1,) + q[k + 1:]
-                    out[raised] = out.get(raised, 0) + complex(ip[(index, mode)]) * coeff
+                occupation = q // base**k % base
+                if occupation:
+                    lowered = q - step[k]
+                    out[lowered] = out.get(lowered, 0) + occupation * coeff
+            if kind in ("adag", "phi") and quanta < cap:
+                row = row or [complex(ip[(index, mode)]) for mode in modes]
+                for k, weight in enumerate(row):
+                    raised = q + step[k]
+                    out[raised] = out.get(raised, 0) + weight * coeff
+            if len(states) + len(out) > MAX_REFEREE_STATES:
+                raise SizeLimitError(f"refusing to apply {n} letters on Fock space: more "
+                                     f"than MAX_REFEREE_STATES = {MAX_REFEREE_STATES} states")
         states = out
-    return states.get(vacuum, 0.0 + 0.0j)
+    return states.get(0, 0.0 + 0.0j)

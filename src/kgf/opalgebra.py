@@ -1,8 +1,8 @@
 """Vacuum expectation values of the quantized field's ladder algebra.
 
 A word is a sequence of letters ``(kind, index)``: ``kind`` is a parser
-keyword ``"phi"``, ``"a"`` or ``"adag"``, ``index`` a registered test
-function.  The one relation is
+keyword ``"phi"``, ``"a"`` or ``"adag"``, ``index`` any hashable key of a
+test function, such as its name or an integer.  The one relation is
 
     a[g] adag[f]  =  adag[f] a[g] + (f, g) * 1,
 
@@ -22,9 +22,9 @@ The two-point orientation that falls out of the commutator as written is
 ``<0| phi[f1] phi[f2] |0> = (f2, f1)``: the later insertion sits in the
 conjugated slot.
 
-Inner products enter as a table ``(i, j) -> (f_i, f_j)`` supplied by the
-caller, so exact tables can be injected in tests and quadrature stays out
-of the algebra.
+Inner products enter as a table ``(i, j) -> (f_i, f_j)`` keyed by the
+same keys and supplied by the caller, so exact tables can be injected in
+tests and quadrature stays out of the algebra.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .errors import (
     SizeLimitError,
 )
 from . import kernels
-from .kernels import KernelSpec, WavePacket
 
 __all__ = [
     "FunctionRegistry",
@@ -68,52 +67,28 @@ MAX_CONTRACTION_STATES = 2**17
 
 
 class FunctionRegistry:
-    """Append-only list of test functions addressed by 1-based index.
-
-    Packets are optional: a purely algebraic computation only needs names.
-    Concurrent registration must be serialized by the caller (single
-    writer); lookups are safe to share.
-    """
+    """Numbers test-function names 1, 2, ... as :func:`parse_expression` keys
+    its letters; it holds no packets.  Concurrent registration must be
+    serialized by the caller (single writer); lookups are safe to share."""
 
     def __init__(self):
-        self._names: list[str] = []
-        self._packets: list[WavePacket | None] = []
         self._index_by_name: dict[str, int] = {}
 
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def register(self, name: str, packet: WavePacket | None = None) -> int:
+    def register(self, name: str) -> int:
         if name in self._index_by_name:
             raise InvalidInputError(f"function name {name!r} already registered")
-        self._names.append(name)
-        self._packets.append(packet)
-        index = len(self._names)
-        self._index_by_name[name] = index
-        return index
+        self._index_by_name[name] = len(self._index_by_name) + 1
+        return self._index_by_name[name]
 
     def ensure(self, name: str) -> int:
         """Index for ``name``, registering it on first appearance."""
-        got = self._index_by_name.get(name)
-        if got is not None:
-            return got
-        return self.register(name)
+        return self._index_by_name.get(name) or self.register(name)
 
     def index_of(self, name: str) -> int:
         try:
             return self._index_by_name[name]
         except KeyError:
             raise FunctionLookupError(f"unknown function name {name!r}") from None
-
-    def packet(self, index: int) -> WavePacket:
-        if not 1 <= index <= len(self._names):
-            raise FunctionLookupError(f"function index {index} not registered")
-        pkt = self._packets[index - 1]
-        if pkt is None:
-            raise FunctionLookupError(
-                f"function {self._names[index - 1]!r} has no wave packet attached"
-            )
-        return pkt
 
 
 class InnerProductTable:
@@ -129,26 +104,27 @@ class InnerProductTable:
             raise MissingInnerProductError(pair) from None
 
     @classmethod
-    def from_kernel(cls, spec: KernelSpec, registry: FunctionRegistry,
+    def from_kernel(cls, spec: kernels.KernelSpec, packets: dict,
                     check: bool = True) -> "InnerProductTable":
-        """All pairwise inner products of the registered packets by quadrature.
+        """All pairwise inner products of ``packets``, a mapping from key to
+        wave packet, by quadrature, each keyed by its pair of keys.
 
         One :func:`~kgf.kernels.inner_products` batch over the diagonal
-        pairs, then the upper ones, so an input fails as it would pair by
-        pair.  Each value is :func:`~kgf.kernels.inner_product`'s, bit for
-        bit.  With ``check`` each diagonal pair's refined pass is also that
-        packet's norm in every check: two quadrature passes per entry.
+        pairs, then the upper ones in the mapping's order, so an input fails
+        as it would pair by pair.  Each value is
+        :func:`~kgf.kernels.inner_product`'s, bit for bit.  With ``check``
+        each diagonal pair's refined pass is also that packet's norm in
+        every check: two quadrature passes per entry.
         """
-        packets = [registry.packet(i) for i in range(1, len(registry) + 1)]
-        pairs = [(i, i) for i in range(len(packets))]
-        pairs += itertools.combinations(range(len(packets)), 2)
+        pairs = [(key, key) for key in packets]
+        pairs += itertools.combinations(packets, 2)
         found = kernels.inner_products(
             spec, [(packets[i], packets[j]) for i, j in pairs], check)
         entries = {}
         for (i, j), (value, _) in zip(pairs, found):
             # conjugate first: a diagonal entry keeps the value itself
-            entries[(j + 1, i + 1)] = value.conjugate()
-            entries[(i + 1, j + 1)] = value
+            entries[(j, i)] = value.conjugate()
+            entries[(i, j)] = value
         return cls(entries)
 
 

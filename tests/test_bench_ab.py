@@ -93,14 +93,32 @@ def test_bench_document_round_trips_through_json(runs, tmp_path):
     assert "-26.1%" in report and "3/4" in report
 
 
-def test_main_takes_run_length_from_the_benchmark(monkeypatch, tmp_path):
+def fake_extract(rev, dest):
+    """An extracted tree whose package has 3 lines at the base, 5 at the head."""
+    package = dest / "src" / "kgf"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n" * 2)
+    (package / "b.py").write_text("y = 2\n" * (1 if dest.name == "base" else 3))
+    (package / "notes.txt").write_text("not counted\n")
+    return rev
+
+
+def test_src_lines_totals_the_packages_newlines(tmp_path):
+    fake_extract("HEAD", tmp_path / "head")
+    (tmp_path / "head" / "src" / "kgf" / "c.py").write_text("z = 3")  # no newline
+    assert bench_ab.src_lines(tmp_path / "head") == 5
+    sides = {"base": {"src_lines": 3}, "head": {"src_lines": 5}}
+    assert bench_ab.size_change(sides) == "src/kgf/*.py: 3 -> 5 lines (+2)"
+
+
+def test_main_takes_run_length_from_the_benchmark(monkeypatch, tmp_path, capsys):
     """Every run lasts BENCHMARK.json's ``run_seconds``; every workload
     gets ``PAIRS`` pairs from ``BASE_SEED`` on, and the side that goes
-    first alternates."""
+    first alternates.  Both trees' source lines are recorded and printed."""
     benchmark = (bench_ab.ROOT / "BENCHMARK.json").read_text()
     (tmp_path / "BENCHMARK.json").write_text(benchmark)
     monkeypatch.setattr(bench_ab, "ROOT", tmp_path)
-    monkeypatch.setattr(bench_ab, "extract", lambda rev, dest: dest.mkdir(parents=True) or rev)
+    monkeypatch.setattr(bench_ab, "extract", fake_extract)
     monkeypatch.setattr(bench_ab, "timed_pass", lambda: 0.07)
     monkeypatch.setattr(bench_ab, "blas_info", lambda: None)
     probes = iter(range(100))
@@ -132,6 +150,8 @@ def test_main_takes_run_length_from_the_benchmark(monkeypatch, tmp_path):
     assert sorted({ratio for *_, ratio in probes}) == list(range(len(probes) // 2))
     assert document["seconds"] == seconds
     assert {entry["pairs"] for entry in document["summary"].values()} == {bench_ab.PAIRS}
+    assert [document["sides"][side]["src_lines"] for side in ("base", "head")] == [3, 5]
+    assert "src/kgf/*.py: 3 -> 5 lines (+2)" in capsys.readouterr().out.splitlines()
     assert list(tmp_path.glob("bench_ab_*")) == []
 
 

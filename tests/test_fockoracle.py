@@ -3,6 +3,8 @@ kernel; number-basis Gibbs sums, tail guards, density cross-checks."""
 
 import math
 import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +254,43 @@ class TestFockVacuumExpectation:
                 assert abs(got - want) <= 1e-12 * max(abs(want), 1.0), word
                 nonzero += want != 0
         assert nonzero > 50
+
+    def test_24_distinct_fields_are_refused_in_bounded_time_and_memory(self):
+        """24 distinct phi letters would need up to C(36, 12) ~ 1.25e9
+        states; the refusal comes after about 1.2e5.  It is timed untraced,
+        since tracemalloc slows these allocations about eightfold, and then
+        traced for its peak."""
+        rng = np.random.default_rng(24)
+        raw = rng.uniform(-1.0, 1.0, size=(24, 24, 2))
+        table = InnerProductTable({(i + 1, j + 1): complex(*raw[i, j])
+                                   for i in range(24) for j in range(24)})
+        word = [("phi", i) for i in range(1, 25)]
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match="MAX_REFEREE_STATES = 131072"):
+            fock_vacuum_expectation(word, table)
+        assert time.perf_counter() - start < 2.0
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError):
+                fock_vacuum_expectation(word, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+
+    def test_long_words_over_few_functions_still_evaluate(self):
+        # phi(f1)^40 = 39!! (f1, f1)^20
+        assert fock_vacuum_expectation([("phi", 1)] * 40, DYADIC_TABLE) == \
+            pytest.approx(math.prod(range(1, 40, 2)), rel=1e-14)
+        # (phi1 phi2)^20 on a real symmetric table, where the fields commute:
+        # Isserlis' E[X^20 Y^20], with j of the pairs joining an X to a Y
+        a, b, c = 1.0, 2.0, 0.5
+        table = InnerProductTable({(1, 1): a, (2, 2): b, (1, 2): c, (2, 1): c})
+        want = sum(math.comb(20, j) ** 2 * math.factorial(j) * c**j
+                   * (math.prod(range(1, 20 - j, 2)) ** 2 * (a * b) ** ((20 - j) // 2))
+                   for j in range(0, 21, 2))
+        got = fock_vacuum_expectation([("phi", 1), ("phi", 2)] * 20, table)
+        assert got == pytest.approx(want, rel=1e-13)
 
     def test_absent_entry_raises(self):
         with pytest.raises(MissingInnerProductError) as err:

@@ -379,16 +379,13 @@ class TestDiagonalPasses:
         assert len(calls) == 27
 
     def test_three_packet_table_makes_twelve_passes(self, passes):
-        from kgf.opalgebra import FunctionRegistry, InnerProductTable
+        from kgf.opalgebra import InnerProductTable
 
         calls, real = passes
         spec = quantum()
-        reg = FunctionRegistry()
         packets = [packet(), packet(center_x=(0.4,), carrier_wavevector=(0.8,)),
                    packet(carrier_freq=0.5, width_x=1.3, amplitude=0.5j)]
-        for i, p in enumerate(packets, start=1):
-            reg.register(f"f{i}", p)
-        table = InnerProductTable.from_kernel(spec, reg)
+        table = InnerProductTable.from_kernel(spec, dict(enumerate(packets, start=1)))
         # two per entry: each off-diagonal check reuses the diagonal norms
         assert len(calls) == 12
         for i, f in enumerate(packets, start=1):
@@ -566,15 +563,12 @@ class TestPasses:
         """The table runs its passes first and its checks after, diagonal
         first: an overflowing first packet fails its own check before a
         second packet of the wrong dimension is refused, as pair by pair."""
-        from kgf.opalgebra import FunctionRegistry, InnerProductTable
+        from kgf.opalgebra import InnerProductTable
 
         for first, error, match in ((packet(amplitude=1e200), AccuracyError, "non-finite"),
                                     (packet(), InvalidInputError, "dimension mismatch")):
-            reg = FunctionRegistry()
-            reg.register("f1", first)
-            reg.register("f2", packet(dim=2))
             with pytest.raises(error, match=match):
-                InnerProductTable.from_kernel(quantum(), reg)
+                InnerProductTable.from_kernel(quantum(), {"f1": first, "f2": packet(dim=2)})
 
     def test_max_nodes_d2_inner_product_stays_within_two_grids(self, threads):
         """A 1024-node D=2 checked inner product on two threads: the

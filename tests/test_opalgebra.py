@@ -30,6 +30,7 @@ from kgf.opalgebra import (
     vacuum_expectation,
     wick_vev,
 )
+from kgf.verify import _LADDER_KINDS, _random_packet
 
 # exact in binary floating point, so algebraic identities hold bitwise
 DYADIC_TABLE = InnerProductTable({
@@ -71,7 +72,7 @@ class TestRegistry:
         reg = FunctionRegistry()
         assert reg.ensure("g") == 1
         assert reg.ensure("g") == 1
-        assert len(reg) == 1
+        assert reg.register("h") == 2
 
     def test_duplicate_name_rejected(self):
         reg = FunctionRegistry()
@@ -85,17 +86,6 @@ class TestRegistry:
             reg.index_of("nope")
         assert str(err.value) == "unknown function name 'nope'"
 
-    def test_unregistered_index_rejected(self):
-        reg = FunctionRegistry()
-        with pytest.raises(FunctionLookupError, match="function index 1 not registered"):
-            reg.packet(1)
-
-    def test_packet_required_for_quadrature(self):
-        reg = FunctionRegistry()
-        reg.register("bare")
-        with pytest.raises(FunctionLookupError):
-            reg.packet(1)
-
 
 class TestInnerProductTable:
     def test_missing_pair_raises(self):
@@ -105,16 +95,13 @@ class TestInnerProductTable:
         assert str(err.value) == "inner-product table has no entry for pair (1, 3)"
 
     def test_from_kernel_matches_direct_quadrature(self):
-        reg = FunctionRegistry()
         f = WavePacket(width_x=1.2, carrier_wavevector=(0.4,))
         g = WavePacket(center_x=(0.3,), carrier_freq=0.8, amplitude=1 - 0.5j)
-        reg.register("f", f)
-        reg.register("g", g)
         spec = KernelSpec()
-        table = InnerProductTable.from_kernel(spec, reg)
-        assert table[(1, 2)] == inner_product(spec, f, g)
-        assert table[(2, 1)] == table[(1, 2)].conjugate()
-        assert table[(1, 1)].imag == pytest.approx(0.0, abs=1e-18)
+        table = InnerProductTable.from_kernel(spec, {"f": f, "g": g})
+        assert table[("f", "g")] == inner_product(spec, f, g)
+        assert table[("g", "f")] == table[("f", "g")].conjugate()
+        assert table[("f", "f")].imag == pytest.approx(0.0, abs=1e-18)
 
     @pytest.mark.parametrize("check", [True, False])
     def test_every_entry_is_the_pairs_inner_product(self, check):
@@ -124,11 +111,9 @@ class TestInnerProductTable:
                               amplitude=1 - 0.5j),
                    WavePacket(dim=2, width_x=1.4, center_t=0.5)]
         packets.append(packets[0])
-        reg = FunctionRegistry()
-        for i, f in enumerate(packets, start=1):
-            reg.register(f"f{i}", f)
         spec = KernelSpec(dim=2)
-        table = InnerProductTable.from_kernel(spec, reg, check=check)
+        table = InnerProductTable.from_kernel(
+            spec, dict(enumerate(packets, start=1)), check=check)
         for i, f in enumerate(packets, start=1):
             for j, g in enumerate(packets[i - 1:], start=i):
                 assert table[(i, j)] == inner_product(spec, f, g, check=check)
@@ -140,13 +125,46 @@ class TestInnerProductTable:
         # has weight; the first sits at k=5 and converges on its own
         packets = [WavePacket(width_x=2.0, carrier_wavevector=(5.0,)),
                    WavePacket(width_x=2.0)]
-        reg = FunctionRegistry()
-        for i, f in enumerate(packets[::-1] if bad_first else packets, start=1):
-            reg.register(f"f{i}", f)
+        ordered = packets[::-1] if bad_first else packets
         spec = KernelSpec(constants=PhysicalConstants(mass=0.0))
         inner_product(spec, packets[0], packets[0])
         with pytest.raises(AccuracyError, match="did not converge"):
-            InnerProductTable.from_kernel(spec, reg)
+            InnerProductTable.from_kernel(
+                spec, {f"f{i}": f for i, f in enumerate(ordered, start=1)})
+
+
+class TestKeys:
+    def test_names_and_integers_give_bit_identical_values(self):
+        """A test function's key is a label only: relabelling the integer
+        letters of random words of verify's letter kinds, and their table,
+        to names changes no value by a bit, and from_kernel keyed by names
+        gives the integer-keyed table entry for entry.  The relabelling keeps
+        the keys' sorted order, in which the referee numbers its modes."""
+        rng = np.random.default_rng(2468)
+        size = 4
+        name = {i: f"f{i:02d}" for i in range(1, size + 1)}
+        table = random_table(rng, size)
+        named = InnerProductTable({(name[i], name[j]): table[(i, j)]
+                                   for i in name for j in name})
+        nonzero = 0
+        for n in (2, 4, 6, 8, 10):
+            for _ in range(10):
+                word = [(_LADDER_KINDS[k], int(i)) for k, i in
+                        zip(rng.integers(0, 3, size=n), rng.integers(1, size + 1, size=n))]
+                relabelled = [(kind, name[i]) for kind, i in word]
+                value = contract(word, table)
+                assert contract(relabelled, named) == value
+                assert fock_vacuum_expectation(relabelled, named) == \
+                    fock_vacuum_expectation(word, table)
+                nonzero += value != 0
+        assert nonzero > 10
+        spec = KernelSpec()
+        packets = {i: _random_packet(rng) for i in name}
+        by_index = InnerProductTable.from_kernel(spec, packets)
+        by_name = InnerProductTable.from_kernel(
+            spec, {name[i]: f for i, f in packets.items()})
+        for i, j in itertools.product(name, repeat=2):
+            assert by_name[(name[i], name[j])] == by_index[(i, j)]
 
 
 class TestVacuumExpectation:
@@ -405,7 +423,7 @@ class TestParser:
     def test_auto_registration_order(self):
         reg = FunctionRegistry()
         parse_expression("phi[b] phi[a] + phi[b]", reg)
-        assert (reg.index_of("b"), reg.index_of("a"), len(reg)) == (1, 2, 2)
+        assert (reg.index_of("b"), reg.index_of("a"), reg.ensure("c")) == (1, 2, 3)
 
     def test_expression_semantics_match_manual_build(self):
         reg = FunctionRegistry()

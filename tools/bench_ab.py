@@ -21,12 +21,13 @@ so is a parallel-capacity probe: the wall time of two CPU-bound
 rests on a second CPU can be audited.
 
 Writes ``BENCH_<label>.json``: every run's workload, seed, pair, side,
-order, probe, metrics, ``correct`` and ``failed``; both revisions and their
-source digests; the CPU count; the Python, numpy and BLAS versions; and
-per workload the quartiles of the probe's ratio and, per side, the median
-and quartiles of each metric.  Prints the medians and IQRs, the change of
-the median, and in how many pairs the head was better.  Standard library
-only.
+order, probe, metrics, ``correct`` and ``failed``; both revisions, their
+source digests and the lines of their ``src/kgf/*.py`` (as ``wc -l``
+counts them); the CPU count; the Python, numpy and BLAS versions; and per
+workload the quartiles of the probe's ratio and, per side, the median and
+quartiles of each metric.  Prints the medians and IQRs, the change of the
+median, in how many pairs the head was better, and the change of the
+source lines.  Standard library only.
 """
 
 from __future__ import annotations
@@ -79,6 +80,17 @@ def extract(rev: str, dest: Path) -> str:
         tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter")
                                 else {}))
     return git("rev-parse", f"{rev}^{{commit}}").decode().strip()
+
+
+def src_lines(tree: Path) -> int:
+    """Newlines in ``tree``'s ``src/kgf/*.py``: what ``wc -l`` totals."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "kgf").glob("*.py"))
+
+
+def size_change(sides: dict) -> str:
+    base, head = sides["base"]["src_lines"], sides["head"]["src_lines"]
+    return f"src/kgf/*.py: {base} -> {head} lines ({head - base:+d})"
 
 
 def parse_run(stdout: str) -> tuple:
@@ -218,7 +230,8 @@ def main(argv=None) -> int:
     workdir = Path(tempfile.mkdtemp(dir=args.workdir, prefix="bench_ab_"))
     try:
         dirs = {"base": workdir / "base", "head": workdir / "head"}
-        sides = {side: {"rev": rev, "commit": extract(rev, dirs[side])}
+        sides = {side: {"rev": rev, "commit": extract(rev, dirs[side]),
+                        "src_lines": src_lines(dirs[side])}
                  for side, rev in (("base", args.base), ("head", args.head))}
         environment = {"blas": blas_info()}
         runs = []
@@ -250,6 +263,7 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
     print(report(document["summary"]))
+    print(size_change(sides))
     print(f"wrote {path}")
     return 0
 
