@@ -16,7 +16,8 @@ success, 1 when ``verify`` finds a failing check, 2 on validation errors,
 3 on accuracy errors, and 141 (128 + SIGPIPE, as a shell reports a
 program killed by a broken pipe), with no traceback, when the reader of
 stdout goes away before the output is written, as in ``kgf spectra ... |
-head -1``.  The sampling worker count comes from --workers alone.
+head -1``.  ``kgf sample`` accepts --workers and ignores it: blocks are
+drawn one after another, whatever it says.
 """
 
 from __future__ import annotations
@@ -464,8 +465,7 @@ def cmd_sample(args) -> int:
     n = _pick(config, "samples", int, args.samples, 100)
     seed = _seed(args, config)
     chunks = sampler.sample_chunks(density, lattice, seed, n,
-                                   pin_zero_mode=args.pin_zero_mode,
-                                   workers=args.workers)
+                                   pin_zero_mode=args.pin_zero_mode)
     out = _out_dir(args)
     path = out / ("samples.csv" if args.format == "csv" else "samples.bin")
     spath = out / "spectrum.csv"
@@ -480,7 +480,7 @@ def cmd_sample(args) -> int:
             acc.add(chunk)
         if sfh is not None:
             sampler.write_spectrum_csv(sfh, acc.finalize(), chunk.expected)
-    print(f"wrote {path} ({n} samples, seed {seed}, workers {args.workers})")
+    print(f"wrote {path} ({n} samples, seed {seed})")
     if n >= 2:
         print(f"wrote {spath}")
     return 0
@@ -556,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spacing", type=float, metavar="A")
     p.add_argument("--samples", type=int, metavar="COUNT")
     p.add_argument("--workers", type=int, default=1,
-                   help="blocks sampled at once, on up to two threads each (default 1)")
+                   help="accepted and ignored: blocks are drawn one after another")
     p.add_argument("--pin-zero-mode", action="store_true",
                    help="set the k=0 mode to zero instead of failing when c(0)=0")
     p.add_argument("--format", choices=("csv", "binary"), default="csv")

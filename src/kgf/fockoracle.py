@@ -207,7 +207,9 @@ def fock_vacuum_expectation(letters, ip) -> complex:
     """
     letters = list(letters)
     n = len(letters)
-    modes = sorted({index for kind, index in letters if kind in ("a", "phi")})
+    # each annihilated key's position, numbered by first appearance
+    annihilated = dict.fromkeys(index for kind, index in letters if kind in ("a", "phi"))
+    modes = {index: k for k, index in enumerate(annihilated)}
     # a state is an integer: q_k is its base-(n + 1) digit k, and the top
     # digit is sum(q), so raising or lowering q_k adds or subtracts step[k]
     base, top = n + 1, (n + 1) ** len(modes)
@@ -220,7 +222,7 @@ def fock_vacuum_expectation(letters, ip) -> complex:
         for q, coeff in states.items():
             quanta = q // top
             if kind in ("a", "phi") and quanta <= cap + 1:
-                k = modes.index(index)
+                k = modes[index]
                 occupation = q // base**k % base
                 if occupation:
                     lowered = q - step[k]

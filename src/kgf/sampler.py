@@ -26,21 +26,21 @@ the field is ``irfftn(S) / a^D`` and |phi~_k|^2 = |S_k|^2.
 Randomness is counter-based and comes in blocks: sample ``i`` of seed
 ``s`` is row ``i % BLOCK_SIZE`` of block ``i // BLOCK_SIZE``, and each
 block reads one Philox stream with key (s, tag) and counter block index.
-A block's rows come out in chunks of bounded bytes, drawn one after
-another from that block's generator; sequential draws from one generator
-give the same bytes as one draw, so neither the chunk size nor the number
-of worker threads (which split the work over blocks) changes a byte, and
-the first n samples of a seed are the same for every longer run.
+Blocks run one after another, and a block's rows come out in chunks of
+bounded bytes, drawn one after another from that block's generator;
+sequential draws from one generator give the same bytes as one draw, so
+the chunk size does not change a byte, and the first n samples of a seed
+are the same for every longer run.
 
-Each open block keeps three buffers of one chunk's rows: two of white
+The open block keeps three buffers of one chunk's rows: two of white
 noise and one of its half-grid spectrum.  A chunk's noise is transformed
 into the spectrum and back one axis at a time, in place, in the axis order
 of ``rfftn`` and ``irfftn`` (so with their bytes), and only the chunk's
 values and power are new arrays.  While one chunk is transformed and then
 written, the next chunk's noise is drawn into the other noise buffer on one
-helper thread per block; a block of one chunk draws inline and starts no
-thread.  At D=3, N=64, where a chunk is one sample, the buffers take about
-6 MB per open block.
+helper thread, the sampler's only thread; a block of one chunk draws inline
+and starts no thread.  At D=3, N=64, where a chunk is one sample, the
+buffers take about 6 MB.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ import math
 import struct
 import sys
 import warnings
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -93,7 +92,7 @@ MAX_TOTAL_SITES = 2**24
 BLOCK_SIZE = 256
 
 #: Upper bound on the field values of one chunk (at least one sample).
-#: Resident memory scales with it (each open block keeps three chunk-sized
+#: Resident memory scales with it (the open block keeps three chunk-sized
 #: buffers besides the chunk in flight); the stream bytes do not depend on it.
 _CHUNK_BYTES = 2**20
 
@@ -108,10 +107,6 @@ _CSV_READ_ROWS = 2**13
 #: Largest ratio of two nonzero mode scales in one draw.  Below it every
 #: mode keeps at least 12 fraction bits in the site sums of the inverse FFT.
 MAX_MODE_SCALE_RATIO = 2**40
-
-#: Most blocks sampled at once: each has about one chunk resident and runs
-#: on up to two threads, its worker and its draw-ahead helper.
-MAX_WORKERS = 64
 
 #: Most field values, samples times sites, in one stream: 32 GiB of float64
 #: draws, or about 100 GiB of CSV.
@@ -278,8 +273,8 @@ class SampleChunk:
 class _SpectrumPlan:
     """The moment contract ``expected`` = V/(2 c) on the full mode grid and
     the draw's ``scale`` = sqrt(V / (2 c N^D)) on the half grid, both 0 at a
-    pinned zero mode.  Read-only after construction, so one plan can serve
-    many blocks and many threads.
+    pinned zero mode.  Read-only after construction, so one plan serves
+    every block of a stream.
     """
 
     def __init__(self, density: SpectralDensity, lattice: LatticeSpec,
@@ -360,48 +355,12 @@ class _SpectrumPlan:
         return chunk.values[-1]
 
 
-def _in_order(blocks, workers: int):
-    """Chain the blocks' chunk iterators, advancing up to ``workers`` at once.
-
-    Each open block has at most one chunk in flight and the next chunk's
-    noise drawn ahead, so about ``workers + 1`` chunks are resident however
-    long the stream is, on up to ``2 * workers`` threads.  However the
-    stream ends (exhausted, dropped or failed), the pool's threads are
-    joined and then every open block is closed, which joins its helper.
-    """
-    pool = ThreadPoolExecutor(max_workers=workers)
-    window = deque()
-
-    def open_block():
-        chunks = next(blocks, None)
-        if chunks is not None:
-            window.append((chunks, pool.submit(next, chunks, None)))
-
-    try:
-        for _ in range(workers):
-            open_block()
-        while window:
-            chunks, pending = window[0]
-            chunk = pending.result()
-            if chunk is None:
-                window.popleft()
-                open_block()
-                continue
-            window[0] = (chunks, pool.submit(next, chunks, None))
-            yield chunk
-    finally:
-        pool.shutdown(cancel_futures=True)
-        for chunks, _ in window:
-            chunks.close()
-
-
 def sample_chunks(density: SpectralDensity, lattice: LatticeSpec, seed: int,
-                  n: int, pin_zero_mode: bool = False, workers: int = 1):
+                  n: int, pin_zero_mode: bool = False):
     """The ``n`` samples of ``seed`` as :class:`SampleChunk` s in index order.
 
     Arguments are checked and the plan is built before this returns; the
-    chunks are drawn as they are consumed.  ``workers > 1`` draws several
-    blocks at once on threads; the bytes are the same for every count.
+    chunks are drawn as they are consumed, one block after another.
     """
     if n < 1:
         raise InvalidInputError(f"sample count must be >= 1, got {n}")
@@ -411,11 +370,6 @@ def sample_chunks(density: SpectralDensity, lattice: LatticeSpec, seed: int,
             f"MAX_TOTAL_VALUES = {MAX_TOTAL_VALUES} field values")
     if not 0 <= seed < 2**64:
         raise InvalidInputError(f"seed must be in [0, 2**64), got {seed}")
-    if workers < 1:
-        raise InvalidInputError(f"worker count must be >= 1, got {workers}")
-    if workers > MAX_WORKERS:
-        raise InvalidInputError(
-            f"worker count {workers} exceeds MAX_WORKERS = {MAX_WORKERS}")
     plan = _SpectrumPlan(density, lattice, pin_zero_mode)
     scales = plan.scale[plan.scale > 0.0]
     if scales.max() > MAX_MODE_SCALE_RATIO * scales.min():
@@ -423,21 +377,18 @@ def sample_chunks(density: SpectralDensity, lattice: LatticeSpec, seed: int,
             f"spacing {lattice.spacing!r} and mass {density.constants.mass!r} give mode "
             f"scales spanning {scales.max() / scales.min():.2g}, past MAX_MODE_SCALE_RATIO"
             f" = {MAX_MODE_SCALE_RATIO:.2g}: smaller modes would round away in the site sums")
-    blocks = (plan.block_chunks(seed, b, min(BLOCK_SIZE, n - b * BLOCK_SIZE))
-              for b in range(-(-n // BLOCK_SIZE)))
-    if workers == 1:
-        return itertools.chain.from_iterable(blocks)
-    return _in_order(blocks, workers)
+    return itertools.chain.from_iterable(
+        plan.block_chunks(seed, b, min(BLOCK_SIZE, n - b * BLOCK_SIZE))
+        for b in range(-(-n // BLOCK_SIZE)))
 
 
 def sample_array(density: SpectralDensity, lattice: LatticeSpec, seed: int,
                  n: int, pin_zero_mode: bool = False, workers: int = 1) -> np.ndarray:
     """All ``n`` samples stacked, shape (n,) + lattice.shape, ordered by index.
 
-    ``workers > 1`` draws blocks on threads; the output is byte-identical
-    for every worker count.
+    ``workers`` is accepted and ignored: blocks are drawn one after another.
     """
-    chunks = sample_chunks(density, lattice, seed, n, pin_zero_mode, workers)
+    chunks = sample_chunks(density, lattice, seed, n, pin_zero_mode)
     out = np.empty((n,) + lattice.shape, dtype=float)
     for chunk in chunks:
         out[chunk.start:chunk.start + len(chunk.values)] = chunk.values

@@ -310,7 +310,7 @@ def _moment_agreement(density: SpectralDensity, lattice: sampler.LatticeSpec,
 
 @_check("sampler_moments")
 def check_sampler_moments(seed: int = DEFAULT_SEED):
-    """Per-mode E[|phi~_k|^2] = V/(2c) on all five ensembles, plus determinism."""
+    """Per-mode E[|phi~_k|^2] = V/(2c) on all five ensembles."""
     lattice = sampler.LatticeSpec(dim=1, sites_per_axis=64, spacing=1.0)
     lines = []
     passed = True
@@ -321,14 +321,6 @@ def check_sampler_moments(seed: int = DEFAULT_SEED):
             density, lattice, (seed + 3 + i) % 2**64, expected)
         passed = passed and leg.passed
         lines.append(f"{leg.name}: {leg.detail}")
-    density = _verification_densities()[Ensemble.QUANTUM_VACUUM]
-    serial, threaded = (
-        b"".join(chunk.values.tobytes() for chunk in sampler.sample_chunks(
-            density, lattice, seed, 512, workers=workers))
-        for workers in (1, 4))
-    deterministic = serial == threaded
-    passed = passed and deterministic
-    lines.append(f"byte-identical across worker counts: {deterministic}")
     return passed, "; ".join(lines)
 
 

@@ -70,8 +70,7 @@ def test_criterion_5_crossover():
 
 def test_criterion_6_sampler_moment_contract():
     # D=1, N=64, a=1, 20000 samples per ensemble, all five ensembles:
-    # >= 99% of modes within 5 stderr of V/(2c); byte-identical across
-    # worker counts; budget 60 s per ensemble
+    # >= 99% of modes within 5 stderr of V/(2c); budget 60 s per ensemble
     report(6, "sampler moment contract",
            verify.check_sampler_moments(seed=SEED), budget=5 * 60.0)
 

@@ -226,6 +226,14 @@ class TestFockVacuumExpectation:
         fields = [("phi", 1), ("phi", 1), ("phi", 2), ("phi", 2)]
         assert fock_vacuum_expectation(fields, DYADIC_TABLE) == complex(2.375, -0.5)
 
+    def test_keys_of_mixed_types_are_numbered_by_first_appearance(self):
+        # an integer and a name have no common order, and need none
+        table = InnerProductTable({(1, 1): 1.0, ("f", "f"): 1.0, (1, "f"): 0.5,
+                                   ("f", 1): 0.5})
+        word = [("a", 1), ("a", "f"), ("adag", "f"), ("adag", 1)]
+        # ip(1,1) ip(f,f) + ip(f,1) ip(1,f)
+        assert fock_vacuum_expectation(word, table) == contract(word, table) == 1.25
+
     def test_orientation_on_a_non_hermitian_table(self):
         # [a(f_i), adag(f_j)] = ip[(j, i)], whether or not ip is Hermitian
         table = InnerProductTable({(1, 1): 1.0, (1, 2): 2.0, (2, 1): 3.0j, (2, 2): 1.0})

@@ -138,8 +138,8 @@ class TestKeys:
         """A test function's key is a label only: relabelling the integer
         letters of random words of verify's letter kinds, and their table,
         to names changes no value by a bit, and from_kernel keyed by names
-        gives the integer-keyed table entry for entry.  The relabelling keeps
-        the keys' sorted order, in which the referee numbers its modes."""
+        gives the integer-keyed table entry for entry.  The referee numbers
+        its modes by first appearance, which any relabelling keeps."""
         rng = np.random.default_rng(2468)
         size = 4
         name = {i: f"f{i:02d}" for i in range(1, size + 1)}

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -113,6 +114,23 @@ def test_perfbench_lookups_resolve_and_bind(caller, name, args, kwargs):
         obj = getattr(obj, attr)
     if args is not None:
         inspect.signature(obj).bind(*args, **kwargs)
+
+
+def test_every_perfbench_call_parses(tmp_path, monkeypatch):
+    """Each benchmark workload, built with a fixed seed, passes kgf only
+    argv that today's parser accepts, so no flag it uses can go."""
+    from kgf.cli import build_parser
+
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    declared = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert sorted(workloads.WORKLOADS) == sorted(w["name"] for w in declared["workloads"])
+    parser = build_parser()
+    for name, workload in workloads.WORKLOADS.items():
+        (tmp_path / name).mkdir()
+        for call in workload(1, tmp_path / name).calls:
+            assert parser.parse_args(call.args).func.__name__ == f"cmd_{call.args[0]}"
 
 
 def test_perfbench_reads_these_attributes():

@@ -4,7 +4,6 @@ import hashlib
 import io
 import math
 import os
-import sys
 import threading
 import tracemalloc
 
@@ -180,17 +179,9 @@ class TestMomentContract:
 class TestDeterminism:
     LAT = LatticeSpec(dim=1, sites_per_axis=32)
 
-    def test_worker_count_does_not_change_bytes(self):
-        n = 2 * BLOCK_SIZE + 37  # two whole blocks and a partial third
-        one = sample_array(VACUUM, self.LAT, seed=42, n=n, workers=1)
-        for workers in (2, 3):
-            many = sample_array(VACUUM, self.LAT, seed=42, n=n, workers=workers)
-            assert one.tobytes() == many.tobytes()
-
     def test_prefix_crosses_block_boundary(self):
         short = sample_array(VACUUM, self.LAT, seed=42, n=BLOCK_SIZE + 1)
-        long = sample_array(VACUUM, self.LAT, seed=42, n=3 * BLOCK_SIZE,
-                            workers=2)
+        long = sample_array(VACUUM, self.LAT, seed=42, n=3 * BLOCK_SIZE)
         assert short.tobytes() == long[:BLOCK_SIZE + 1].tobytes()
 
     def test_chunk_size_does_not_change_bytes(self, monkeypatch):
@@ -200,7 +191,7 @@ class TestDeterminism:
         default = sample_array(THERMAL, lat, seed=7, n=n)
         for rows in (1, 7):
             monkeypatch.setattr(sampler, "_CHUNK_BYTES", rows * row_bytes)
-            chunks = list(sample_chunks(THERMAL, lat, seed=7, n=n, workers=2))
+            chunks = list(sample_chunks(THERMAL, lat, seed=7, n=n))
             assert max(len(c.values) for c in chunks) == rows
             assert [c.start for c in chunks] == sorted(c.start for c in chunks)
             drawn = np.concatenate([c.values for c in chunks])
@@ -212,31 +203,6 @@ class TestDeterminism:
         chunks = list(sample_chunks(THERMAL, lat, seed=3, n=20))
         assert sum(len(c.values) for c in chunks) == 20
         assert all(c.values.nbytes <= 100_000 for c in chunks)
-
-    def test_many_threads_keep_order_and_surface_errors(self, monkeypatch):
-        lat = LatticeSpec(dim=1, sites_per_axis=8)
-        n = 8 * BLOCK_SIZE + 5
-        monkeypatch.setattr(sampler, "_CHUNK_BYTES", 64 * 8 * lat.total_sites)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            serial = sample_array(VACUUM, lat, seed=4, n=n)
-            threaded = sample_array(VACUUM, lat, seed=4, n=n, workers=8)
-            assert serial.tobytes() == threaded.tobytes()
-
-            transform = sampler._SpectrumPlan._transform
-            calls = []
-
-            def failing_transform(plan, noise, spectrum):
-                calls.append(len(noise))
-                if len(calls) == 6:
-                    raise InvalidInputError("draw failed")
-                return transform(plan, noise, spectrum)
-            monkeypatch.setattr(sampler._SpectrumPlan, "_transform", failing_transform)
-            with pytest.raises(InvalidInputError, match="draw failed"):
-                sample_array(VACUUM, lat, seed=4, n=n, workers=8)
-        finally:
-            sys.setswitchinterval(interval)
 
     def test_plan_draw_reads_the_block_stream(self):
         plan = sampler._SpectrumPlan(VACUUM, self.LAT, pin_zero_mode=False)
@@ -264,7 +230,7 @@ class TestDeterminism:
 
     def test_chunks_share_the_plan_expected_power(self):
         lat = LatticeSpec(dim=2, sites_per_axis=8)
-        chunks = list(sample_chunks(THERMAL, lat, seed=5, n=BLOCK_SIZE + 1, workers=2))
+        chunks = list(sample_chunks(THERMAL, lat, seed=5, n=BLOCK_SIZE + 1))
         assert len(chunks) == 2 and chunks[0].expected is chunks[1].expected
         assert chunks[0].expected.tobytes() == expected_power(THERMAL, lat).tobytes()
 
@@ -288,16 +254,6 @@ class TestDeterminism:
     def test_sample_count_validated(self, bad):
         with pytest.raises(InvalidInputError):
             sample_array(VACUUM, self.LAT, seed=1, n=bad)
-
-    def test_worker_count_validated(self):
-        with pytest.raises(InvalidInputError):
-            sample_array(VACUUM, self.LAT, seed=1, n=1, workers=0)
-
-    def test_worker_count_above_max_refused(self):
-        with pytest.raises(InvalidInputError, match="MAX_WORKERS = 64"):
-            sample_chunks(VACUUM, self.LAT, seed=1, n=1, workers=sampler.MAX_WORKERS + 1)
-        # accepted, and not iterated, so no thread is started
-        sample_chunks(VACUUM, self.LAT, seed=1, n=1, workers=sampler.MAX_WORKERS)
 
     def test_values_above_max_refused(self):
         most = sampler.MAX_TOTAL_VALUES // self.LAT.total_sites
@@ -401,14 +357,13 @@ class TestDrawAhead:
             return transform(plan, noise, spectrum)
         monkeypatch.setattr(sampler._SpectrumPlan, "_transform", failing)
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_many_chunk_blocks_give_the_one_chunk_bytes(self, monkeypatch, workers):
+    def test_many_chunk_blocks_give_the_one_chunk_bytes(self, monkeypatch):
         whole = list(sample_chunks(THERMAL, self.LAT, seed=8, n=self.N))
         assert [len(c.values) for c in whole] == [BLOCK_SIZE, BLOCK_SIZE, 37]
         self.small_chunks(monkeypatch)
         start = threading.active_count()
         chunks, most = [], start
-        for chunk in sample_chunks(THERMAL, self.LAT, seed=8, n=self.N, workers=workers):
+        for chunk in sample_chunks(THERMAL, self.LAT, seed=8, n=self.N):
             chunks.append(chunk)
             most = max(most, threading.active_count())
         assert [len(c.values) for c in chunks] == [
@@ -417,8 +372,8 @@ class TestDrawAhead:
         for field in ("values", "power"):
             assert (np.concatenate([getattr(c, field) for c in chunks]).tobytes()
                     == np.concatenate([getattr(c, field) for c in whole]).tobytes())
-        # each open block: one pool thread (if workers > 1) and one helper
-        assert start < most <= start + (1 if workers == 1 else 2 * workers)
+        # one block open at a time, and its one helper
+        assert most == start + 1
         assert threading.active_count() == start
 
     def test_the_helper_draws_the_next_noise_while_a_chunk_is_consumed(self, monkeypatch):
@@ -439,23 +394,20 @@ class TestDrawAhead:
         chunks = sample_chunks(VACUUM, lat, seed=3, n=2 * BLOCK_SIZE + 1)
         assert [threading.active_count() for _ in chunks] == [start] * 3
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_a_stream_dropped_mid_block_joins_its_threads(self, monkeypatch, workers):
+    def test_a_stream_dropped_mid_block_joins_its_threads(self, monkeypatch):
         self.small_chunks(monkeypatch)
         start = threading.active_count()
-        stream = sample_chunks(THERMAL, self.LAT, seed=8, n=self.N, workers=workers)
+        stream = sample_chunks(THERMAL, self.LAT, seed=8, n=self.N)
         next(stream), next(stream)
-        assert threading.active_count() > start
+        assert threading.active_count() == start + 1
         del stream
         assert threading.active_count() == start
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_a_failed_transform_reaches_the_caller_and_joins_the_threads(
-            self, monkeypatch, workers):
+    def test_a_failed_transform_reaches_the_caller_and_joins_the_threads(self, monkeypatch):
         self.small_chunks(monkeypatch)
         self.failing_transform(monkeypatch, fail_at=3)
         start = threading.active_count()
-        stream = sample_chunks(THERMAL, self.LAT, seed=8, n=self.N, workers=workers)
+        stream = sample_chunks(THERMAL, self.LAT, seed=8, n=self.N)
         with pytest.raises(InvalidInputError, match="transform failed") as failure:
             for _ in stream:
                 pass
@@ -606,7 +558,7 @@ class TestAccumulator:
         per_cfg = power_spectrum(FieldConfiguration(self.LAT, v)
                                  for v in sample_array(THERMAL, self.LAT, seed=58, n=n))
         acc = SpectrumAccumulator(self.LAT)
-        for chunk in sample_chunks(THERMAL, self.LAT, seed=58, n=n, workers=2):
+        for chunk in sample_chunks(THERMAL, self.LAT, seed=58, n=n):
             acc.add(chunk)
         chunked = acc.finalize()
         assert chunked.count == per_cfg.count == n
