@@ -167,6 +167,28 @@ class TestKeys:
             assert by_name[(name[i], name[j])] == by_index[(i, j)]
 
 
+    def test_referee_values_follow_first_appearance_not_key_order(self):
+        """Relabelling the integer letters to keys of mixed types whose
+        sorted order, where there is one, is reversed changes no referee
+        value by a bit: its modes are numbered by first appearance."""
+        rng = np.random.default_rng(1357)
+        size = 4
+        label = {1: "f4", 2: 3, 3: "f2", 4: 1}
+        table = random_table(rng, size)
+        relabelled_table = InnerProductTable({(label[i], label[j]): table[(i, j)]
+                                              for i in label for j in label})
+        nonzero = 0
+        for n in (2, 4, 6, 8):
+            for _ in range(10):
+                word = [(_LADDER_KINDS[k], int(i)) for k, i in
+                        zip(rng.integers(0, 3, size=n), rng.integers(1, size + 1, size=n))]
+                value = fock_vacuum_expectation(word, table)
+                assert fock_vacuum_expectation(
+                    [(kind, label[i]) for kind, i in word], relabelled_table) == value
+                nonzero += value != 0
+        assert nonzero > 5
+
+
 class TestVacuumExpectation:
     def test_two_point_orientation(self):
         # <0| phi[1] phi[2] |0> = (f2, f1): later insertion conjugated

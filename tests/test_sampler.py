@@ -179,6 +179,14 @@ class TestMomentContract:
 class TestDeterminism:
     LAT = LatticeSpec(dim=1, sites_per_axis=32)
 
+    def test_worker_count_does_not_change_bytes(self):
+        """sample_array keeps its workers keyword, accepted and ignored."""
+        n = 2 * BLOCK_SIZE + 37  # two whole blocks and a partial third
+        one = sample_array(VACUUM, self.LAT, seed=42, n=n)
+        for workers in (1, 2, 3):
+            many = sample_array(VACUUM, self.LAT, seed=42, n=n, workers=workers)
+            assert one.tobytes() == many.tobytes()
+
     def test_prefix_crosses_block_boundary(self):
         short = sample_array(VACUUM, self.LAT, seed=42, n=BLOCK_SIZE + 1)
         long = sample_array(VACUUM, self.LAT, seed=42, n=3 * BLOCK_SIZE)
@@ -344,8 +352,8 @@ class TestDrawAhead:
     N = 2 * BLOCK_SIZE + 37  # two whole blocks and a partial third
     ROWS = 5  # per chunk, once _CHUNK_BYTES is patched down
 
-    def small_chunks(self, monkeypatch):
-        monkeypatch.setattr(sampler, "_CHUNK_BYTES", self.ROWS * 8 * self.LAT.total_sites)
+    def small_chunks(self, monkeypatch, rows=ROWS):
+        monkeypatch.setattr(sampler, "_CHUNK_BYTES", rows * 8 * self.LAT.total_sites)
 
     def failing_transform(self, monkeypatch, fail_at):
         transform, calls = sampler._SpectrumPlan._transform, []
@@ -357,18 +365,20 @@ class TestDrawAhead:
             return transform(plan, noise, spectrum)
         monkeypatch.setattr(sampler._SpectrumPlan, "_transform", failing)
 
-    def test_many_chunk_blocks_give_the_one_chunk_bytes(self, monkeypatch):
+    # 64 rows split each whole block evenly and leave the partial one whole
+    @pytest.mark.parametrize("rows", [ROWS, 64])
+    def test_many_chunk_blocks_give_the_one_chunk_bytes(self, monkeypatch, rows):
         whole = list(sample_chunks(THERMAL, self.LAT, seed=8, n=self.N))
         assert [len(c.values) for c in whole] == [BLOCK_SIZE, BLOCK_SIZE, 37]
-        self.small_chunks(monkeypatch)
+        self.small_chunks(monkeypatch, rows)
         start = threading.active_count()
         chunks, most = [], start
         for chunk in sample_chunks(THERMAL, self.LAT, seed=8, n=self.N):
             chunks.append(chunk)
             most = max(most, threading.active_count())
         assert [len(c.values) for c in chunks] == [
-            min(self.ROWS, rows - offset) for rows in (BLOCK_SIZE, BLOCK_SIZE, 37)
-            for offset in range(0, rows, self.ROWS)]
+            min(rows, block - offset) for block in (BLOCK_SIZE, BLOCK_SIZE, 37)
+            for offset in range(0, block, rows)]
         for field in ("values", "power"):
             assert (np.concatenate([getattr(c, field) for c in chunks]).tobytes()
                     == np.concatenate([getattr(c, field) for c in whole]).tobytes())
@@ -394,18 +404,25 @@ class TestDrawAhead:
         chunks = sample_chunks(VACUUM, lat, seed=3, n=2 * BLOCK_SIZE + 1)
         assert [threading.active_count() for _ in chunks] == [start] * 3
 
-    def test_a_stream_dropped_mid_block_joins_its_threads(self, monkeypatch):
+    # the first block has 52 chunks of 5 rows, so chunk 55 is in the second
+    @pytest.mark.parametrize("taken", [2, 55], ids=["first-block", "second-block"])
+    def test_a_stream_dropped_mid_block_joins_its_threads(self, monkeypatch, taken):
         self.small_chunks(monkeypatch)
         start = threading.active_count()
         stream = sample_chunks(THERMAL, self.LAT, seed=8, n=self.N)
-        next(stream), next(stream)
+        for _ in range(taken):
+            next(stream)
         assert threading.active_count() == start + 1
         del stream
         assert threading.active_count() == start
 
-    def test_a_failed_transform_reaches_the_caller_and_joins_the_threads(self, monkeypatch):
+    # chunks 1-52 are the first block, 53-104 the second, 105-112 the third
+    @pytest.mark.parametrize("fail_at", [3, 55, 110],
+                             ids=["first-block", "second-block", "partial-block"])
+    def test_a_failed_transform_reaches_the_caller_and_joins_the_threads(
+            self, monkeypatch, fail_at):
         self.small_chunks(monkeypatch)
-        self.failing_transform(monkeypatch, fail_at=3)
+        self.failing_transform(monkeypatch, fail_at=fail_at)
         start = threading.active_count()
         stream = sample_chunks(THERMAL, self.LAT, seed=8, n=self.N)
         with pytest.raises(InvalidInputError, match="transform failed") as failure:
