@@ -421,10 +421,13 @@ def cmd_expect(args) -> int:
     for word in words:
         opalgebra.contract(word, unit)
     table = opalgebra.InnerProductTable.from_kernel(spec, packets)
-    if pairings is not None:
-        _show_pairings(terms[0], pairings, table)
     value = sum((coefficient * opalgebra.contract(word, table)
                  for word, coefficient in words.items()), 0.0 + 0.0j)
+    if not np.isfinite(value):
+        raise AccuracyError("the vacuum expectation value is not finite: "
+                            f"{_fmt_complex(value)}")
+    if pairings is not None:
+        _show_pairings(terms[0], pairings, table)
     print(f"<0| {args.expression} |0> = {_fmt_complex(value)}")
     return 0
 

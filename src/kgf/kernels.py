@@ -529,7 +529,8 @@ def _diagnosis(plan: list, values: list):
             coarse=value,
             refined=refined,
         )
-    scale = math.sqrt(max(norm_f, 0.0) * max(norm_g, 0.0))
+    # one root each: the product of the norms can overflow or underflow
+    scale = math.sqrt(max(norm_f, 0.0)) * math.sqrt(max(norm_g, 0.0))
     if scale == 0.0 and f.amplitude != 0 and g.amplitude != 0:
         raise AccuracyError(
             f"quadrature found no weight: the norms of packets with nonzero "

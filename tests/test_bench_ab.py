@@ -13,7 +13,8 @@ _spec = importlib.util.spec_from_file_location("bench_ab", TOOL)
 bench_ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_ab)
 
-BETTER = {"wall_s": "lower", "success_ratio": "higher"}
+END_TO_END = {"wall_s": {"name": "wall_s", "better": "lower", "bound": 0.25},
+              "success_ratio": {"name": "success_ratio", "better": "higher", "bound": 0.01}}
 #: The probe before each canned pair: a second CPU free in pairs 0 and 2.
 PROBES = [{"one_s": 0.2, "two_s": two, "ratio": two / 0.2} for two in (0.21, 0.4, 0.22, 0.38)]
 
@@ -56,7 +57,7 @@ def test_record_keeps_the_run_and_its_metric_values(runs):
 
 
 def test_summary_medians_quartiles_and_pairs_won(runs):
-    entry = bench_ab.summarize(runs, BETTER)["verify_all"]
+    entry = bench_ab.summarize(runs, END_TO_END)["verify_all"]
     assert entry["pairs"] == 4
     wall = entry["metrics"]["wall_s"]
     # statistics.quantiles(n=4) of 1.0, 1.1, 1.2, 1.4 and of 0.7, 0.8, 0.9, 1.5
@@ -66,6 +67,9 @@ def test_summary_medians_quartiles_and_pairs_won(runs):
     assert wall["head"]["iqr"] == pytest.approx(1.35 - 0.725)
     assert wall["change"] == pytest.approx(0.85 / 1.15 - 1)
     assert wall["head_better_pairs"] == 3  # lower is better; pair 2 lost
+    # base IQR 0.325 is 28% of its median, past the 0.25 bound, and pair 2 overlaps
+    assert wall["verdict"] == "unresolved"
+    assert entry["metrics"]["success_ratio"]["verdict"] == "within bound"
     assert entry["metrics"]["success_ratio"]["head_better_pairs"] == 0
     # one probe per pair: ratios 1.05, 2.0, 1.1, 1.9
     probe = entry["probe_ratio"]
@@ -78,7 +82,7 @@ def test_bench_document_round_trips_through_json(runs, tmp_path):
              "head": {"rev": "WORKTREE", "commit": "WORKTREE", "source_sha256": "head"}}
     environment = {"python": "3.11.7", "numpy": "2.4.6", "blas": {"name": "openblas"},
                    "cpu_model": "test cpu"}
-    document = bench_ab.bench_document("test", sides, runs, environment, BETTER, 6.0)
+    document = bench_ab.bench_document("test", sides, runs, environment, END_TO_END, 6.0)
     path = tmp_path / "BENCH_test.json"
     path.write_text(json.dumps(document))
     loaded = json.loads(path.read_text())
@@ -91,6 +95,63 @@ def test_bench_document_round_trips_through_json(runs, tmp_path):
     report = bench_ab.report(loaded["summary"])
     assert report.splitlines()[0] == "verify_all (4 pairs; two loops / one loop 1.50 [0.91])"
     assert "-26.1%" in report and "3/4" in report
+    assert report.splitlines()[1].endswith("head better  verdict")
+    assert report.splitlines()[2].endswith("3/4  unresolved")
+
+
+#: Ten base wall times: median 1.0, quartiles 0.98 and 1.02 (IQR 4%).
+NARROW = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+#: Ten base wall times: median 1.0, quartiles 0.775 and 1.225 (IQR 45%).
+WIDE = [0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 1.0, 0.9, 1.1, 1.0]
+
+
+def wall_verdict(base, head):
+    """The wall_s verdict of canned pairs ``(base[i], head[i])``."""
+    runs = []
+    for pair, walls in enumerate(zip(base, head)):
+        for position, (side, wall) in enumerate(zip(("base", "head"), walls)):
+            run, _ = bench_ab.record("expect_d1", 101 + pair, pair, side, position,
+                                     0.07, PROBES[0], run_output(side, wall))
+            runs.append(run)
+    wall = bench_ab.summarize(runs, END_TO_END)["expect_d1"]["metrics"]["wall_s"]
+    return wall["verdict"]
+
+
+def test_nine_of_ten_pairs_past_the_base_iqr_are_a_gain():
+    head = [0.9 * b for b in NARROW]
+    head[0] = 1.05  # one pair lost
+    assert wall_verdict(NARROW, head) == "gain"
+
+
+def test_ties_count_for_neither_side():
+    head = [0.9 * b for b in NARROW]
+    head[0] = NARROW[0]  # 9 won, 1 tied
+    assert wall_verdict(NARROW, head) == "gain"
+    head[1] = NARROW[1]  # 8 won, 2 tied
+    assert wall_verdict(NARROW, head) == "within bound"
+
+
+def test_eight_of_ten_pairs_are_within_bound():
+    head = [0.9 * b for b in NARROW]
+    head[0], head[1] = 1.05, 1.05
+    assert wall_verdict(NARROW, head) == "within bound"
+
+
+def test_ten_of_ten_pairs_inside_the_base_iqr_are_within_bound():
+    assert wall_verdict(NARROW, [b - 0.01 for b in NARROW]) == "within bound"
+
+
+def test_a_median_past_the_bound_is_worse():
+    assert wall_verdict(NARROW, [1.3 * b for b in NARROW]) == "worse"
+    assert wall_verdict(NARROW, [1.2 * b for b in NARROW]) == "within bound"
+    assert bench_ab.verdict([1.0] * 10, [0.98] * 10, 0, 10, "higher", 0.01) == "worse"
+
+
+def test_a_base_iqr_wider_than_the_bound_is_unresolved():
+    assert wall_verdict(WIDE, [0.95 * b for b in WIDE]) == "unresolved"
+    # unless every head run beats every base run
+    assert wall_verdict(WIDE, [0.59] * 10) == "within bound"
+    assert wall_verdict(WIDE, [0.5] * 10) == "gain"
 
 
 def fake_extract(rev, dest):
@@ -150,6 +211,8 @@ def test_main_takes_run_length_from_the_benchmark(monkeypatch, tmp_path, capsys)
     assert sorted({ratio for *_, ratio in probes}) == list(range(len(probes) // 2))
     assert document["seconds"] == seconds
     assert {entry["pairs"] for entry in document["summary"].values()} == {bench_ab.PAIRS}
+    assert {m["verdict"] for entry in document["summary"].values()
+            for m in entry["metrics"].values()} == {"within bound"}
     assert [document["sides"][side]["src_lines"] for side in ("base", "head")] == [3, 5]
     assert "src/kgf/*.py: 3 -> 5 lines (+2)" in capsys.readouterr().out.splitlines()
     assert list(tmp_path.glob("bench_ab_*")) == []

@@ -293,6 +293,51 @@ class TestOverflowingInputs:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("accuracy error: quadrature gave a non-finite estimate")
 
+    @pytest.mark.parametrize("command", [["innerprod", "-f", "f1", "-g", "f2"],
+                                         ["expect", "phi[f1] phi[f2]"]],
+                             ids=["innerprod", "expect"])
+    def test_norms_past_the_float_range_still_check_convergence(self, tmp_path, capsys,
+                                                                 command):
+        """Massless D=1 does not converge at hbar = 1, and the product of the
+        norms at hbar = 1e200 overflows; the check still fails."""
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        shifts = []
+        for hbar in ("1", "1e200"):
+            assert main([*command, "--config", cfg, "--mass", "0", "--hbar", hbar]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("accuracy error: quadrature did not converge")
+            shifts.append(err.rsplit("(relative shift ", 1)[1])
+        assert shifts[0] == shifts[1]
+
+    def test_norms_whose_product_underflows_are_resolved(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        lines = {}
+        for hbar in ("1", "1e-170"):
+            assert main(["innerprod", "--config", cfg, "-f", "f1", "-g", "f2",
+                         "--hbar", hbar]) == 0
+            lines[hbar] = capsys.readouterr().out.splitlines()
+        assert parse_value(lines["1e-170"][0]) == pytest.approx(
+            1e-170 * parse_value(lines["1"][0]), rel=1e-14)
+        # both shifts are rounding, about 2.5e-15
+        base, tiny = (float(lines[hbar][1].rsplit(" ", 1)[1]) for hbar in lines)
+        assert tiny == pytest.approx(base, rel=0.5)
+        assert main(["expect", "--config", cfg, "--hbar", "1e-170", "phi[f1] phi[f2]"]) == 0
+        assert capsys.readouterr().out.startswith("<0| phi[f1] phi[f2] |0> = 1.69")
+
+    @pytest.mark.parametrize("hbar, options, shown", [
+        ("1e200", ["--show-pairings", "phi[f1] phi[f2] phi[f1] phi[f2]"], "nan + nanj"),
+        ("1e10", ["1e300*phi[f1] phi[f2]"], "inf + infj"),
+    ], ids=["nan", "inf"])
+    def test_non_finite_expectation_value_exits_3(self, tmp_path, capsys, hbar, options,
+                                                  shown):
+        """Refused before anything is printed, the pairings too."""
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        assert main(["expect", "--config", cfg, "--hbar", hbar, *options]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"accuracy error: the vacuum expectation value is not finite: {shown}\n"
+
     def test_spacing_whose_powers_overflow_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"lattice": {"spacing": 1e300}})
         out = tmp_path / "artifacts"
@@ -1107,9 +1152,10 @@ def console_scripts(tmp_path, monkeypatch):
 
 #: Run as ``python -c SPY ARGS...``: ``python -m kgf ARGS...`` through runpy,
 #: then print as JSON the BLAS thread variables as they stood when numpy was
-#: first imported, and the kgf modules the command loaded.
+#: first imported, the kgf modules the command loaded, and whether the garbage
+#: collector is on and how many objects are frozen out of it.
 SPY = """
-import json, os, runpy, sys
+import gc, json, os, runpy, sys
 
 seen = []
 
@@ -1125,7 +1171,8 @@ try:
     runpy.run_module("kgf", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"code": code, "env": seen, "modules": sorted(sys.modules)}))
+print(json.dumps({"code": code, "env": seen, "modules": sorted(sys.modules),
+                  "gc_enabled": gc.isenabled(), "frozen": gc.get_freeze_count()}))
 """
 
 
@@ -1139,9 +1186,10 @@ def run_spy(tmp_path, env_update):
         capture_output=True, text=True, timeout=120, env=env | env_update,
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
+    *out, last = proc.stdout.splitlines(keepends=True)
+    report = json.loads(last)
     assert report["code"] == 0
-    return report
+    return dict(report, out="".join(out), config=cfg)
 
 
 class TestEntryPoints:
@@ -1161,13 +1209,25 @@ class TestEntryPoints:
         assert loaded.isdisjoint({"kgf.sampler", "kgf.verify", "kgf.fockoracle",
                                   "kgf.opalgebra", "kgf.spectra", "numpy.polynomial"})
 
+    def test_the_entry_point_freezes_its_imports_and_prints_what_the_cli_prints(
+            self, tmp_path, capsys):
+        report = run_spy(tmp_path, {})
+        assert report["gc_enabled"] is True
+        assert report["frozen"] > 0
+        assert main(["innerprod", "--config", report["config"], "-f", "f1", "-g", "f2"]) == 0
+        assert report["out"] == capsys.readouterr().out
+
     def test_importing_the_cli_loads_only_the_kernels(self):
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, kgf.cli; print(*sorted(sys.modules))"],
+            [sys.executable, "-c", "import gc, sys, kgf.cli; print(*sorted(sys.modules)); "
+             "print(gc.isenabled(), gc.get_freeze_count())"],
             capture_output=True, text=True, timeout=60,
             env=dict(os.environ, PYTHONPATH=str(Path(kgf.__file__).resolve().parents[1])),
         )
-        loaded = set(proc.stdout.split())
+        modules, collector = proc.stdout.splitlines()
+        # only the entry point freezes the heap
+        assert collector == "True 0"
+        loaded = set(modules.split())
         assert {"kgf.cli", "kgf.kernels", "kgf.errors"} <= loaded
         assert loaded.isdisjoint({"kgf.opalgebra", "kgf.spectra", "kgf.sampler",
                                   "kgf.verify", "kgf.fockoracle", "numpy.polynomial",

@@ -348,7 +348,7 @@ class TestDiagonalPasses:
         refined = real(spec, f, f, 512, 2.0 * diag.cutoff)
         norm = real(spec, f, f, 512, 2.0 * diag.cutoff).real
         assert (value, diag.refined) == (base, refined)
-        assert diag.relative_shift == abs(refined - base) / math.sqrt(norm * norm)
+        assert diag.relative_shift == abs(refined - base) / (math.sqrt(norm) * math.sqrt(norm))
 
     def test_distinct_pair_makes_four_passes(self, passes):
         calls, real = passes
@@ -360,7 +360,8 @@ class TestDiagonalPasses:
         own = [(h, h, 512, 2.0 * h.suggested_cutoff) for h in (f, g)]
         assert calls == [(f, g, 256, diag.cutoff), (f, g, 512, 2.0 * diag.cutoff), *own]
         norm_f, norm_g = (real(spec, *job).real for job in own)
-        assert diag.relative_shift == abs(diag.refined - value) / math.sqrt(norm_f * norm_g)
+        assert diag.relative_shift == (abs(diag.refined - value)
+                                       / (math.sqrt(norm_f) * math.sqrt(norm_g)))
 
     def test_batch_runs_each_distinct_pass_once(self, passes):
         calls, _ = passes

@@ -26,8 +26,9 @@ source digests and the lines of their ``src/kgf/*.py`` (as ``wc -l``
 counts them); the CPU count; the Python, numpy and BLAS versions; and per
 workload the quartiles of the probe's ratio and, per side, the median and
 quartiles of each metric.  Prints the medians and IQRs, the change of the
-median, in how many pairs the head was better, and the change of the
-source lines.  Standard library only.
+median, in how many pairs the head was better, the verdict on each
+end-to-end metric (stored with it; see :func:`verdict`), and the change of
+the source lines.  Standard library only.
 """
 
 from __future__ import annotations
@@ -122,9 +123,38 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(runs: list, better: dict) -> dict:
+def verdict(base: list, head: list, won: int, pairs: int, better: str,
+            bound: float) -> str:
+    """How the ``head`` runs of one metric compare with the ``base`` runs,
+    read against the metric's relative ``bound``:
+
+    - ``gain``: the head was better in at least 9/10 of the ``pairs`` (``won``
+      counts those; a tie counts for neither side) and its median is better
+      by more than the base's IQR;
+    - ``worse``: the head median is worse than the base median by more than
+      ``bound`` times the base median;
+    - ``unresolved``: the base's IQR is wider than ``bound`` times its median,
+      and not every head run beats every base run;
+    - ``within bound``: anything else.
+    """
+    sign = 1 if better == "higher" else -1
+    b, h = quartiles(base), quartiles(head)
+    margin = sign * (h["median"] - b["median"])
+    if 10 * won >= 9 * pairs and margin > b["iqr"]:
+        return "gain"
+    if -margin > bound * abs(b["median"]):
+        return "worse"
+    if (b["iqr"] > bound * abs(b["median"])
+            and min(sign * v for v in head) <= max(sign * v for v in base)):
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(runs: list, end_to_end: dict) -> dict:
     """Per workload: each side's quartiles per metric, the change of the
-    median, and the pairs in which the head was better."""
+    median and, for each metric of ``end_to_end`` (name to its
+    ``BENCHMARK.json`` entry), the pairs in which the head was better and
+    the :func:`verdict`."""
     out = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         mine = [run for run in runs if run["workload"] == workload]
@@ -136,15 +166,18 @@ def summarize(runs: list, better: dict) -> dict:
         summary = {"pairs": len(pairs), "probe_ratio": quartiles(list(ratios.values())),
                    "metrics": {}}
         for name in mine[0]["metrics"]:
-            sides = {side: quartiles([run["metrics"][name] for run in mine
-                                      if run["side"] == side])
-                     for side in ("base", "head")}
+            values = {side: [run["metrics"][name] for run in mine if run["side"] == side]
+                      for side in ("base", "head")}
+            sides = {side: quartiles(values[side]) for side in values}
             base, head = sides["base"]["median"], sides["head"]["median"]
             entry = dict(sides, change=(head - base) / base if base else None)
-            if name in better:
-                sign = 1 if better[name] == "higher" else -1
-                entry["head_better_pairs"] = sum(
-                    sign * (p["head"][name] - p["base"][name]) > 0 for p in pairs)
+            if name in end_to_end:
+                better = end_to_end[name]["better"]
+                sign = 1 if better == "higher" else -1
+                won = sum(sign * (p["head"][name] - p["base"][name]) > 0 for p in pairs)
+                entry["head_better_pairs"] = won
+                entry["verdict"] = verdict(values["base"], values["head"], won,
+                                           len(pairs), better, end_to_end[name]["bound"])
             summary["metrics"][name] = entry
         out[workload] = summary
     return out
@@ -157,7 +190,7 @@ def report(summary: dict) -> str:
         lines.append(f"{workload} ({entry['pairs']} pairs; two loops / one loop "
                      f"{probe['median']:.2f} [{probe['iqr']:.2f}])")
         lines.append(f"  {'metric':<16}{'base median [IQR]':>24}{'head median [IQR]':>24}"
-                     f"{'change':>9}{'head better':>13}")
+                     f"{'change':>9}{'head better':>13}  verdict")
         for name, m in entry["metrics"].items():
             change = "" if m["change"] is None else f"{m['change']:+.1%}"
             wins = (f"{m['head_better_pairs']}/{entry['pairs']}"
@@ -166,12 +199,12 @@ def report(summary: dict) -> str:
                 f"  {name:<16}"
                 + "".join(f"{m[side]['median']:>14.4g} [{m[side]['iqr']:.3g}]".rjust(24)
                           for side in ("base", "head"))
-                + f"{change:>9}{wins:>13}")
+                + f"{change:>9}{wins:>13}  {m.get('verdict', '')}".rstrip())
     return "\n".join(lines)
 
 
 def bench_document(label: str, sides: dict, runs: list, environment: dict,
-                   better: dict, seconds: float) -> dict:
+                   end_to_end: dict, seconds: float) -> dict:
     return {
         "label": label,
         "sides": sides,
@@ -183,7 +216,7 @@ def bench_document(label: str, sides: dict, runs: list, environment: dict,
         "numpy": environment.get("numpy"),
         "blas": environment.get("blas"),
         "cpu_model": environment.get("cpu_model"),
-        "summary": summarize(runs, better),
+        "summary": summarize(runs, end_to_end),
         "runs": runs,
     }
 
@@ -225,7 +258,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    end_to_end = {m["name"]: m for m in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
     workdir = Path(tempfile.mkdtemp(dir=args.workdir, prefix="bench_ab_"))
     try:
@@ -258,7 +291,7 @@ def main(argv=None) -> int:
                           f"{probe['ratio']:.2f}", flush=True)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-    document = bench_document(args.label, sides, runs, environment, better,
+    document = bench_document(args.label, sides, runs, environment, end_to_end,
                               seconds)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
