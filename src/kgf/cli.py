@@ -10,8 +10,12 @@ verify      the cross-module verification suite
 
 Configuration precedence: command-line flag, then --config JSON document,
 then default, read from the dataclass that owns the value where one does.
-Each subcommand takes only the flags it reads.  Every floating-point value is printed with
-17 significant digits so artifacts round-trip exactly.  Exit codes: 0 on
+A flag that overrides a config key has the key as its argparse ``dest``
+(``--kmin`` is ``k_grid.min``), and :func:`_settings` resolves them all
+once per run.  A ``--lambda`` flag with an ensemble other than xi_lambda
+exits 2; a config ``lambda`` is ignored there.  Each subcommand takes only
+the flags it reads.  Every floating-point value is printed with 17
+significant digits so artifacts round-trip exactly.  Exit codes: 0 on
 success, 1 when ``verify`` finds a failing check, 2 on validation errors,
 3 on accuracy errors, and 141 (128 + SIGPIPE, as a shell reports a
 program killed by a broken pipe), with no traceback, when the reader of
@@ -224,10 +228,30 @@ def load_config(path: str | None) -> dict:
     return raw
 
 
-def _pick(section: dict, key: str, kind, flag=None, default=None):
-    """Flag beats config beats ``default``, as ``kind``; None if none is given."""
-    value = section.get(key, default) if flag is None else flag
-    return None if value is None else kind(value)
+def _typed(value, schema: dict):
+    """``value`` with each number an int or a float as ``schema`` types it."""
+    kind = schema.get("type")
+    if kind in ("integer", "number"):
+        return int(value) if kind == "integer" else float(value)
+    if isinstance(value, dict):
+        known, extra = schema.get("properties", {}), schema.get("additionalProperties", {})
+        return {key: _typed(item, known.get(key, extra)) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_typed(item, schema.get("items", {})) for item in value]
+    return value
+
+
+def _settings(args) -> dict:
+    """The run's settings: the --config document with every flag given
+    written over the config key its argparse ``dest`` names (``section.key``
+    for an entry of a section), each number typed as CONFIG_SCHEMA declares
+    it.  A key that neither gives is absent, for its default to apply."""
+    settings = load_config(args.config)
+    for dest, value in vars(args).items():
+        section, _, key = dest.rpartition(".")
+        if value is not None and (section or key) in CONFIG_SCHEMA["properties"]:
+            (settings.setdefault(section, {}) if section else settings)[key] = value
+    return _typed(settings, CONFIG_SCHEMA)
 
 
 def _declared(cls, **values):
@@ -235,78 +259,48 @@ def _declared(cls, **values):
     return cls(**{key: value for key, value in values.items() if value is not None})
 
 
-def _constants(args, config: dict) -> PhysicalConstants:
-    section = config.get("constants", {})
-    return _declared(PhysicalConstants, **{
-        field.name: _pick(section, field.name, float, getattr(args, field.name))
-        for field in dataclasses.fields(PhysicalConstants)
-    })
-
-
-def _seed(args, config: dict, default: int = 0) -> int:
-    seed = _pick(config, "seed", int, args.seed, default)
+def _seed(settings: dict, default: int = 0) -> int:
+    seed = settings.get("seed", default)
     if not 0 <= seed < 2**64:
         raise InvalidInputError(f"seed must fit in 64 bits, got {seed}")
     return seed
 
 
-def _quadrature(config: dict) -> QuadratureSpec:
-    section = config.get("quadrature", {})
-    return _declared(QuadratureSpec, nodes=_pick(section, "nodes", int))
-
-
-def _packet(dim: int | None, fields: dict) -> WavePacket:
-    amp = fields.get("amplitude")
-    return _declared(
-        WavePacket,
-        dim=dim,
-        center_x=fields.get("center_x"),
-        carrier_wavevector=fields.get("carrier_wavevector"),
-        amplitude=None if amp is None else complex(float(amp[0]), float(amp[1])),
-        **{key: _pick(fields, key, float)
-           for key in ("center_t", "width_t", "width_x", "carrier_freq")},
-    )
-
-
-def _packets(args, config: dict, names) -> dict:
+def _packets(settings: dict, names) -> dict:
     """The configured packets of ``names``, by name, in config order, refusing
     the first of ``names`` with none.  Packets the command does not name are
     neither built nor integrated."""
-    dim = _pick(config, "dim", int, args.dim)
-    packets = {name: _packet(dim, fields)
-               for name, fields in config.get("packets", {}).items() if name in names}
+    packets = {name: _declared(WavePacket, **{
+                   **fields, "dim": settings.get("dim"),
+                   "amplitude": complex(*fields["amplitude"]) if "amplitude" in fields else None})
+               for name, fields in settings.get("packets", {}).items() if name in names}
     for name in names:
         if name not in packets:
             raise FunctionLookupError(f"unknown function name {name!r}")
     return packets
 
 
-def _kernel_spec(args, config: dict) -> KernelSpec:
+def _kernel_spec(args, settings: dict) -> KernelSpec:
     return _declared(
         KernelSpec,
         variant=None if args.kernel is None else KernelVariant(args.kernel),
-        constants=_constants(args, config),
-        dim=_pick(config, "dim", int, args.dim),
-        quadrature=_quadrature(config),
+        constants=PhysicalConstants(**settings.get("constants", {})),
+        dim=settings.get("dim"),
+        quadrature=QuadratureSpec(**settings.get("quadrature", {})),
     )
 
 
-def _lattice(args, config: dict) -> sampler.LatticeSpec:
+def _lattice(settings: dict) -> sampler.LatticeSpec:
     from . import sampler
 
-    section = config.get("lattice", {})
-    return _declared(
-        sampler.LatticeSpec,
-        dim=_pick(config, "dim", int, args.dim),
-        sites_per_axis=_pick(section, "sites_per_axis", int, args.lattice_n),
-        spacing=_pick(section, "spacing", float, args.spacing),
-    )
+    return _declared(sampler.LatticeSpec, dim=settings.get("dim"),
+                     **settings.get("lattice", {}))
 
 
-def _density(args, config: dict) -> spectra.SpectralDensity:
+def _density(args, settings: dict) -> spectra.SpectralDensity:
     from .spectra import Ensemble, SpectralDensity, lambda_of_xi
 
-    name = _pick(config, "ensemble", str, args.ensemble)
+    name = settings.get("ensemble")
     if name is None:
         raise InvalidInputError("no ensemble given (flag --ensemble or config)")
     try:
@@ -315,16 +309,16 @@ def _density(args, config: dict) -> spectra.SpectralDensity:
         raise InvalidInputError(
             f"unknown ensemble {name!r}; choose from {_ENSEMBLE_NAMES}"
         ) from None
-    constants = _constants(args, config)
+    constants = PhysicalConstants(**settings.get("constants", {}))
     if ensemble is not Ensemble.XI_LAMBDA:
-        if args.lam is not None:
+        # a config lambda is ignored here, a --lambda flag refused
+        if getattr(args, "lambda") is not None:
             raise InvalidInputError(
                 f"--lambda applies only to the xi_lambda ensemble, not {ensemble.value}"
             )
         return SpectralDensity(ensemble, constants)
-    lam = _pick(config, "lambda", float, args.lam)
-    return SpectralDensity(ensemble, constants,
-                           lam=lambda_of_xi(constants.xi) if lam is None else lam)
+    lam = settings["lambda"] if "lambda" in settings else lambda_of_xi(constants.xi)
+    return SpectralDensity(ensemble, constants, lam=lam)
 
 
 def _fmt(value: float) -> str:
@@ -367,10 +361,9 @@ def _open_out(path: Path):
 # --- subcommands ------------------------------------------------------------
 
 
-def cmd_innerprod(args) -> int:
-    config = load_config(args.config)
-    spec = _kernel_spec(args, config)
-    packets = _packets(args, config, dict.fromkeys((args.f, args.g)))
+def cmd_innerprod(args, settings: dict) -> int:
+    spec = _kernel_spec(args, settings)
+    packets = _packets(settings, dict.fromkeys((args.f, args.g)))
     f, g = packets[args.f], packets[args.g]
     value, diag = inner_product_with_diagnostics(spec, f, g)
     print(f"({args.f}, {args.g})_{spec.variant.value} = {_fmt_complex(value)}")
@@ -393,11 +386,10 @@ def _show_pairings(term, pairings, table):
     print(f"{count} pairings")
 
 
-def cmd_expect(args) -> int:
+def cmd_expect(args, settings: dict) -> int:
     from . import opalgebra
 
-    config = load_config(args.config)
-    spec = _kernel_spec(args, config)
+    spec = _kernel_spec(args, settings)
     terms = opalgebra.parse_terms(args.expression)
     pairings = None
     if args.show_pairings:
@@ -406,7 +398,7 @@ def cmd_expect(args) -> int:
                 "--show-pairings needs a single product of phi factors"
             )
         pairings = opalgebra.enumerate_pairings(len(terms[0].factors))
-    packets = _packets(args, config, dict.fromkeys(
+    packets = _packets(settings, dict.fromkeys(
         name for term in terms for _, name in term.factors))
     # a word is a term's letters (keyword, name) as they are; each distinct
     # word is contracted once, weighted by its terms' summed coefficients,
@@ -432,13 +424,10 @@ def cmd_expect(args) -> int:
     return 0
 
 
-def cmd_spectra(args) -> int:
-    config = load_config(args.config)
-    density = _density(args, config)
-    grid_cfg = config.get("k_grid", {})
-    kmin = _pick(grid_cfg, "min", float, args.kmin, 0.0)
-    kmax = _pick(grid_cfg, "max", float, args.kmax, 10.0)
-    count = _pick(grid_cfg, "count", int, args.kcount, 256)
+def cmd_spectra(args, settings: dict) -> int:
+    density = _density(args, settings)
+    grid = {"min": 0.0, "max": 10.0, "count": 256, **settings.get("k_grid", {})}
+    kmin, kmax, count = grid["min"], grid["max"], grid["count"]
     for bound, value in (("min", kmin), ("max", kmax)):
         if not math.isfinite(value):
             raise InvalidInputError(f"bad k grid: {bound} must be finite, got {value}")
@@ -459,14 +448,13 @@ def cmd_spectra(args) -> int:
     return 0
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args, settings: dict) -> int:
     from . import sampler
 
-    config = load_config(args.config)
-    density = _density(args, config)
-    lattice = _lattice(args, config)
-    n = _pick(config, "samples", int, args.samples, 100)
-    seed = _seed(args, config)
+    density = _density(args, settings)
+    lattice = _lattice(settings)
+    n = settings.get("samples", 100)
+    seed = _seed(settings)
     chunks = sampler.sample_chunks(density, lattice, seed, n,
                                    pin_zero_mode=args.pin_zero_mode)
     out = _out_dir(args)
@@ -489,11 +477,10 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, settings: dict) -> int:
     from . import verify
 
-    config = load_config(args.config)
-    seed = _seed(args, config, verify.DEFAULT_SEED)
+    seed = _seed(settings, verify.DEFAULT_SEED)
     results = verify.run_suite(args.suite, seed=seed)
     print(verify.format_results(results))
     return 0 if all(r.passed for r in results) else 1
@@ -504,7 +491,8 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """One parent parser per flag group; each subcommand lists the groups
-    its ``cmd_*`` reads, so argparse refuses every other flag (exit 2)."""
+    its ``cmd_*`` reads, so argparse refuses every other flag (exit 2).  A
+    flag that overrides a config key has that key as its ``dest``."""
     def group(*flags, **options):
         parent = argparse.ArgumentParser(add_help=False)
         for flag in flags:
@@ -514,12 +502,13 @@ def build_parser() -> argparse.ArgumentParser:
     config = group("--config", metavar="PATH", help="JSON run configuration")
     seed = group("--seed", type=int, metavar="U64")
     dim = group("--dim", type=int, choices=(1, 2, 3))
-    constants = group(*(f"--{field.name}" for field in
-                        dataclasses.fields(PhysicalConstants)),
-                      type=float, metavar="F")
+    constants = group()
+    for field in dataclasses.fields(PhysicalConstants):
+        constants.add_argument(f"--{field.name}", dest=f"constants.{field.name}",
+                               type=float, metavar="F")
     kernel = group("--kernel", choices=sorted(v.value for v in KernelVariant))
     ensemble = group("--ensemble", choices=_ENSEMBLE_NAMES)
-    ensemble.add_argument("--lambda", dest="lam", type=float,
+    ensemble.add_argument("--lambda", dest="lambda", type=float, metavar="LAM",
                           help="Gibbs scale of the xi_lambda ensemble, refused "
                                "with any other (default: the closure value)")
     out = group("--out", metavar="DIR", help="artifact output directory")
@@ -546,17 +535,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectra", parents=[config, constants, ensemble, out],
                        help="spectral coefficients on a k grid, as CSV")
-    p.add_argument("--kmin", type=float)
-    p.add_argument("--kmax", type=float)
-    p.add_argument("--kcount", type=int)
+    p.add_argument("--kmin", dest="k_grid.min", type=float, metavar="KMIN")
+    p.add_argument("--kmax", dest="k_grid.max", type=float, metavar="KMAX")
+    p.add_argument("--kcount", dest="k_grid.count", type=int, metavar="KCOUNT")
     p.set_defaults(func=cmd_spectra)
 
     p = sub.add_parser("sample",
                        parents=[config, seed, dim, constants, ensemble, out],
                        help="draw lattice field samples and their spectrum")
-    p.add_argument("--lattice-n", type=int, metavar="N",
+    p.add_argument("--lattice-n", dest="lattice.sites_per_axis", type=int, metavar="N",
                    help="sites per axis (power of two)")
-    p.add_argument("--spacing", type=float, metavar="A")
+    p.add_argument("--spacing", dest="lattice.spacing", type=float, metavar="A")
     p.add_argument("--samples", type=int, metavar="COUNT")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted and ignored: blocks are drawn one after another")
@@ -577,7 +566,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        code = args.func(args, _settings(args))
         sys.stdout.flush()  # a reader that has gone fails here, not at exit
         return code
     except BrokenPipeError:

@@ -359,7 +359,9 @@ def _variant_weight(spec: KernelSpec, omega: np.ndarray) -> np.ndarray:
     return base * c.xi
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
+    """CPUs this process may run on: the D >= 2 passes and ``kgf verify``'s
+    pool take one thread each, at most."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
@@ -375,7 +377,7 @@ def _passes(spec: KernelSpec, jobs: list) -> list:
         _gauss_legendre(nodes)
         if spec.dim == 3:
             _gauss_legendre(_direction_count(3, nodes, _exponent(f, g)[1], cutoff))
-    workers = min(_usable_cpus(), len(jobs)) if spec.dim > 1 else 1
+    workers = min(usable_cpus(), len(jobs)) if spec.dim > 1 else 1
     if workers < 2:
         return [_reduced_integral(spec, *job) for job in jobs]
     values, failures = [None] * len(jobs), []

@@ -291,10 +291,11 @@ class _SpectrumPlan:
             raise DegenerateModeError(tuple(labels[j] for j in mode),
                                       float(coeff[mode]))
         safe = np.where(coeff > 0.0, coeff, 1.0)
-        self.expected = lattice.volume / (2.0 * safe)
         self.grid = _half_grid(lattice)
-        self.scale = np.sqrt(lattice.volume / (2.0 * lattice.total_sites
-                                               * safe[..., : self.grid.shape[-1]]))
+        with np.errstate(over="ignore"):  # sample_chunks refuses what overflows
+            self.expected = lattice.volume / (2.0 * safe)
+            self.scale = np.sqrt(lattice.volume / (2.0 * lattice.total_sites
+                                                   * safe[..., : self.grid.shape[-1]]))
         if pinned:
             self.expected[zero] = self.scale[zero] = 0.0
 
@@ -371,6 +372,17 @@ def sample_chunks(density: SpectralDensity, lattice: LatticeSpec, seed: int,
     if not 0 <= seed < 2**64:
         raise InvalidInputError(f"seed must be in [0, 2**64), got {seed}")
     plan = _SpectrumPlan(density, lattice, pin_zero_mode)
+    # numpy's ziggurat normals lie within 14 of 0 (its tail step adds at most
+    # -log(2**-53)/r ~ 10.05 to r ~ 3.65), so a draw's |phi~_k|^2 is at most
+    # 14**2 N^D times its expected value; the spectrum's moments add up to
+    # two squares of such powers per sample, finite while 2 n of them are
+    largest = float(plan.expected.max())
+    bound = math.sqrt(sys.float_info.max / (2 * n)) / (14**2 * lattice.total_sites)
+    if not largest <= bound:
+        raise InvalidInputError(
+            f"the expected mode power V/(2c) reaches {largest:.3g}, past the {bound:.3g}"
+            f" below which the powers of {n} samples of {lattice.total_sites} sites"
+            f" and their squares stay finite")
     scales = plan.scale[plan.scale > 0.0]
     if scales.max() > MAX_MODE_SCALE_RATIO * scales.min():
         raise InvalidInputError(

@@ -105,7 +105,11 @@ def spectral_coefficient(density: SpectralDensity, kmag):
     positive for every finite k when the mass is positive; a |k| whose
     coefficient overflows to infinity is refused.  Where k^2 + m^2
     overflows, omega comes from ``np.hypot`` instead, so the coefficients
-    linear in omega stay finite up to |k| ~ 1.8e308.
+    linear in omega stay finite up to |k| ~ 1.8e308.  The numerator is
+    halved, not the denominator doubled, so a kT or lambda past half the
+    float range does not overflow ``2 kT`` and leave c = 0.  Halving a normal
+    numerator is exact, so wherever 2 kT is finite the bits are those of
+    ``x / (2 kT)``.
     """
     k = np.abs(np.asarray(kmag, dtype=float))
     if not np.all(np.isfinite(k)):
@@ -118,15 +122,15 @@ def spectral_coefficient(density: SpectralDensity, kmag):
         if np.any(big):
             omega = np.where(big, np.hypot(k, c.mass), omega)
         if ens is Ensemble.CLASSICAL_EQUILIBRIUM:
-            out = omega * omega / (2.0 * c.kT)
+            out = omega * omega * 0.5 / c.kT
         elif ens is Ensemble.QUANTUM_VACUUM:
             out = omega / c.hbar
         elif ens is Ensemble.QUANTUM_THERMAL:
-            out = np.tanh(c.hbar * omega / (2.0 * c.kT)) * omega / c.hbar
+            out = np.tanh(c.hbar * omega * 0.5 / c.kT) * omega / c.hbar
         elif ens is Ensemble.XI_VACUUM:
             out = omega / (c.xi * c.hbar)
         else:  # Ensemble.XI_LAMBDA
-            out = math.tanh(c.xi / (2.0 * density.lam)) * omega / (c.xi * c.hbar)
+            out = math.tanh(c.xi * 0.5 / density.lam) * omega / (c.xi * c.hbar)
     overflow = ~np.isfinite(out)
     if np.any(overflow):
         raise InvalidInputError(

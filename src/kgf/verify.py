@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -406,11 +405,10 @@ def run_suite(name: str = "all", seed: int = DEFAULT_SEED) -> list:
         raise InvalidInputError(
             f"unknown suite {name!r}; choose from {sorted(SUITES)}"
         ) from None
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     # the longest check starts first, so no thread is left running it alone
     order = sorted(range(len(checks)),
                    key=lambda i: checks[i] is not check_sampler_moments)
-    with ThreadPoolExecutor(min(len(checks), cpus)) as pool:
+    with ThreadPoolExecutor(min(len(checks), kernels.usable_cpus())) as pool:
         futures = {i: pool.submit(_run, checks[i], seed) for i in order}
     return [futures[i].result() for i in range(len(checks))]
 

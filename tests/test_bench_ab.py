@@ -172,17 +172,15 @@ def test_src_lines_totals_the_packages_newlines(tmp_path):
     assert bench_ab.size_change(sides) == "src/kgf/*.py: 3 -> 5 lines (+2)"
 
 
-def test_main_takes_run_length_from_the_benchmark(monkeypatch, tmp_path, capsys):
-    """Every run lasts BENCHMARK.json's ``run_seconds``; every workload
-    gets ``PAIRS`` pairs from ``BASE_SEED`` on, and the side that goes
-    first alternates.  Both trees' source lines are recorded and printed."""
-    benchmark = (bench_ab.ROOT / "BENCHMARK.json").read_text()
+def fake_main(monkeypatch, tmp_path, benchmark: str) -> list:
+    """``main`` on canned runs under ``benchmark`` as BENCHMARK.json; the
+    tree and the flags of every ``run.py`` call it made."""
     (tmp_path / "BENCHMARK.json").write_text(benchmark)
     monkeypatch.setattr(bench_ab, "ROOT", tmp_path)
     monkeypatch.setattr(bench_ab, "extract", fake_extract)
     monkeypatch.setattr(bench_ab, "timed_pass", lambda: 0.07)
     monkeypatch.setattr(bench_ab, "blas_info", lambda: None)
-    probes = iter(range(100))
+    probes = iter(range(1000))
     monkeypatch.setattr(bench_ab, "parallel_probe",
                         lambda: {"one_s": 1.0, "two_s": 1.0, "ratio": next(probes)})
     calls = []
@@ -194,6 +192,25 @@ def test_main_takes_run_length_from_the_benchmark(monkeypatch, tmp_path, capsys)
 
     monkeypatch.setattr(bench_ab.subprocess, "run", fake_run)
     assert bench_ab.main(["--label", "t", "--workdir", str(tmp_path)]) == 0
+    return calls
+
+
+def test_main_runs_the_workloads_the_benchmark_declares(monkeypatch, tmp_path):
+    benchmark = json.loads((bench_ab.ROOT / "BENCHMARK.json").read_text())
+    benchmark["workloads"] = [{"name": "verify_all"}, {"name": "expect_d1"}]
+    calls = fake_main(monkeypatch, tmp_path, json.dumps(benchmark))
+    workloads = [value["--workload"] for _, value in calls]
+    assert list(dict.fromkeys(workloads)) == ["verify_all", "expect_d1"]
+    assert len(workloads) == 2 * 2 * bench_ab.PAIRS
+
+
+def test_main_takes_run_length_from_the_benchmark(monkeypatch, tmp_path, capsys):
+    """Every run lasts BENCHMARK.json's ``run_seconds``; every workload it
+    declares gets ``PAIRS`` pairs from ``BASE_SEED`` on, and the side that
+    goes first alternates.  Both trees' source lines are recorded and
+    printed."""
+    benchmark = (bench_ab.ROOT / "BENCHMARK.json").read_text()
+    calls = fake_main(monkeypatch, tmp_path, benchmark)
     seconds = json.loads(benchmark)["run_seconds"]
     assert {value["--seconds"] for _, value in calls} == {str(seconds)}
     verify = [(side, int(value["--seed"])) for side, value in calls
@@ -201,7 +218,9 @@ def test_main_takes_run_length_from_the_benchmark(monkeypatch, tmp_path, capsys)
     assert len(verify) == 2 * bench_ab.PAIRS == 20
     assert verify[:4] == [("base", bench_ab.BASE_SEED), ("head", bench_ab.BASE_SEED),
                           ("head", bench_ab.BASE_SEED + 1), ("base", bench_ab.BASE_SEED + 1)]
-    for workload in ("expect_d1", "kernels_d23", "sample_stream"):
+    declared = [w["name"] for w in json.loads(benchmark)["workloads"]]
+    assert list(dict.fromkeys(value["--workload"] for _, value in calls)) == declared
+    for workload in declared:
         assert sum(value["--workload"] == workload for _, value in calls) == 2 * bench_ab.PAIRS
     document = json.loads((tmp_path / "BENCH_t.json").read_text())
     # one probe before each pair, shared by both of its runs

@@ -1,6 +1,7 @@
 """Command-line interface: precedence, artifacts, exit codes."""
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -11,6 +12,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -256,11 +258,13 @@ class TestOptionSurface:
     def test_unset_values_take_the_dataclass_defaults(self):
         parsers = subcommand_parsers()
         args = parsers["innerprod"].parse_args(["-f", "f", "-g", "f"])
+        assert cli._settings(args) == {}
         assert cli._kernel_spec(args, {}) == KernelSpec()
-        assert cli._packets(args, {"packets": {"f": {}}}, {"f"}) == {"f": WavePacket()}
+        assert cli._packets({"packets": {"f": {}}}, {"f"}) == {"f": WavePacket()}
         args = parsers["sample"].parse_args([])
-        assert cli._constants(args, {}) == PhysicalConstants()
-        assert cli._lattice(args, {}) == sampler.LatticeSpec()
+        assert cli._settings(args) == {}
+        assert cli._density(args, {"ensemble": "vacuum"}).constants == PhysicalConstants()
+        assert cli._lattice({}) == sampler.LatticeSpec()
 
     @pytest.mark.parametrize("command", [
         ["spectra", "--ensemble", "thermal", "--lambda", "0.3"],
@@ -277,6 +281,117 @@ class TestOptionSurface:
     def test_config_lambda_with_another_ensemble_is_allowed(self, tmp_path):
         cfg = write_config(tmp_path, {"ensemble": "vacuum", "lambda": 0.3})
         assert main(["spectra", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+#: Each flag that overrides a config key: the key, a flag value, a config
+#: value in JSON's other number type where the key is a number, and the
+#: value when neither is given (None: the command refuses to run).
+PRECEDENCE = {
+    "--hbar": ("constants.hbar", 2.0, 3, PhysicalConstants().hbar),
+    "--kT": ("constants.kT", 2.0, 3, PhysicalConstants().kT),
+    "--mass": ("constants.mass", 2.0, 3, PhysicalConstants().mass),
+    "--xi": ("constants.xi", 0.25, 0.75, PhysicalConstants().xi),
+    "--dim": ("dim", 2, 3.0, 1),
+    "--seed": ("seed", 7, 9.0, {"sample": 0, "verify": verify.DEFAULT_SEED}),
+    "--samples": ("samples", 3, 4.0, 100),
+    "--ensemble": ("ensemble", "quantum_thermal", "classical_equilibrium", None),
+    "--lambda": ("lambda", 0.3, 1, lambda_of_xi(0.5)),
+    "--lattice-n": ("lattice.sites_per_axis", 16, 32.0, sampler.LatticeSpec().sites_per_axis),
+    "--spacing": ("lattice.spacing", 0.5, 2, sampler.LatticeSpec().spacing),
+    "--kmin": ("k_grid.min", 1.0, 2, 0.0),
+    "--kmax": ("k_grid.max", 5.0, 6, 10.0),
+    "--kcount": ("k_grid.count", 3, 4.0, 256),
+}
+#: Each subcommand's argv and config without the flag under test; the
+#: xi_lambda ensemble reads every constant and lambda.
+PRECEDENCE_RUNS = {
+    "innerprod": (["-f", "f", "-g", "f"], {"packets": {"f": {}}}),
+    "expect": (["phi[f] phi[f]"], {"packets": {"f": {}}}),
+    "spectra": ([], {"ensemble": "xi_lambda", "lambda": 0.2, "constants": {"xi": 0.5}}),
+    "sample": ([], {"ensemble": "xi_lambda", "lambda": 0.2, "constants": {"xi": 0.5}}),
+    "verify": ([], {}),
+}
+
+
+class Resolved(Exception):
+    """Raised in place of a command's work, carrying what it was handed."""
+
+
+def resolved(monkeypatch, tmp_path, command, argv, config):
+    """What ``kgf command argv --config config`` hands its work, as a
+    namespace whose attribute paths are the config keys."""
+    def capture(**found):
+        raise Resolved(found)
+
+    monkeypatch.setattr(cli, "inner_product_with_diagnostics",
+                        lambda spec, f, g: capture(spec=spec))
+    monkeypatch.setattr(opalgebra.InnerProductTable, "from_kernel",
+                        lambda spec, packets: capture(spec=spec))
+    monkeypatch.setattr(spectra, "spectral_coefficient",
+                        lambda density, k: capture(density=density, k=k))
+    monkeypatch.setattr(sampler, "sample_chunks",
+                        lambda density, lattice, seed, n, pin_zero_mode: capture(
+                            density=density, lattice=lattice, seed=seed, n=n))
+    monkeypatch.setattr(verify, "run_suite", lambda suite, seed: capture(seed=seed))
+    with pytest.raises(Resolved) as found:
+        main([command, *argv, "--config", write_config(tmp_path, config)])
+    found = found.value.args[0]
+    density, spec = found.get("density"), found.get("spec")
+    run = {"seed": found.get("seed"), "samples": found.get("n"),
+           "lattice": found.get("lattice")}
+    if spec is not None:
+        run.update(constants=spec.constants, dim=spec.dim)
+    if density is not None:
+        run.update(constants=density.constants, ensemble=density.ensemble.value,
+                   **{"lambda": density.lam})
+    if "lattice" in found:
+        run["dim"] = found["lattice"].dim
+    if "k" in found:
+        k = found["k"]
+        run["k_grid"] = SimpleNamespace(min=float(k[0]), max=float(k[-1]), count=len(k))
+    return SimpleNamespace(**run)
+
+
+def configured(config, key, value):
+    """A copy of ``config`` with dotted ``key`` set to ``value``, or removed
+    if ``value`` is None."""
+    config = json.loads(json.dumps(config))
+    *sections, last = key.split(".")
+    node = config
+    for section in sections:
+        node = node.setdefault(section, {})
+    if value is None:
+        node.pop(last, None)
+    else:
+        node[last] = value
+    return config
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, options in OPTIONS.items()
+    for flag in options.split() if flag in PRECEDENCE])
+def test_flag_beats_config_beats_default(command, flag, monkeypatch, tmp_path, capsys):
+    """The flag wins over its config key and the config value over the
+    default; a config number arrives typed as the schema declares it."""
+    key, flag_value, config_value, default = PRECEDENCE[flag]
+    default = default.get(command) if isinstance(default, dict) else default
+    argv, config = PRECEDENCE_RUNS[command]
+
+    def value(flags, config):
+        run = resolved(monkeypatch, tmp_path, command, [*argv, *flags], config)
+        return functools.reduce(getattr, key.split("."), run)
+
+    with_config = configured(config, key, config_value)
+    got = value([flag, str(flag_value)], with_config)
+    assert got == flag_value and type(got) is type(flag_value)
+    got = value([], with_config)
+    assert got == config_value and type(got) is type(flag_value)
+    without = configured(config, key, None)
+    if default is None:
+        assert main([command, *argv, "--config", write_config(tmp_path, without)]) == 2
+        assert "no ensemble given" in capsys.readouterr().err
+    else:
+        assert value([], without) == default
 
 
 class TestOverflowingInputs:
@@ -935,6 +1050,26 @@ class TestSample:
         spectrum = (tmp_path / "spectrum.csv").read_text(encoding="utf-8")
         assert spectrum.startswith("k_index_0,mean,stderr,count,expected\n")
         assert len(spectrum.strip().split("\n")) == 17
+
+    @pytest.mark.parametrize("flags, shown", [
+        (["--hbar", "1e308", "--samples", "2"], "reaches inf"),
+        (["--hbar", "2e307", "--samples", "200"], "reaches 8e+307"),
+        (["--ensemble", "classical", "--kT", "1e308", "--samples", "2"], "reaches inf"),
+    ])
+    def test_a_spectrum_past_the_float_range_exits_2_without_a_file(
+            self, flags, shown, tmp_path):
+        """Under -W error, so no overflow warning is raised on the way: the
+        refusal comes before any file or directory is made."""
+        out = tmp_path / "artifacts"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "kgf", "sample", "--ensemble", "vacuum",
+             "--lattice-n", "8", *flags, "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(Path(kgf.__file__).resolve().parents[1])))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: the expected mode power V/(2c) " + shown)
+        assert "stay finite" in proc.stderr
+        assert not out.exists()
 
     def test_csv_artifacts_are_the_text_writers_bytes(self, tmp_path):
         """The files are written as bytes; they hold the text that the

@@ -524,7 +524,7 @@ class TestPasses:
                 super().start()
 
         monkeypatch.setattr(K, "threading", types.SimpleNamespace(Thread=Thread))
-        monkeypatch.setattr(K, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(K, "usable_cpus", lambda: 2)
         return started
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -534,7 +534,7 @@ class TestPasses:
         pairs = list(itertools.combinations(packets, 2))
         threaded = K.inner_products(spec, pairs)
         assert len(threads) == 2 and not any(t.is_alive() for t in threads)
-        monkeypatch.setattr(K, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(K, "usable_cpus", lambda: 1)
         assert K.inner_products(spec, pairs) == threaded
         assert len(threads) == 2
         for (f, g), (value, diag) in zip(pairs, threaded):

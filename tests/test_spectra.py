@@ -49,6 +49,21 @@ class TestSpectralCoefficient:
         # omega^2 = 16 + 9 at k=4
         assert spectral_coefficient(d, 4.0) == pytest.approx(25.0 / 4.0, rel=1e-15)
 
+    @pytest.mark.parametrize("ens, constants, lam, power", [
+        (Ensemble.CLASSICAL_EQUILIBRIUM, PhysicalConstants(kT=1e308), None, 2),
+        (Ensemble.QUANTUM_THERMAL, PhysicalConstants(kT=1e308), None, 2),
+        (Ensemble.XI_LAMBDA, PhysicalConstants(xi=0.5), 1e308, 1),
+    ])
+    def test_a_scale_past_half_the_float_range_keeps_c_positive(
+            self, ens, constants, lam, power):
+        """kT or lambda = 1e308, where 2 kT and 2 lambda overflow: c is
+        omega**power / 2e308 (tanh(x) = x that far down), not 0."""
+        k = np.array([0.0, 10.0])
+        omega = np.sqrt(k * k + 1.0)
+        c = spectral_coefficient(density(ens, constants, lam=lam), k)
+        assert np.all(c > 0.0)
+        assert c == pytest.approx(omega**power / 1e308 / 2, rel=1e-12)
+
     def test_vacuum_is_omega_over_hbar(self):
         d = density(Ensemble.QUANTUM_VACUUM, PhysicalConstants(hbar=2.0, mass=0.0))
         assert spectral_coefficient(d, 3.0) == pytest.approx(1.5, rel=1e-15)

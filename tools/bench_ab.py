@@ -12,7 +12,8 @@ or would add.  Nothing is registered in the repository's git metadata.
 Then ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` runs
 on both sides, one run at a time, alternating which side goes first, with
 T the ``run_seconds`` of ``BENCHMARK.json``, ``PAIRS`` pairs on every
-workload (fewer cannot resolve the end-to-end bounds on a shared host).
+workload it declares, in its order (fewer pairs cannot resolve the
+end-to-end bounds on a shared host).
 Pair ``i`` uses seed ``BASE_SEED + i`` on both sides.  Before each pair, one
 ``python -c pass`` is timed, since a shared host drifts between pairs, and
 so is a parallel-capacity probe: the wall time of two CPU-bound
@@ -47,7 +48,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("expect_d1", "kernels_d23", "sample_stream", "verify_all")
 ENVIRONMENT_PREFIX = "# environment: "
 WORKTREE = "WORKTREE"
 PAIRS = 10
@@ -268,7 +268,7 @@ def main(argv=None) -> int:
                  for side, rev in (("base", args.base), ("head", args.head))}
         environment = {"blas": blas_info()}
         runs = []
-        for workload in WORKLOADS:
+        for workload in (w["name"] for w in benchmark["workloads"]):
             for pair in range(PAIRS):
                 seed = BASE_SEED + pair
                 calibration = timed_pass()
